@@ -25,6 +25,7 @@ from .errors import (
     ConsistencyError,
     DimMismatchError,
     EnergyOutOfRangeError,
+    NonFiniteError,
     NonHermitianError,
     NonSquareError,
     NotUnitaryError,
@@ -48,6 +49,7 @@ from .linalg import (
     is_hermitian,
     is_unitary,
     kron,
+    shannon,
 )
 from .projection import (
     MaxWorkResult,

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -718,6 +717,10 @@ def run_scenario_obj(obj: dict) -> dict:
     }
 
 
+def _reject_constant(name: str):
+    raise ScenarioError(f"non-finite number {name} is not allowed in a scenario")
+
+
 def run_scenario(path: str, out: str | None = None) -> int:
     """Run a scenario file; returns the process exit code."""
     try:
@@ -727,8 +730,8 @@ def run_scenario(path: str, out: str | None = None) -> int:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, ScenarioError) as exc:
         print(f"invalid JSON in {path}: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:
@@ -752,26 +755,10 @@ def run_scenario(path: str, out: str | None = None) -> int:
     return EXIT_OK
 
 
-def _threads_cap() -> int | None:
-    raw = os.environ.get("COHEREWORK_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        print(f"ignoring invalid COHEREWORK_THREADS={raw!r}", file=sys.stderr)
-        return None
-    return cap
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="coherework",
         description="Scenario runner for coherence-to-work numerics.",
-        epilog="COHEREWORK_THREADS caps internal parallelism "
-               "(scenario evaluation is currently single-threaded).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a JSON scenario file")
@@ -780,7 +767,6 @@ def main(argv=None) -> int:
     sub.add_parser("self-test", help="run the embedded acceptance suite")
     sub.add_parser("schema", help="print the scenario and report schema")
     args = parser.parse_args(argv)
-    _threads_cap()
 
     if args.command == "run":
         return run_scenario(args.file, args.out)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, DimMismatchError
-from .linalg import kron
+from .linalg import kron, shannon
 from .projection import ProjectorSet, WorkReport, project
 from .states import (
     DensityMatrix,
@@ -56,8 +56,11 @@ class BipartiteState:
 
 
 def _lift(p: ProjectorSet, dim_a: int) -> ProjectorSet:
-    eye_a = np.eye(dim_a)
-    return ProjectorSet([kron(pk, eye_a) for pk in p.projectors], labels=p.labels)
+    """The family {P_k (x) 1_A}: basis U (x) 1_A, cluster k = c_k * dim_a + a."""
+    cols = np.arange(dim_a)
+    return ProjectorSet(kron(p.basis, np.eye(dim_a)),
+                        [(c[:, None] * dim_a + cols).ravel() for c in p.clusters],
+                        labels=p.labels)
 
 
 def local_project(state: BipartiteState, p: ProjectorSet) -> BipartiteState:
@@ -72,16 +75,23 @@ def local_project(state: BipartiteState, p: ProjectorSet) -> BipartiteState:
     return BipartiteState(rho_sa=eta, dim_s=state.dim_s, dim_a=state.dim_a)
 
 
-def _branches(state: BipartiteState, p: ProjectorSet):
-    """Probabilities p_k and unnormalised conditional ancilla blocks."""
+def _conditional_entropy(state: BipartiteState, p: ProjectorSet) -> float:
+    """sum_k p_k S(eta_A_k) over the branches with p_k > 1e-12, in nats.
+
+    Branch k's unnormalised ancilla block is <phi_k| rho_SA |phi_k>; all
+    blocks come from one contraction and one batched eigvalsh.
+    """
     phi = p.basis_vectors()
     r = state.rho_sa.mat.reshape(state.dim_s, state.dim_a, state.dim_s, state.dim_a)
-    out = []
-    for k in range(len(p)):
-        v = phi[:, k]
-        block = np.einsum("i,iajb,j->ab", v.conj(), r, v)
-        out.append((float(np.trace(block).real), block))
-    return out
+    blocks = np.einsum("ik,iajb,jk->kab", phi.conj(), r, phi, optimize=True)
+    weights = np.einsum("kaa->k", blocks).real
+    spectra = np.maximum(
+        np.linalg.eigvalsh((blocks + blocks.conj().transpose(0, 2, 1)) / 2.0), 0.0)
+    total = 0.0
+    for pk, w in zip(weights.tolist(), spectra):
+        if pk > _BRANCH_TOL:
+            total += pk * shannon(w / pk)
+    return total
 
 
 def delta_correlation(state: BipartiteState, p: ProjectorSet) -> float:
@@ -98,16 +108,8 @@ def delta_correlation(state: BipartiteState, p: ProjectorSet) -> float:
             f"delta_correlation: projector dimension {p.dim} != system "
             f"dimension {state.dim_s}"
         )
-    p.require_rank_one()
-    cond = 0.0
-    for pk, block in _branches(state, p):
-        if pk > _BRANCH_TOL:
-            w = np.maximum(np.linalg.eigvalsh((block + block.conj().T) / 2.0), 0.0)
-            w = w / pk
-            w = w[w > 0.0]
-            cond += pk * float(-(w * np.log(w)).sum())
     return (von_neumann_entropy(state.marginal_s)
-            - von_neumann_entropy(state.rho_sa) + cond)
+            - von_neumann_entropy(state.rho_sa) + _conditional_entropy(state, p))
 
 
 def global_optimal_work(state: BipartiteState, h_s: Hamiltonian, p: ProjectorSet,
@@ -159,13 +161,6 @@ def verify_lemma1(state: BipartiteState, p: ProjectorSet) -> Lemma1Result:
             f"verify_lemma1: projector dimension {p.dim} != system dimension "
             f"{state.dim_s}"
         )
-    p.require_rank_one()
     lhs = von_neumann_entropy(state.rho_sa)
-    rhs = 0.0
-    for pk, block in _branches(state, p):
-        if pk > _BRANCH_TOL:
-            w = np.maximum(np.linalg.eigvalsh((block + block.conj().T) / 2.0), 0.0)
-            w = w / pk
-            w = w[w > 0.0]
-            rhs += pk * float(-(w * np.log(w)).sum())
+    rhs = _conditional_entropy(state, p)
     return Lemma1Result(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-10)

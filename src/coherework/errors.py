@@ -14,6 +14,10 @@ class NonSquareError(CohereworkError):
     """Matrix operation received a non-square (or non 2-d) array."""
 
 
+class NonFiniteError(CohereworkError):
+    """Matrix has NaN or infinite entries."""
+
+
 class NonHermitianError(CohereworkError):
     """Matrix is not Hermitian within the requested tolerance."""
 

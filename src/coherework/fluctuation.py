@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatchError, NotUnitaryError, StateValidationError
-from .linalg import as_matrix, hs_norm, is_unitary
+from .linalg import as_matrix, is_unitary
 from .projection import energy_projectors, project
 from .states import (
     DensityMatrix,
@@ -94,8 +94,10 @@ def transition_table(h0: Hamiltonian, htau: Hamiltonian, v,
 
     p[m][n] = tr[P_m V P_n rho_0 P_n V^dag P_m] with rho_0 the Gibbs state of
     h0; degenerate levels enter through their cluster projectors, which
-    generalises the rank-1 formula verbatim. Entries are computed as squared
-    Hilbert-Schmidt norms, so nonnegativity is exact.
+    generalises the rank-1 formula verbatim. With B0, Btau the eigenbases,
+    p[m][n] is the thermal weight of level n times the sum of
+    |Btau^dag V B0|^2 over the eigenvectors of levels m and n, so
+    nonnegativity is exact.
     """
     vm = as_matrix(v)
     if h0.dim != htau.dim or vm.shape != (h0.dim, h0.dim):
@@ -110,13 +112,13 @@ def transition_table(h0: Hamiltonian, htau: Hamiltonian, v,
     g0 = h0.degeneracies.astype(float)
     f0 = _free_energy(e0, g0, beta)
     weights = np.exp(-beta * (e0 - f0))  # per-eigenstate thermal weight
-    probs = np.empty((len(htau.levels), len(h0.levels)))
-    for n, (_, p0) in enumerate(h0.levels):
-        vp = vm @ p0
-        for m, (_, ptau) in enumerate(htau.levels):
-            probs[m, n] = weights[n] * hs_norm(ptau @ vp) ** 2
+    amp = htau.spectral.eigenvectors.conj().T @ vm @ h0.spectral.eigenvectors
+    # clusters are contiguous runs of the ascending spectrum, so each level's
+    # rows (columns) are summed by one reduceat segment
+    probs = np.add.reduceat(np.abs(amp) ** 2, [c[0] for c in htau.clusters], axis=0)
+    probs = np.add.reduceat(probs, [c[0] for c in h0.clusters], axis=1) * weights
     return TransitionTable(probs=probs, e0=e0, etau=htau.energies,
-                           beta=beta, g0=h0.degeneracies.astype(float))
+                           beta=beta, g0=g0)
 
 
 def jarzynski_average(table: TransitionTable) -> float:

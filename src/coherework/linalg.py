@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianError, NonSquareError
+from .errors import NonFiniteError, NonHermitianError, NonSquareError
 
 DEFAULT_TOL = 1e-10
 
@@ -21,16 +21,29 @@ CLUSTER_GAP = 1e-8
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-d complex array (no copy when already one)."""
+    """Coerce to a finite 2-d complex array (no copy when already one)."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise NonSquareError(f"expected a 2-d array, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NonFiniteError(f"matrix of shape {m.shape} has NaN or infinite entries")
     return m
 
 
 def hs_norm(a) -> float:
     """Hilbert-Schmidt norm sqrt(tr[A^dag A]) (the Frobenius norm)."""
     return float(np.linalg.norm(np.asarray(a)))
+
+
+def shannon(p: np.ndarray) -> float:
+    """Shannon entropy -sum_k p_k ln p_k in nats over the entries p_k > 0."""
+    p = p[p > 0.0]
+    return float(-(p * np.log(p)).sum())
+
+
+def cluster_projectors(basis: np.ndarray, clusters) -> tuple[np.ndarray, ...]:
+    """Projectors B_k B_k^dag onto the column groups B_k = basis[:, c_k]."""
+    return tuple(basis[:, c] @ basis[:, c].conj().T for c in clusters)
 
 
 def kron(a, b) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     RankError,
     StateValidationError,
 )
-from .linalg import DEFAULT_TOL, as_matrix, hermitian_eig, hs_norm, is_unitary
+from .linalg import DEFAULT_TOL, as_matrix, cluster_projectors, hs_norm, is_unitary
 from .states import (
     DensityMatrix,
     Hamiltonian,
@@ -35,58 +35,56 @@ from .states import (
 class ProjectorSet:
     """Complete family of mutually orthogonal projectors {P_k}.
 
-    Each member must be Hermitian and idempotent, distinct members must
-    annihilate each other, and the family must sum to the identity, all within
-    ``tol``. Rank-1 families (one per basis vector) are required by the
-    entropy bound and the correlated-system machinery; general ranks appear as
-    eigenprojectors of degenerate Hamiltonians.
+    Stored as a unitary ``basis`` and ``clusters``, a partition of its column
+    indices: P_k = B_k B_k^dag with B_k = basis[:, clusters[k]], so validation
+    is one unitarity check within ``tol`` plus a check that the clusters split
+    0..d-1 into nonempty groups. Rank-1 families (one per basis vector) are
+    required by the entropy bound and the correlated-system machinery;
+    general ranks appear as eigenprojectors of degenerate Hamiltonians.
     """
 
-    __slots__ = ("projectors", "labels", "dim", "ranks")
+    __slots__ = ("basis", "clusters", "labels", "dim", "ranks", "mask")
 
-    def __init__(self, projectors: Sequence, labels: Sequence | None = None,
+    def __init__(self, basis, clusters: Sequence, labels: Sequence | None = None,
                  tol: float = DEFAULT_TOL):
-        mats = tuple(as_matrix(p) for p in projectors)
-        if not mats:
-            raise StateValidationError("ProjectorSet: needs at least one projector")
-        d = mats[0].shape[0]
-        for k, p in enumerate(mats):
-            if p.shape != (d, d):
-                raise StateValidationError(
-                    f"ProjectorSet: projector {k} has shape {p.shape}, expected {(d, d)}"
-                )
-            if hs_norm(p - p.conj().T) > tol * max(1.0, hs_norm(p)):
-                raise StateValidationError(f"ProjectorSet: projector {k} not Hermitian")
-            if hs_norm(p @ p - p) > tol * max(1.0, hs_norm(p)):
-                raise StateValidationError(f"ProjectorSet: projector {k} not idempotent")
-        for k in range(len(mats)):
-            for l in range(k + 1, len(mats)):
-                if hs_norm(mats[k] @ mats[l]) > tol:
-                    raise StateValidationError(
-                        f"ProjectorSet: projectors {k} and {l} not orthogonal"
-                    )
-        total = sum(mats)
-        if hs_norm(total - np.eye(d)) > tol * math.sqrt(d):
-            raise StateValidationError("ProjectorSet: projectors do not sum to identity")
-        mats = tuple(p.copy() for p in mats)
-        for p in mats:
-            p.setflags(write=False)
-        self.projectors = mats
-        self.labels = tuple(labels) if labels is not None else tuple(range(len(mats)))
-        if len(self.labels) != len(mats):
+        u = as_matrix(basis)
+        if not is_unitary(u, tol):
+            raise NotUnitaryError("ProjectorSet: basis matrix not unitary")
+        d = u.shape[0]
+        cl = tuple(np.array(c, dtype=np.intp).reshape(-1) for c in clusters)
+        if (not cl or min(c.size for c in cl) == 0
+                or not np.array_equal(np.sort(np.concatenate(cl)), np.arange(d))):
+            raise StateValidationError(
+                f"ProjectorSet: clusters must partition the columns 0..{d - 1} "
+                f"into nonempty groups, got {[c.tolist() for c in cl]}"
+            )
+        self.labels = tuple(labels) if labels is not None else tuple(range(len(cl)))
+        if len(self.labels) != len(cl):
             raise StateValidationError("ProjectorSet: labels length mismatch")
+        owner = np.empty(d, dtype=np.intp)
+        for k, c in enumerate(cl):
+            c.setflags(write=False)
+            owner[c] = k
+        # mask[i, j] is True when columns i and j belong to the same projector
+        self.mask = owner[:, None] == owner[None, :]
+        self.mask.setflags(write=False)
+        self.basis = u.copy()
+        self.basis.setflags(write=False)
+        self.clusters = cl
         self.dim = d
-        self.ranks = tuple(int(round(np.trace(p).real)) for p in mats)
+        self.ranks = tuple(c.size for c in cl)
 
     @classmethod
     def from_basis(cls, basis, labels: Sequence | None = None,
                    tol: float = DEFAULT_TOL) -> "ProjectorSet":
         """Rank-1 projectors onto the columns of a unitary matrix."""
         u = as_matrix(basis)
-        if not is_unitary(u, tol):
-            raise NotUnitaryError("ProjectorSet.from_basis: basis matrix not unitary")
-        cols = [u[:, k : k + 1] for k in range(u.shape[1])]
-        return cls([c @ c.conj().T for c in cols], labels=labels, tol=tol)
+        return cls(u, np.arange(u.shape[1])[:, None], labels=labels, tol=tol)
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """The d x d projector matrices, built on demand."""
+        return cluster_projectors(self.basis, self.clusters)
 
     @property
     def is_rank_one(self) -> bool:
@@ -99,14 +97,10 @@ class ProjectorSet:
     def basis_vectors(self) -> np.ndarray:
         """Columns phi_k with P_k = |phi_k><phi_k| (rank-1 sets only)."""
         self.require_rank_one()
-        cols = []
-        for p in self.projectors:
-            dec = hermitian_eig(p)
-            cols.append(dec.eigenvectors[:, -1])
-        return np.column_stack(cols)
+        return self.basis[:, np.concatenate(self.clusters)]
 
     def __len__(self):
-        return len(self.projectors)
+        return len(self.clusters)
 
     def __repr__(self):
         return f"ProjectorSet(dim={self.dim}, ranks={self.ranks})"
@@ -114,7 +108,8 @@ class ProjectorSet:
 
 def energy_projectors(h: Hamiltonian) -> ProjectorSet:
     """Eigenprojector family of a Hamiltonian, one member per clustered level."""
-    return ProjectorSet(h.projectors, labels=tuple(float(e) for e in h.energies))
+    return ProjectorSet(h.spectral.eigenvectors, h.clusters,
+                        labels=tuple(float(e) for e in h.energies))
 
 
 @dataclass(frozen=True)
@@ -139,15 +134,17 @@ class WorkReport:
 
 
 def project(rho: DensityMatrix, p: ProjectorSet) -> DensityMatrix:
-    """Unselective measurement channel: rho -> sum_k P_k rho P_k."""
+    """Unselective measurement channel: rho -> sum_k P_k rho P_k.
+
+    Computed in the family's basis as U (M o U^dag rho U) U^dag, where M is
+    the same-cluster mask and o the entrywise product.
+    """
     if rho.dim != p.dim:
         raise DimMismatchError(
             f"project: state dimension {rho.dim} != projector dimension {p.dim}"
         )
-    out = np.zeros_like(rho.mat)
-    for pk in p.projectors:
-        out = out + pk @ rho.mat @ pk
-    return DensityMatrix(out)
+    u = p.basis
+    return DensityMatrix(u @ (p.mask * (u.conj().T @ rho.mat @ u)) @ u.conj().T)
 
 
 def optimal_projection_work(rho: DensityMatrix, h: Hamiltonian, p: ProjectorSet,

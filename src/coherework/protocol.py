@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClampRequiredError, NotUnitaryError, StateValidationError
-from .linalg import eigenvalue_clusters, hs_norm, is_unitary
+from .linalg import hs_norm, is_unitary, shannon
 from .states import (
     DensityMatrix,
     Hamiltonian,
@@ -36,11 +36,6 @@ PLAN_TOL = 1e-8
 
 # an eigenvalue at or below this is "zero" for clamping purposes
 _ZERO_EIGENVALUE = 1e-14
-
-
-def _shannon(p: np.ndarray) -> float:
-    p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum())
 
 
 @dataclass(frozen=True)
@@ -204,13 +199,11 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
     rho_c = DensityMatrix((w_vecs * a) @ w_vecs.conj().T)
 
     # shared basis: within each energy eigenspace, diagonalise rho_c's block
-    hw = h.spectral.eigenvalues
     hv = h.spectral.eigenvectors
     f_cols = []
     e0_list = []
     q_list = []
-    for idx in eigenvalue_clusters(hw):
-        energy = float(np.mean(hw[idx]))
+    for idx, energy in zip(h.clusters, h.energies.tolist()):
         cols = hv[:, idx]
         block = cols.conj().T @ rho_c.mat @ cols
         qk, gk = np.linalg.eigh((block + block.conj().T) / 2.0)
@@ -264,8 +257,8 @@ def exact_step_works(plan: ProtocolPlan) -> WorkLedger:
     u1 = float(pop @ e1)
     u2 = float(q @ e2)
     u3 = float(q @ e0)
-    s_pop = _shannon(pop)
-    s_q = _shannon(q)
+    s_pop = shannon(pop)
+    s_q = shannon(q)
 
     rotate = LedgerEntry("rotate", work=u_rho - u1, heat_absorbed=0.0,
                          energy_change=u1 - u_rho, entropy_change=0.0)
@@ -323,7 +316,7 @@ def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
                          energy_change=u1 - u_rho, entropy_change=0.0)
     isotherm = LedgerEntry("isotherm", work=work, heat_absorbed=heat,
                            energy_change=u2 - u1,
-                           entropy_change=_shannon(last_p) - _shannon(first_p))
+                           entropy_change=shannon(last_p) - shannon(first_p))
     u3 = float(q @ e0)
     quench = LedgerEntry("quench", work=u2 - u3, heat_absorbed=0.0,
                          energy_change=u3 - u2, entropy_change=0.0)

@@ -19,9 +19,11 @@ from .linalg import (
     DEFAULT_TOL,
     SpectralDecomposition,
     as_matrix,
+    cluster_projectors,
     eigenvalue_clusters,
     hermitian_eig,
     hs_norm,
+    shannon,
 )
 
 # eigenvalues in [EIGENVALUE_FLOOR, 0) are numerical noise and clamp to 0;
@@ -113,16 +115,16 @@ class DensityMatrix:
 
 
 class Hamiltonian:
-    """Hermitian observable with cached spectral data and eigenprojectors.
+    """Hermitian observable with cached spectral data and energy levels.
 
     Eigenvalues closer than ``cluster_gap`` are merged into one degenerate
-    level; :attr:`levels` holds ``(energy, projector)`` pairs in ascending
-    energy order, with the energy of a cluster taken as the mean of its
-    members. Downstream code depends only on these projectors, never on the
-    basis chosen inside a degenerate cluster.
+    level: :attr:`clusters` holds the eigenvector column indices of each level
+    in ascending energy order, and :attr:`energies` the mean eigenvalue of
+    each cluster. Downstream code depends only on the spanned eigenspaces,
+    never on the basis chosen inside a degenerate cluster.
     """
 
-    __slots__ = ("mat", "dim", "spectral", "levels")
+    __slots__ = ("mat", "dim", "spectral", "clusters", "energies")
 
     def __init__(self, mat, tol: float = DEFAULT_TOL, cluster_gap: float = CLUSTER_GAP):
         m = as_matrix(mat)
@@ -134,29 +136,28 @@ class Hamiltonian:
         self.mat = m
         self.dim = m.shape[0]
         w = self.spectral.eigenvalues
-        v = self.spectral.eigenvectors
-        levels = []
-        for idx in eigenvalue_clusters(w, gap=cluster_gap):
-            cols = v[:, idx]
-            proj = cols @ cols.conj().T
-            proj.setflags(write=False)
-            levels.append((float(np.mean(w[idx])), proj))
-        self.levels = tuple(levels)
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([e for e, _ in self.levels])
+        self.clusters = tuple(eigenvalue_clusters(w, gap=cluster_gap))
+        for idx in self.clusters:
+            idx.setflags(write=False)
+        self.energies = np.array([float(np.mean(w[idx])) for idx in self.clusters])
+        self.energies.setflags(write=False)
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(p for _, p in self.levels)
+        """Eigenprojector of each level, built on demand."""
+        return cluster_projectors(self.spectral.eigenvectors, self.clusters)
+
+    @property
+    def levels(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """``(energy, projector)`` pairs in ascending energy order."""
+        return tuple(zip(self.energies.tolist(), self.projectors))
 
     @property
     def degeneracies(self) -> np.ndarray:
-        return np.array([int(round(np.trace(p).real)) for _, p in self.levels])
+        return np.array([len(idx) for idx in self.clusters])
 
     def __repr__(self):
-        return f"Hamiltonian(dim={self.dim}, levels={len(self.levels)})"
+        return f"Hamiltonian(dim={self.dim}, levels={len(self.clusters)})"
 
 
 def bloch_qubit(a: float, theta: float) -> DensityMatrix:
@@ -191,9 +192,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     artifact, so pure states give exactly 0 whenever their unit eigenvalue
     is exact and never a negative value.
     """
-    w = rho.spectrum()
-    w = w[w > 0.0]
-    return max(float(-(w * np.log(w)).sum()), 0.0)
+    return max(shannon(rho.spectrum()), 0.0)
 
 
 def gibbs_state(h: Hamiltonian, t: Temperature) -> DensityMatrix:

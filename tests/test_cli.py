@@ -187,6 +187,19 @@ class TestRunScenarioFile:
         assert run_scenario(str(path)) == EXIT_SCHEMA
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_literal_is_schema_error(self, tmp_path, capsys, bad):
+        scn = canonical_project_scenario()
+        scn["hamiltonian"] = {"diag": [bad, 1.0]}
+        assert run_scenario(write(tmp_path, scn)) == EXIT_SCHEMA
+        assert "non-finite number" in capsys.readouterr().err
+
+    def test_overflowing_number_is_physics_error(self, tmp_path, capsys):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(canonical_project_scenario()).replace("-1.0", "-1e999"))
+        assert run_scenario(str(path)) == EXIT_PHYSICS
+        assert "NonFiniteError" in capsys.readouterr().err
+
     def test_schema_violation_names_field(self, tmp_path, capsys):
         scn = canonical_project_scenario()
         del scn["hamiltonian"]

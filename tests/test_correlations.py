@@ -264,3 +264,20 @@ class TestLemma1:
             state = random_bipartite_state(ds, da, rng)
             p = random_projector_set(ds, rng)
             assert verify_lemma1(state, p).holds
+
+    def test_rhs_matches_branch_loop(self):
+        """rhs against a loop over raw branches Tr_S[(P_k x 1) rho (P_k x 1)]."""
+        rng = rng_from_seed(102)
+        for ds, da in ((2, 3), (3, 2), (4, 4)):
+            state = random_bipartite_state(ds, da, rng)
+            p = random_projector_set(ds, rng)
+            expected = 0.0
+            for pk in p.projectors:
+                lifted = kron(pk, np.eye(da))
+                branch = DensityMatrix(lifted @ state.rho_sa.mat @ lifted
+                                       / np.trace(lifted @ state.rho_sa.mat).real)
+                eta_a = branch.mat.reshape(ds, da, ds, da).trace(axis1=0, axis2=2)
+                w = np.linalg.eigvalsh(eta_a)
+                w = w[w > 1e-15]
+                expected -= np.trace(lifted @ state.rho_sa.mat).real * (w * np.log(w)).sum()
+            assert verify_lemma1(state, p).rhs == pytest.approx(expected, abs=1e-12)

@@ -76,6 +76,17 @@ class TestTransitionTable:
         np.testing.assert_allclose(table.probs, oracle_table(h0, htau, v, 0.8),
                                    atol=1e-12)
 
+    def test_matches_dense_formula_with_degenerate_levels(self):
+        rng = rng_from_seed(64)
+        u = random_unitary(6, rng)
+        h0 = Hamiltonian((u * np.array([-1.0, 0.5, 0.5, 0.5, 1.0, 2.0])) @ u.conj().T)
+        htau = Hamiltonian(np.diag([0.0, 0.0, 1.0, 1.5, 1.5, 3.0]).astype(complex))
+        v = random_unitary(6, rng)
+        table = transition_table(h0, htau, v, Temperature(beta=0.8))
+        assert table.probs.shape == (4, 4)
+        np.testing.assert_allclose(table.probs, oracle_table(h0, htau, v, 0.8),
+                                   atol=1e-12)
+
     def test_row_marginals_are_final_populations(self):
         rng = rng_from_seed(63)
         h0 = random_hamiltonian(4, rng)

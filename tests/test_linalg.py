@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coherework.errors import NonHermitianError, NonSquareError
+from coherework.errors import CohereworkError, NonHermitianError, NonSquareError
 from coherework.linalg import (
+    as_matrix,
     eigenvalue_clusters,
     hermitian_eig,
     hs_norm,
     is_hermitian,
     is_unitary,
     kron,
+    shannon,
 )
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -148,6 +150,25 @@ class TestPredicates:
         dec = hermitian_eig(random_hermitian(4, seed=2))
         assert is_unitary(dec.eigenvectors)
         assert not is_unitary(2 * np.eye(3))
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(CohereworkError, match="NaN or infinite"):
+            as_matrix([[1.0, bad], [0.0, 1.0]])
+
+    def test_finite_passes_without_copy(self):
+        m = np.eye(2, dtype=complex)
+        assert as_matrix(m) is m
+
+
+class TestShannon:
+    def test_zeros_skipped(self):
+        assert shannon(np.array([0.5, 0.0, 0.5])) == pytest.approx(np.log(2.0), abs=1e-15)
+
+    def test_point_mass_is_zero(self):
+        assert shannon(np.array([0.0, 1.0])) == 0.0
 
 
 class TestEigenvalueClusters:

@@ -61,20 +61,21 @@ class TestProjectorSet:
         with pytest.raises(RankError):
             p.require_rank_one()
 
-    def test_rejects_non_idempotent(self):
-        with pytest.raises(StateValidationError, match="idempotent"):
-            ProjectorSet([np.eye(2) * 0.5, np.eye(2) * 0.5])
+    def test_rejects_missing_column(self):
+        with pytest.raises(StateValidationError, match="partition"):
+            ProjectorSet(np.eye(3), [[0], [2]])
 
-    def test_rejects_incomplete(self):
-        e0 = np.diag([1.0, 0.0])
-        with pytest.raises(StateValidationError, match="sum to identity"):
-            ProjectorSet([e0])
+    def test_rejects_column_in_two_clusters(self):
+        with pytest.raises(StateValidationError, match="partition"):
+            ProjectorSet(np.eye(3), [[0, 1], [1, 2]])
 
-    def test_rejects_overlapping(self):
-        e0 = np.diag([1.0, 0.0]).astype(complex)
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        with pytest.raises(StateValidationError, match="orthogonal"):
-            ProjectorSet([e0, plus])
+    def test_rejects_empty_cluster(self):
+        with pytest.raises(StateValidationError, match="nonempty"):
+            ProjectorSet(np.eye(2), [[0, 1], []])
+
+    def test_rejects_label_count_mismatch(self):
+        with pytest.raises(StateValidationError, match="labels"):
+            ProjectorSet(np.eye(3), [[0, 1], [2]], labels=("a", "b", "c"))
 
     def test_from_basis_requires_unitary(self):
         with pytest.raises(NotUnitaryError):
@@ -86,6 +87,14 @@ class TestProjectorSet:
         for k in range(3):
             rebuilt = np.outer(phi[:, k], phi[:, k].conj())
             assert hs_norm(rebuilt - p.projectors[k]) < 1e-10
+
+    def test_clusters_give_higher_rank_projectors(self):
+        u = random_projector_set(4, rng_from_seed(9)).basis
+        p = ProjectorSet(u, [[3, 0], [1], [2]])
+        assert p.ranks == (2, 1, 1) and len(p) == 3
+        cols = u[:, [3, 0]]
+        assert hs_norm(p.projectors[0] - cols @ cols.conj().T) < 1e-12
+        assert hs_norm(sum(p.projectors) - np.eye(4)) < 1e-10
 
     def test_labels_default_and_custom(self):
         p = ProjectorSet.from_basis(np.eye(2, dtype=complex), labels=("g", "e"))
@@ -133,6 +142,42 @@ class TestProject:
         with pytest.raises(DimMismatchError):
             project(DensityMatrix(np.eye(3) / 3), COMPUTATIONAL)
 
+
+
+def _raw_project(mat, projectors):
+    return sum(pk @ mat @ pk for pk in projectors)
+
+
+class TestProjectAgainstRawOracle:
+    """project() against sum_k P_k rho P_k built from the raw matrices."""
+
+    def test_random_rank_one_family(self):
+        rng = rng_from_seed(61)
+        for d in (2, 5, 8):
+            rho = random_density_matrix(d, rng)
+            p = random_projector_set(d, rng)
+            out = project(rho, p)
+            assert hs_norm(out.mat - _raw_project(rho.mat, p.projectors)) < 1e-13
+
+    def test_degenerate_energy_family(self):
+        rng = rng_from_seed(62)
+        u = random_projector_set(8, rng).basis
+        e = np.array([-1.0, 0.0, 0.5, 0.5, 0.5, 1.0, 2.0, 3.0])
+        h = Hamiltonian((u * e) @ u.conj().T)
+        p = energy_projectors(h)
+        assert sorted(p.ranks) == [1, 1, 1, 1, 1, 3]
+        rho = random_density_matrix(8, rng)
+        out = project(rho, p)
+        assert hs_norm(out.mat - _raw_project(rho.mat, p.projectors)) < 1e-13
+
+    def test_lifted_family(self):
+        from coherework.correlations import _lift
+        rng = rng_from_seed(63)
+        p = _lift(random_projector_set(3, rng), 2)
+        assert p.dim == 6 and p.ranks == (2, 2, 2)
+        rho = random_density_matrix(6, rng)
+        out = project(rho, p)
+        assert hs_norm(out.mat - _raw_project(rho.mat, p.projectors)) < 1e-13
 
 class TestOptimalProjectionWork:
     def test_classical_state_zero_work(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coherework.errors import DimMismatchError, StateValidationError
+from coherework.errors import CohereworkError, DimMismatchError, StateValidationError
 from coherework.linalg import hs_norm
 from coherework.projection import max_work_fixed_energy
 from coherework.sampling import (
@@ -67,6 +67,13 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.3
+
+
+@pytest.mark.parametrize("ctor", [DensityMatrix, Hamiltonian])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_matrix_rejected(ctor, bad):
+    with pytest.raises(CohereworkError, match="NaN or infinite"):
+        ctor([[bad, 0.0], [0.0, 1.0]])
 
 
 class TestEntropy:
