@@ -7,8 +7,9 @@ computation modules, and emits a deterministic JSON report (stdout or
 validated against.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema violation (the message names
-the offending field), 3 physics validation failure (the message carries the
-library error name), 4 self-test failure.
+the offending field; size caps included), 3 physics validation failure or a
+non-finite report value (the message carries the library error name),
+4 self-test failure.
 
 Reports are byte-stable: keys are sorted and floats printed with 17
 significant digits, so identical (scenario, version) pairs produce identical
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .correlations import BipartiteState, delta_correlation, global_optimal_work, verify_lemma1
-from .errors import CohereworkError, StateValidationError
+from .errors import CohereworkError, NonFiniteError, StateValidationError
 from .fluctuation import (
     average_unitary_work,
     jarzynski_average,
@@ -97,11 +98,17 @@ def _vector_schema():
     return {"type": "array", "items": entry, "minItems": 1}
 
 
+# size caps, checked before anything is built: the documented working range
+# of dense matrices, and bounds on the work and memory a scenario may ask for
+MAX_DIM = 64
+MAX_STEPS = 10**6
+MAX_SAMPLES = 10**7
+
 _RANDOM_SCHEMA = {
     "type": "object",
     "required": ["dim", "seed"],
     "properties": {
-        "dim": {"type": "integer", "minimum": 2},
+        "dim": {"type": "integer", "minimum": 2, "maximum": MAX_DIM},
         "seed": {"type": "integer", "minimum": 0},
     },
     "additionalProperties": False,
@@ -182,7 +189,8 @@ KIND_SCHEMAS = {
             "beta": _BETA_SCHEMA,
             "state": _STATE_SCHEMA,
             "hamiltonian": _HAMILTONIAN_SCHEMA,
-            "steps": {"type": "array", "items": {"type": "integer", "minimum": 1},
+            "steps": {"type": "array",
+                      "items": {"type": "integer", "minimum": 1, "maximum": MAX_STEPS},
                       "minItems": 1},
             "purity_clamp": {"type": "number", "minimum": 0, "maximum": 1e-3},
         },
@@ -207,7 +215,7 @@ KIND_SCHEMAS = {
             "hamiltonian": _HAMILTONIAN_SCHEMA,
             "hamiltonian_final": _HAMILTONIAN_SCHEMA,
             "unitary": _UNITARY_SCHEMA,
-            "n_samples": {"type": "integer", "minimum": 1},
+            "n_samples": {"type": "integer", "minimum": 1, "maximum": MAX_SAMPLES},
             "seed": {"type": "integer", "minimum": 0},
         },
         "additionalProperties": False,
@@ -331,10 +339,15 @@ def validate_schema(value, schema: dict, path: str = "$"):
                 validate_schema(value, branch, path)
                 return
             except ScenarioError as exc:
-                errors.append(str(exc))
+                # a branch whose required fields are all present is the one
+                # meant (no closure over value: it would slow every call)
+                meant = isinstance(value, dict) and value.keys() >= set(
+                    branch.get("required", ()))
+                errors.append((not meant, str(exc)))
+        errors.sort(key=lambda e: e[0])
         raise ScenarioError(
             f"{path}: no schema alternative matched "
-            f"(closest errors: {' | '.join(errors[:3])})"
+            f"(closest errors: {' | '.join(e for _, e in errors[:3])})"
         )
     typ = schema.get("type")
     if typ is not None and not _TYPE_CHECKS[typ](value):
@@ -399,7 +412,7 @@ def validate_scenario(obj):
 
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
-        raise ValueError(f"non-finite float {x!r} cannot enter a report")
+        raise NonFiniteError(f"non-finite float {x!r} cannot enter a report")
     return f"{x:.17g}"
 
 
@@ -735,14 +748,13 @@ def run_scenario(path: str, out: str | None = None) -> int:
         print(f"invalid JSON in {path}: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:
-        report = run_scenario_obj(obj)
+        text = dumps_stable(run_scenario_obj(obj)) + "\n"
     except ScenarioError as exc:
         print(f"schema violation: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except CohereworkError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    text = dumps_stable(report) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:

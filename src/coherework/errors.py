@@ -14,8 +14,11 @@ class NonSquareError(CohereworkError):
     """Matrix operation received a non-square (or non 2-d) array."""
 
 
-class NonFiniteError(CohereworkError):
-    """Matrix has NaN or infinite entries."""
+class NonFiniteError(CohereworkError, ValueError):
+    """A matrix entry or a report value is NaN or infinite.
+
+    Also a :class:`ValueError`, the type numeric code raises for a bad value.
+    """
 
 
 class NonHermitianError(CohereworkError):

@@ -182,26 +182,39 @@ def sample_trajectories(table: TransitionTable, n_samples: int,
                         seed: int) -> TrajectoryStats:
     """Draw (n, m) jumps from the joint table with a seeded generator.
 
-    Sampling is inverse-CDF over the flattened table using numpy's seeded
-    PCG64 stream, so identical (table, n_samples, seed) give bit-identical
-    statistics on the same build. Standard errors use the sample standard
-    deviation.
+    Sampling is inverse-CDF over the flattened table: draw i lands in the
+    first cell whose cumulative probability exceeds its uniform u_i (the last
+    cell also takes any u_i at or above the final cumulative sum). The
+    uniforms come from numpy's PCG64 stream for ``seed`` and are sorted, so
+    one binary search per cell boundary gives the exact count of draws in
+    every cell; no per-sample array beyond the uniforms is built. The same
+    (table, n_samples, seed) gives the same counts and bit-identical
+    statistics on the same build. Means and standard errors (sample standard
+    deviation, ddof=1) are count-weighted sums over the occupied cells.
     """
     n = int(n_samples)
     if n < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
-    flat = table.probs.ravel()
-    cdf = np.cumsum(flat)
+    cdf = np.cumsum(table.probs.ravel())
     u = np.random.default_rng(seed).random(n)
-    idx = np.minimum(np.searchsorted(cdf, u, side="right"), flat.size - 1)
+    u.sort()
+    # draw i lands in cell >= k iff cdf[k-1] <= u_i
+    counts = np.diff(np.searchsorted(u, cdf[:-1], side="left"), prepend=0, append=n)
 
     de_cells = table.delta_e.ravel()
-    de = de_cells[idx]
-    w = -de
+    hit = counts > 0  # empty cells may hold an overflowing e^(beta W)
+    c = counts[hit].astype(float)
+    w = -de_cells[hit]
     x = np.exp(table.beta * w)
-    se = lambda arr: float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
 
-    counts = np.bincount(idx, minlength=flat.size)
+    def mean_se(v):
+        mean = float(c @ v) / n
+        if n == 1:
+            return mean, 0.0
+        return mean, math.sqrt(float(c @ (v - mean) ** 2) / (n - 1)) / math.sqrt(n)
+
+    x_mean, x_se = mean_se(x)
+    w_mean, w_se = mean_se(w)
     values, inverse = np.unique(de_cells, return_inverse=True)
     merged = np.zeros(values.size, dtype=np.int64)
     np.add.at(merged, inverse, counts)
@@ -209,10 +222,10 @@ def sample_trajectories(table: TransitionTable, n_samples: int,
     return TrajectoryStats(
         n_samples=n,
         seed=int(seed),
-        exp_beta_w_estimate=float(x.mean()),
-        exp_beta_w_std_error=se(x),
-        work_estimate=float(w.mean()),
-        work_std_error=se(w),
+        exp_beta_w_estimate=x_mean,
+        exp_beta_w_std_error=x_se,
+        work_estimate=w_mean,
+        work_std_error=w_se,
         delta_e_values=values,
         delta_e_counts=merged,
     )

@@ -129,37 +129,35 @@ def d_max_eps(p: Distribution, q: Distribution, eps: float) -> float:
     """
     _check_pair(p, q)
     _check_eps(eps)
-    t = _cap_threshold(p.probs, q.probs, eps)
-    return math.log(t) / LN2
+    with np.errstate(divide="ignore"):  # log 0 = -inf for outcomes outside supp p
+        log_p = np.log(p.probs)
+    return _log_cap_threshold(log_p, np.log(q.probs), eps) / LN2
 
 
-def _cap_threshold(p: np.ndarray, q: np.ndarray, eps: float) -> float:
-    """Smallest feasible ratio cap t* >= 1 for mass budget eps."""
-    tv = float(np.maximum(p - q, 0.0).sum())
-    if eps >= tv - 1e-15:
-        return 1.0
-    r = p / q
+def _log_cap_threshold(log_p: np.ndarray, log_q: np.ndarray, eps: float) -> float:
+    """log t* of the smallest feasible ratio cap t* >= 1 for mass budget eps.
+
+    With s = log t and r_k = log p_k - log q_k, t* solves
+    sum_k p_k (1 - e^(s - r_k))_+ = eps. Working in s keeps the ratios and
+    t* finite when class masses fall below the smallest double. The shaved
+    mass is linear in e^s between consecutive ratios, so the root is exact on
+    the first segment whose lower end still shaves more than eps.
+    """
+    r = log_p - log_q
     order = np.argsort(-r)
-    ps, qs, rs = p[order], q[order], r[order]
-    cp = np.cumsum(ps)
-    cq = np.cumsum(qs)
-    for j in range(len(rs)):
-        nxt = rs[j + 1] if j + 1 < len(rs) else 1.0
-        if cq[j] <= 0.0:
-            continue
-        t = (cp[j] - eps) / cq[j]
-        if nxt - 1e-13 <= t <= rs[j] + 1e-13:
-            return max(t, 1.0)
-    # numerically ambiguous breakpoints: fall back to bisection of the
-    # shaved-mass function, which is monotone in t
-    lo, hi = 1.0, float(rs[0])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if float(np.maximum(p - mid * q, 0.0).sum()) > eps:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    rs = r[order]
+    cp = np.cumsum(np.exp(log_p[order]))
+    log_cq = np.logaddexp.accumulate(log_q[order])
+    # shaved mass at the lower end of each segment, s = max(next ratio, 0),
+    # with every class up to this one capped
+    lower = np.append(np.maximum(rs[1:], 0.0), 0.0)
+    shaved = cp - np.exp(lower + log_cq)
+    above = int(np.count_nonzero(rs > 0.0))
+    if above == 0 or eps >= shaved[above - 1] - 1e-15:
+        return 0.0  # the total-variation excess fits in eps: no cap needed
+    j = int(np.argmax(shaved > eps))
+    s = math.log(cp[j] - eps) - log_cq[j]
+    return float(min(max(s, lower[j]), rs[j]))
 
 
 def _compositions(n: int, parts: int):
@@ -228,8 +226,7 @@ def iid_rate(p: Distribution, q: Distribution, eps: float, n_copies: int) -> Rat
     rate_min = (-log_qa / LN2) / n
 
     # max-entropy: ratio cap over class masses
-    t = _cap_threshold(np.exp(log_cp), np.exp(log_cq), eps)
-    rate_max = (math.log(t) / LN2) / n
+    rate_max = (_log_cap_threshold(log_cp, log_cq, eps) / LN2) / n
     return RatePair(rate_min=rate_min, rate_max=rate_max)
 
 

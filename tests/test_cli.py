@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import coherework.cli as cli
 from coherework.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -19,6 +20,7 @@ from coherework.cli import (
     validate_scenario,
     validate_schema,
 )
+from coherework.errors import NonFiniteError
 
 THETA = math.pi / 3
 
@@ -51,6 +53,10 @@ class TestDumpsStable:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps_stable({"x": math.inf})
+
+    def test_non_finite_is_typed(self):
+        with pytest.raises(NonFiniteError, match="cannot enter a report"):
+            dumps_stable({"x": [1.0, math.nan]})
 
     def test_numpy_scalars_and_arrays(self):
         text = dumps_stable({"v": np.array([1.0, 2.0]), "n": np.int64(3)})
@@ -119,6 +125,50 @@ class TestValidator:
 
     def test_schema_document_lists_both(self):
         assert set(SCHEMA_DOCUMENT) >= {"scenario", "report"}
+
+
+def _over_cap(field):
+    """A scenario one above the cap on ``field``, and the path the error names."""
+    if field == "dim":
+        return {**canonical_project_scenario(),
+                "state": {"random": {"dim": cli.MAX_DIM + 1, "seed": 1}}}, "$.state.random.dim"
+    if field == "steps":
+        return {**canonical_project_scenario(), "kind": "protocol",
+                "steps": [10, cli.MAX_STEPS + 1]}, "$.steps[1]"
+    return {"kind": "jarzynski", "beta": 1.0, "hamiltonian": {"diag": [0.0, 1.0]},
+            "unitary": {"random": {"dim": 2, "seed": 1}},
+            "n_samples": cli.MAX_SAMPLES + 1}, "$.n_samples"
+
+
+class TestSizeCaps:
+    def test_cap_values(self):
+        assert (cli.MAX_DIM, cli.MAX_STEPS, cli.MAX_SAMPLES) == (64, 10**6, 10**7)
+
+    @pytest.mark.parametrize("field", ["dim", "steps", "n_samples"])
+    def test_cap_plus_one_is_schema_error_before_building(self, field, tmp_path,
+                                                          capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before validation")
+
+        for name in ("random_density_matrix", "random_hamiltonian", "random_unitary",
+                     "Hamiltonian", "build_plan", "transition_table",
+                     "sample_trajectories"):
+            monkeypatch.setattr(cli, name, refuse)
+        scn, where = _over_cap(field)
+        assert run_scenario(write(tmp_path, scn)) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert where in err and "must be <=" in err
+
+    @pytest.mark.parametrize("field", ["dim", "steps", "n_samples"])
+    def test_cap_itself_validates(self, field):
+        scn, _ = _over_cap(field)
+        if field == "dim":
+            scn["state"]["random"]["dim"] = cli.MAX_DIM
+        elif field == "steps":
+            scn["steps"][1] = cli.MAX_STEPS
+        else:
+            scn["n_samples"] = cli.MAX_SAMPLES
+        validate_scenario(scn)
 
 
 class TestProjectScenario:
@@ -199,6 +249,26 @@ class TestRunScenarioFile:
         path.write_text(json.dumps(canonical_project_scenario()).replace("-1.0", "-1e999"))
         assert run_scenario(str(path)) == EXIT_PHYSICS
         assert "NonFiniteError" in capsys.readouterr().err
+
+    def test_non_finite_report_value_is_physics_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setitem(cli._RUNNERS, "project",
+                            lambda scn, ctx: ({"work": math.inf}, []))
+        out = tmp_path / "report.json"
+        path = write(tmp_path, canonical_project_scenario())
+        assert run_scenario(path, str(out)) == EXIT_PHYSICS
+        assert "NonFiniteError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_known_underflow_case_runs(self, tmp_path, capsys):
+        # d=2 class masses fall below e^-745 at these copy numbers
+        scn = {"kind": "singleshot", "beta": 1.0,
+               "state": {"random": {"dim": 2, "seed": 1}},
+               "hamiltonian": {"random": {"dim": 2, "seed": 101}},
+               "eps": 0.05, "n_copies": [512, 1024]}
+        assert run_scenario(write(tmp_path, scn)) == EXIT_OK
+        points = json.loads(capsys.readouterr().out)["results"]["points"]
+        assert all(math.isfinite(pt["work"]) for pt in points)
 
     def test_schema_violation_names_field(self, tmp_path, capsys):
         scn = canonical_project_scenario()

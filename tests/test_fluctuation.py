@@ -263,3 +263,78 @@ class TestSampleTrajectories:
         mean_error = np.mean([r.exp_beta_w_estimate for r in runs]) - exact
         pooled_se = np.mean([r.exp_beta_w_std_error for r in runs]) / math.sqrt(50)
         assert abs(mean_error) < 3 * pooled_se
+
+
+def per_sample_oracle(table, n, seed):
+    """Per-sample inverse-CDF draws from the same seeded stream, reduced the
+    plain way: one array entry per draw."""
+    flat = table.probs.ravel()
+    u = np.random.default_rng(seed).random(n)
+    idx = np.minimum(np.searchsorted(np.cumsum(flat), u, "right"), flat.size - 1)
+    de_cells = table.delta_e.ravel()
+    values, inverse = np.unique(de_cells, return_inverse=True)
+    merged = np.zeros(values.size, dtype=np.int64)
+    np.add.at(merged, inverse, np.bincount(idx, minlength=flat.size))
+    w = -de_cells[idx]
+    x = np.exp(table.beta * w)
+    se = lambda a: float(a.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return {"values": values, "counts": merged,
+            "exp_beta_w": (float(x.mean()), se(x)), "work": (float(w.mean()), se(w))}
+
+
+def _oracle_tables():
+    rng = rng_from_seed(74)
+    h3 = Hamiltonian(np.diag([-1.0, 0.0, 1.0]).astype(complex))
+    shift = np.roll(np.eye(3), 1, axis=0).astype(complex)  # 6 of 9 cells are 0
+    u = random_unitary(8, rng)
+    h8 = Hamiltonian((u * np.array([-2.0, -1.0, 0.5, 0.5, 0.5, 1.0, 1.5, 3.0]))
+                     @ u.conj().T)
+    h1 = Hamiltonian(np.array([[0.5]], dtype=complex))
+    return {
+        "zero_cells": transition_table(h3, h3, shift, BETA1),
+        "degenerate_d8": transition_table(h8, random_hamiltonian(8, rng),
+                                          random_unitary(8, rng),
+                                          Temperature(beta=0.4)),
+        "one_by_one": transition_table(h1, h1, np.eye(1, dtype=complex), BETA1),
+        "qubit": transition_table(H_QUBIT, H_QUBIT_WIDE, random_unitary(2, rng),
+                                  BETA1),
+    }
+
+
+ORACLE_TABLES = _oracle_tables()
+
+
+class TestSampleTrajectoriesOracle:
+    """The per-cell reduction must reproduce the per-sample draws exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 100_000])
+    @pytest.mark.parametrize("name", sorted(ORACLE_TABLES))
+    def test_counts_and_estimates_match_per_sample_draws(self, name, n):
+        table = ORACLE_TABLES[name]
+        stats = sample_trajectories(table, n, seed=n + 17)
+        oracle = per_sample_oracle(table, n, seed=n + 17)
+        assert stats.delta_e_values.dtype == oracle["values"].dtype
+        assert stats.delta_e_values.tobytes() == oracle["values"].tobytes()
+        assert stats.delta_e_counts.dtype == oracle["counts"].dtype
+        assert stats.delta_e_counts.tobytes() == oracle["counts"].tobytes()
+        for got, (mean, se) in (
+            ((stats.exp_beta_w_estimate, stats.exp_beta_w_std_error),
+             oracle["exp_beta_w"]),
+            ((stats.work_estimate, stats.work_std_error), oracle["work"]),
+        ):
+            # the standard error's rounding scales with the mean it is taken about
+            assert got[0] == pytest.approx(mean, rel=1e-14, abs=1e-300)
+            assert got[1] == pytest.approx(se, rel=1e-14, abs=1e-14 * abs(mean))
+
+    def test_unreachable_cell_with_overflowing_weight(self):
+        # e^(beta W) overflows on a cell the table gives probability 0; no
+        # draw lands there, so it must not enter the estimates
+        h = Hamiltonian(np.diag([0.0, 1000.0]).astype(complex))
+        table = transition_table(h, h, np.array([[0, 1], [1, 0]], dtype=complex),
+                                 BETA1)
+        assert table.probs[0, 1] == 0.0
+        stats = sample_trajectories(table, 1000, seed=2)
+        assert math.isfinite(stats.exp_beta_w_estimate)
+        assert math.isfinite(stats.exp_beta_w_std_error)
+        assert stats.work_estimate == pytest.approx(-1000.0, rel=1e-15)
+        assert stats.delta_e_counts.sum() == 1000

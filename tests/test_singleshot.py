@@ -234,6 +234,41 @@ class TestIidRate:
         with pytest.raises(ValueError, match="full support"):
             iid_rate(dist(1.0, 0.0), dist(0.5, 0.5), 0.0, 4)
 
+    @pytest.mark.parametrize("n", [1, 8, 64, 256])
+    def test_rate_max_matches_linear_domain_cap(self, n):
+        # below the underflow the cap can be bisected on plain class masses
+        p, q = dist(0.22205631, 0.77794369), dist(0.92353653, 0.07646347)
+        for eps in (0.0, 0.05, 0.3):
+            expected = linear_cap_rate(p.probs, q.probs, eps, n)
+            assert iid_rate(p, q, eps, n).rate_max == pytest.approx(expected, rel=1e-12)
+
+    def test_rate_max_past_mass_underflow(self):
+        # class masses below e^-745 used to turn the ratio cap into inf
+        p, q = dist(0.22205631, 0.77794369), dist(0.92353653, 0.07646347)
+        rates = [iid_rate(p, q, 0.05, n).rate_max for n in (256, 512, 1024)]
+        assert all(math.isfinite(r) for r in rates)
+        kl = kl_bits(p, q)
+        assert rates[0] > rates[1] > rates[2] > kl
+
+
+def linear_cap_rate(p, q, eps, n):
+    """Per-copy log2 of the cap t* solving sum_k (P_k - t Q_k)_+ = eps over the
+    binary type classes of n copies, by bisection of log t on linear-domain
+    masses."""
+    ks = np.arange(n + 1)
+    log_mult = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                         for k in ks])
+    big_p = np.exp(log_mult + ks * math.log(p[0]) + (n - ks) * math.log(p[1]))
+    big_q = np.exp(log_mult + ks * math.log(q[0]) + (n - ks) * math.log(q[1]))
+    shaved = lambda t: float(np.maximum(big_p - t * big_q, 0.0).sum())
+    if shaved(1.0) <= eps:
+        return 0.0
+    lo, hi = 0.0, math.log(float((big_p / big_q).max()))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if shaved(math.exp(mid)) > eps else (lo, mid)
+    return hi / math.log(2) / n
+
 
 class TestConsistencyWork:
     def test_thermal_state_exact_at_zero_eps(self):
