@@ -35,7 +35,7 @@ from .fluctuation import (
     sample_trajectories,
     transition_table,
 )
-from .linalg import kron
+from .linalg import CLUSTER_GAP, DEFAULT_TOL, kron
 from .projection import (
     ProjectorSet,
     energy_projectors,
@@ -43,7 +43,7 @@ from .projection import (
     optimal_projection_work,
     project,
 )
-from .protocol import build_plan, exact_step_works, simulate
+from .protocol import PLAN_TOL, build_plan, exact_step_works, simulate
 from .sampling import (
     random_density_matrix,
     random_hamiltonian,
@@ -52,6 +52,7 @@ from .sampling import (
 )
 from .singleshot import consistency_work, smoothing_failure_probability
 from .states import (
+    EIGENVALUE_FLOOR,
     DensityMatrix,
     Hamiltonian,
     Temperature,
@@ -69,11 +70,11 @@ EXIT_PHYSICS = 3
 EXIT_SELFTEST = 4
 
 TOLERANCES = {
-    "hermitian": 1e-10,
-    "projector": 1e-10,
-    "cluster_gap": 1e-8,
-    "eigenvalue_floor": -1e-10,
-    "plan": 1e-8,
+    "hermitian": DEFAULT_TOL,
+    "projector": DEFAULT_TOL,
+    "cluster_gap": CLUSTER_GAP,
+    "eigenvalue_floor": EIGENVALUE_FLOOR,
+    "plan": PLAN_TOL,
 }
 
 
@@ -611,9 +612,9 @@ def _run_jarzynski(scn, ctx):
         htau = h0
     v = _build_unitary(scn["unitary"], "$.unitary", ctx)
     table = transition_table(h0, htau, v, t)
-    f0 = free_energy(gibbs_state(h0, t), h0, t)
-    ftau = free_energy(gibbs_state(htau, t), htau, t)
     rho0 = gibbs_state(h0, t)
+    f0 = free_energy(rho0, h0, t)
+    ftau = free_energy(gibbs_state(htau, t), htau, t)
     rho_tau = DensityMatrix(v @ rho0.mat @ v.conj().T)
     heat = projection_heat(rho_tau, htau, t)
     results = {

@@ -53,5 +53,5 @@ class AlphabetTooLargeError(CohereworkError):
     """Distribution alphabet too large for exact computation."""
 
 
-class ConsistencyError(CohereworkError):
+class ConsistencyError(CohereworkError, ValueError):
     """Cross-check between two quantities that must agree failed."""

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatchError, NotUnitaryError, StateValidationError
-from .linalg import as_matrix, is_unitary
+from .linalg import as_matrix, is_unitary, thermal
 from .projection import energy_projectors, project
 from .states import (
     DensityMatrix,
@@ -63,8 +63,7 @@ class TransitionTable:
             raise StateValidationError(
                 f"TransitionTable: probabilities sum to {probs.sum()!r}"
             )
-        boltzmann = g0 * np.exp(-self.beta * (e0 - _free_energy(e0, g0, self.beta)))
-        gap = float(np.abs(probs.sum(axis=0) - boltzmann).max())
+        gap = float(np.abs(probs.sum(axis=0) - thermal(e0, self.beta, g0)).max())
         if gap > 1e-10:
             raise StateValidationError(
                 f"TransitionTable: column marginals deviate from thermal "
@@ -81,11 +80,6 @@ class TransitionTable:
     def delta_e(self) -> np.ndarray:
         """Energy jumps Etau_m - E0_n, same shape as probs."""
         return self.etau[:, None] - self.e0[None, :]
-
-
-def _free_energy(e: np.ndarray, g: np.ndarray, beta: float) -> float:
-    x = -beta * (e - e.min())
-    return float(e.min() - math.log((g * np.exp(x)).sum()) / beta)
 
 
 def transition_table(h0: Hamiltonian, htau: Hamiltonian, v,
@@ -110,8 +104,7 @@ def transition_table(h0: Hamiltonian, htau: Hamiltonian, v,
     beta = t.beta
     e0 = h0.energies
     g0 = h0.degeneracies.astype(float)
-    f0 = _free_energy(e0, g0, beta)
-    weights = np.exp(-beta * (e0 - f0))  # per-eigenstate thermal weight
+    weights = thermal(e0, beta, g0) / g0  # per-eigenstate thermal weight
     amp = htau.spectral.eigenvectors.conj().T @ vm @ h0.spectral.eigenvectors
     # clusters are contiguous runs of the ascending spectrum, so each level's
     # rows (columns) are summed by one reduceat segment

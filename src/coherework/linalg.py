@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, NonHermitianError, NonSquareError
+from .errors import CohereworkError, NonFiniteError, NonHermitianError, NonSquareError
 
 DEFAULT_TOL = 1e-10
 
@@ -41,6 +41,29 @@ def shannon(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def thermal(e, beta: float, g=None) -> np.ndarray:
+    """Boltzmann weights g_k e^(-beta e_k) / Z along the last axis of ``e``.
+
+    The exponents are shifted by their largest value, so neither a negative
+    beta nor a large beta * spread can overflow. A 2-d ``e`` gives one
+    distribution per row; ``g`` (default all ones) holds the degeneracies.
+    """
+    p = -beta * np.asarray(e, dtype=float)  # a new array: updated in place below
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    if g is not None:
+        p *= g
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def log_partition(e, beta: float) -> float:
+    """ln Z = ln sum_k e^(-beta e_k) of a 1-d ``e``, shifted like :func:`thermal`."""
+    x = -beta * np.asarray(e, dtype=float)
+    m = x.max()
+    return float(m + math.log(np.exp(x - m).sum()))
+
+
 def cluster_projectors(basis: np.ndarray, clusters) -> tuple[np.ndarray, ...]:
     """Projectors B_k B_k^dag onto the column groups B_k = basis[:, c_k]."""
     return tuple(basis[:, c] @ basis[:, c].conj().T for c in clusters)
@@ -51,12 +74,31 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    m = np.asarray(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
+def hermitian_part(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """(A + A^dag)/2 of a square matrix A that is Hermitian within ``tol``.
+
+    Raises ``NonSquareError`` on shape mismatch and ``NonHermitianError`` when
+    ``||A - A^dag|| > tol * ||A||``.
+    """
+    m = as_matrix(a)
+    if m.shape[0] != m.shape[1]:
+        raise NonSquareError(f"matrix must be square, got shape {m.shape}")
     scale = max(hs_norm(m), 1e-300)
-    return hs_norm(m - m.conj().T) <= tol * scale
+    defect = hs_norm(m - m.conj().T)
+    if defect > tol * scale:
+        raise NonHermitianError(
+            f"matrix is not Hermitian: ||A - A^dag|| = {defect:.3e} "
+            f"exceeds {tol:g} * ||A|| = {tol * scale:.3e}"
+        )
+    return (m + m.conj().T) / 2.0
+
+
+def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
+    try:
+        hermitian_part(a, tol)
+    except CohereworkError:
+        return False
+    return True
 
 
 def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
@@ -95,25 +137,13 @@ class SpectralDecomposition:
 def hermitian_eig(a, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    The input is symmetrised as (A + A^dag)/2 before factorisation, so the
-    result is deterministic for identical inputs; within numerically degenerate
-    clusters the eigenvector basis is whatever the underlying LAPACK routine
-    returns, and callers must not rely on it beyond the spanned subspace.
-
-    Raises ``NonSquareError`` on shape mismatch and ``NonHermitianError`` when
-    ``||A - A^dag|| > tol * ||A||``.
+    The input is validated and symmetrised by :func:`hermitian_part` before
+    factorisation, so the result is deterministic for identical inputs;
+    within numerically degenerate clusters the eigenvector basis is whatever
+    the underlying LAPACK routine returns, and callers must not rely on it
+    beyond the spanned subspace.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"matrix must be square, got shape {m.shape}")
-    scale = max(hs_norm(m), 1e-300)
-    defect = hs_norm(m - m.conj().T)
-    if defect > tol * scale:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: ||A - A^dag|| = {defect:.3e} "
-            f"exceeds {tol:g} * ||A|| = {tol * scale:.3e}"
-        )
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    w, v = np.linalg.eigh(hermitian_part(a, tol))
     return SpectralDecomposition(w, v)
 
 

@@ -22,12 +22,21 @@ from .errors import (
     RankError,
     StateValidationError,
 )
-from .linalg import DEFAULT_TOL, as_matrix, cluster_projectors, hs_norm, is_unitary
+from .linalg import (
+    DEFAULT_TOL,
+    as_matrix,
+    cluster_projectors,
+    hs_norm,
+    is_unitary,
+    log_partition,
+    thermal,
+)
 from .states import (
     DensityMatrix,
     Hamiltonian,
     Temperature,
     average_energy,
+    check_first_law,
     von_neumann_entropy,
 )
 
@@ -118,8 +127,8 @@ class WorkReport:
 
     Sign convention: positive ``work`` is drawn out of the system into the
     controlled energy sources; ``heat_absorbed`` flows from the bath into the
-    system. The first law energy_change = heat_absorbed - work must hold to
-    1e-10, which the constructor enforces.
+    system. The constructor enforces the first law energy_change =
+    heat_absorbed - work through :func:`check_first_law`.
     """
 
     work: float
@@ -128,9 +137,7 @@ class WorkReport:
     heat_absorbed: float
 
     def __post_init__(self):
-        gap = abs(self.energy_change - (self.heat_absorbed - self.work))
-        if gap > 1e-10:
-            raise ValueError(f"WorkReport violates the first law by {gap:.3e}")
+        check_first_law("WorkReport", self.work, self.heat_absorbed, self.energy_change)
 
 
 def project(rho: DensityMatrix, p: ProjectorSet) -> DensityMatrix:
@@ -222,19 +229,6 @@ class MaxWorkResult(NamedTuple):
     work: float
 
 
-def _gibbs_probs(w: np.ndarray, lam: float) -> np.ndarray:
-    x = -lam * w
-    x = x - x.max()
-    p = np.exp(x)
-    return p / p.sum()
-
-
-def _log_partition(w: np.ndarray, lam: float) -> float:
-    x = -lam * w
-    m = x.max()
-    return float(m + math.log(np.exp(x - m).sum()))
-
-
 def max_work_fixed_energy(rho: DensityMatrix, h: Hamiltonian,
                           t: Temperature) -> MaxWorkResult:
     """Maximum average work extractable at fixed average energy U = tr[rho H].
@@ -255,7 +249,7 @@ def max_work_fixed_energy(rho: DensityMatrix, h: Hamiltonian,
         )
 
     def f(lam: float) -> float:
-        return float(_gibbs_probs(w, lam) @ w) - u
+        return float(thermal(w, lam) @ w) - u
 
     scale = max(float(np.abs(w).max()), 1e-30)
     lo, hi = -64.0 / scale, 64.0 / scale
@@ -276,5 +270,5 @@ def max_work_fixed_energy(rho: DensityMatrix, h: Hamiltonian,
         else:
             hi = mid
     lam = mid
-    work = (lam * u + _log_partition(w, lam) - von_neumann_entropy(rho)) / t.beta
+    work = (lam * u + log_partition(w, lam) - von_neumann_entropy(rho)) / t.beta
     return MaxWorkResult(lambda_star=lam, work=work)

@@ -23,12 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClampRequiredError, NotUnitaryError, StateValidationError
-from .linalg import hs_norm, is_unitary, shannon
+from .linalg import hs_norm, is_unitary, shannon, thermal
 from .states import (
     DensityMatrix,
     Hamiltonian,
     Temperature,
     average_energy,
+    check_first_law,
     gibbs_state,
 )
 
@@ -54,7 +55,8 @@ class WorkLedger:
     """Ordered per-step energy bookkeeping with summed totals.
 
     Every entry satisfies the first law (energy_change = heat_absorbed - work)
-    to 1e-10; isolated steps carry exactly zero heat by construction.
+    as :func:`check_first_law` checks it; isolated steps carry exactly zero
+    heat by construction.
     """
 
     entries: tuple[LedgerEntry, ...]
@@ -62,11 +64,8 @@ class WorkLedger:
 
     def __post_init__(self):
         for e in self.entries:
-            gap = abs(e.energy_change - (e.heat_absorbed - e.work))
-            if gap > 1e-10:
-                raise ValueError(
-                    f"ledger entry {e.label!r} violates the first law by {gap:.3e}"
-                )
+            check_first_law(f"ledger entry {e.label!r}", e.work, e.heat_absorbed,
+                            e.energy_change)
 
     @property
     def totals(self) -> LedgerEntry:
@@ -241,6 +240,19 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
     )
 
 
+def _isolated_steps(plan: ProtocolPlan, u1: float, isotherm: LedgerEntry,
+                    u2: float) -> WorkLedger:
+    """Ledger of the rotate step (energy U(rho0) -> u1), the given isotherm
+    and the quench step (u2 -> U(eta, H0)); the isolated steps absorb no heat."""
+    u_rho = average_energy(plan.rho0, plan.h0)
+    u3 = float(plan.target_populations @ plan.e0)
+    rotate = LedgerEntry("rotate", work=u_rho - u1, heat_absorbed=0.0,
+                         energy_change=u1 - u_rho, entropy_change=0.0)
+    quench = LedgerEntry("quench", work=u2 - u3, heat_absorbed=0.0,
+                         energy_change=u3 - u2, entropy_change=0.0)
+    return WorkLedger((rotate, isotherm, quench), purity_clamp=plan.purity_clamp)
+
+
 def exact_step_works(plan: ProtocolPlan) -> WorkLedger:
     """Closed-form ledger for the three steps (no discretisation).
 
@@ -251,17 +263,12 @@ def exact_step_works(plan: ProtocolPlan) -> WorkLedger:
     """
     beta = plan.temperature.beta
     pop, q = plan.populations, plan.target_populations
-    e0, e1, e2 = plan.e0, plan.e1, plan.e2
 
-    u_rho = average_energy(plan.rho0, plan.h0)
-    u1 = float(pop @ e1)
-    u2 = float(q @ e2)
-    u3 = float(q @ e0)
+    u1 = float(pop @ plan.e1)
+    u2 = float(q @ plan.e2)
     s_pop = shannon(pop)
     s_q = shannon(q)
 
-    rotate = LedgerEntry("rotate", work=u_rho - u1, heat_absorbed=0.0,
-                         energy_change=u1 - u_rho, entropy_change=0.0)
     isotherm = LedgerEntry(
         "isotherm",
         work=(u1 - s_pop / beta) - (u2 - s_q / beta),
@@ -269,9 +276,7 @@ def exact_step_works(plan: ProtocolPlan) -> WorkLedger:
         energy_change=u2 - u1,
         entropy_change=s_q - s_pop,
     )
-    quench = LedgerEntry("quench", work=u2 - u3, heat_absorbed=0.0,
-                         energy_change=u3 - u2, entropy_change=0.0)
-    return WorkLedger((rotate, isotherm, quench), purity_clamp=plan.purity_clamp)
+    return _isolated_steps(plan, u1, isotherm, u2)
 
 
 def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
@@ -286,52 +291,33 @@ def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
     if n < 1:
         raise ValueError(f"quasi_static_steps must be >= 1, got {quasi_static_steps!r}")
     beta = plan.temperature.beta
-    e0, e1, e2 = plan.e0, plan.e1, plan.e2
-    q = plan.target_populations
-
-    u_rho = average_energy(plan.rho0, plan.h0)
+    e1, e2 = plan.e1, plan.e2
 
     work = 0.0
     heat = 0.0
     s = np.linspace(0.0, 1.0, n + 1)
     prev_e = e1
-    prev_p = _thermal(e1, beta)
+    prev_p = thermal(e1, beta)
     first_p, first_e = prev_p, prev_e
     chunk = 65536
     for start in range(1, n + 1, chunk):
         stop = min(start + chunk, n + 1)
         ee = e1[None, :] + s[start:stop, None] * (e2 - e1)[None, :]
-        pp = _thermal_rows(ee, beta)
+        pp = thermal(ee, beta)
         ee_full = np.vstack([prev_e[None, :], ee])
         pp_full = np.vstack([prev_p[None, :], pp])
-        work += float((pp_full[:-1] * (ee_full[:-1] - ee_full[1:])).sum())
-        heat += float(((pp_full[1:] - pp_full[:-1]) * ee_full[1:]).sum())
+        # each sum forms its terms in place in one chunk-sized scratch array
+        step = ee_full[:-1] - ee_full[1:]
+        work += float(np.multiply(step, pp_full[:-1], out=step).sum())
+        step = pp_full[1:] - pp_full[:-1]
+        heat += float(np.multiply(step, ee_full[1:], out=step).sum())
         prev_e = ee[-1]
         prev_p = pp[-1]
     last_p, last_e = prev_p, prev_e
 
     u1 = float(first_p @ first_e)
     u2 = float(last_p @ last_e)
-    rotate = LedgerEntry("rotate", work=u_rho - u1, heat_absorbed=0.0,
-                         energy_change=u1 - u_rho, entropy_change=0.0)
     isotherm = LedgerEntry("isotherm", work=work, heat_absorbed=heat,
                            energy_change=u2 - u1,
                            entropy_change=shannon(last_p) - shannon(first_p))
-    u3 = float(q @ e0)
-    quench = LedgerEntry("quench", work=u2 - u3, heat_absorbed=0.0,
-                         energy_change=u3 - u2, entropy_change=0.0)
-    return WorkLedger((rotate, isotherm, quench), purity_clamp=plan.purity_clamp)
-
-
-def _thermal(e: np.ndarray, beta: float) -> np.ndarray:
-    x = -beta * e
-    x = x - x.max()
-    p = np.exp(x)
-    return p / p.sum()
-
-
-def _thermal_rows(e: np.ndarray, beta: float) -> np.ndarray:
-    x = -beta * e
-    x = x - x.max(axis=1, keepdims=True)
-    p = np.exp(x)
-    return p / p.sum(axis=1, keepdims=True)
+    return _isolated_steps(plan, u1, isotherm, u2)

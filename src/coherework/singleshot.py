@@ -15,6 +15,7 @@ corrupt it in one place.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -22,6 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import AlphabetTooLargeError, DimMismatchError, StateValidationError
+from .linalg import log_partition, thermal
 from .protocol import build_plan
 from .states import DensityMatrix, Hamiltonian, Temperature, average_energy
 
@@ -160,20 +162,18 @@ def _log_cap_threshold(log_p: np.ndarray, log_q: np.ndarray, eps: float) -> floa
     return float(min(max(s, lower[j]), rs[j]))
 
 
-def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
-        return
-    for k in range(n + 1):
-        for rest in _compositions(n - k, parts - 1):
-            yield (k,) + rest
+def _type_classes(n: int, m: int) -> np.ndarray:
+    """Every count vector of m nonnegative integers summing to n, one per row.
 
-
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(values.max())
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(np.exp(values - m).sum())
+    Stars and bars: each choice of m - 1 bar positions among n + m - 1 slots
+    is one type class, and the counts are the gaps between consecutive bars.
+    Rows come in lexicographic order of the counts.
+    """
+    k = m - 1
+    rows = math.comb(n + k, k)
+    combos = itertools.combinations(range(n + k), k)
+    bars = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp, count=rows * k)
+    return np.diff(bars.reshape(rows, k), axis=1, prepend=-1, append=n + k) - 1
 
 
 def iid_rate(p: Distribution, q: Distribution, eps: float, n_copies: int) -> RatePair:
@@ -200,8 +200,10 @@ def iid_rate(p: Distribution, q: Distribution, eps: float, n_copies: int) -> Rat
             f"{n_classes} type classes for alphabet {m} at n = {n} "
             f"(cap {_MAX_TYPE_CLASSES})"
         )
-    ks = np.array(list(_compositions(n, m)), dtype=float)
-    log_mult = math.lgamma(n + 1) - np.vectorize(math.lgamma)(ks + 1.0).sum(axis=1)
+    counts = _type_classes(n, m)
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_mult = log_factorial[n] - log_factorial[counts].sum(axis=1)
+    ks = counts.astype(float)
     log_p = ks @ np.log(p.probs)
     log_q = ks @ np.log(q.probs)
     log_cp = log_mult + log_p
@@ -222,7 +224,7 @@ def iid_rate(p: Distribution, q: Distribution, eps: float, n_copies: int) -> Rat
         if needed > 0.0 and cls_p[boundary] > 0.0:
             frac = min(needed / cls_p[boundary], 1.0)
             terms.append(log_cls_q[boundary] + math.log(frac))
-    log_qa = _logsumexp(np.array(terms)) if terms else -math.inf
+    log_qa = log_partition(np.array(terms), -1.0) if terms else -math.inf
     rate_min = (-log_qa / LN2) / n
 
     # max-entropy: ratio cap over class masses
@@ -249,7 +251,7 @@ def consistency_work(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
     """
     plan = build_plan(rho, h, t, purity_clamp=purity_clamp)
     beta = t.beta
-    gibbs = Distribution.normalized(_slot_thermal(plan.e0, beta))
+    gibbs = Distribution.normalized(thermal(plan.e0, beta))
     populations = Distribution.normalized(plan.populations)
     target = Distribution.normalized(plan.target_populations)
 
@@ -257,9 +259,3 @@ def consistency_work(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
     rate_min = iid_rate(populations, gibbs, eps, n_copies).rate_min
     rate_max = iid_rate(target, gibbs, eps, n_copies).rate_max
     return w_a + (LN2 / beta) * (rate_min - rate_max)
-
-
-def _slot_thermal(e: np.ndarray, beta: float) -> np.ndarray:
-    x = -beta * (e - e.min())
-    w = np.exp(x)
-    return w / w.sum()

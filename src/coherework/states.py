@@ -13,17 +13,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, NonSquareError, StateValidationError
+from .errors import (
+    ConsistencyError,
+    DimMismatchError,
+    NonHermitianError,
+    NonSquareError,
+    StateValidationError,
+)
 from .linalg import (
     CLUSTER_GAP,
     DEFAULT_TOL,
     SpectralDecomposition,
-    as_matrix,
     cluster_projectors,
     eigenvalue_clusters,
-    hermitian_eig,
-    hs_norm,
+    hermitian_part,
     shannon,
+    thermal,
 )
 
 # eigenvalues in [EIGENVALUE_FLOOR, 0) are numerical noise and clamp to 0;
@@ -66,19 +71,10 @@ class DensityMatrix:
     __slots__ = ("mat", "dim", "_eigenvalues", "_eigenvectors")
 
     def __init__(self, mat, tol: float = DEFAULT_TOL):
-        m = as_matrix(mat)
-        if m.shape[0] != m.shape[1]:
-            raise StateValidationError(
-                f"DensityMatrix: must be square, got shape {m.shape}"
-            )
-        scale = max(hs_norm(m), 1e-300)
-        defect = hs_norm(m - m.conj().T)
-        if defect > tol * scale:
-            raise StateValidationError(
-                f"DensityMatrix: not Hermitian within {tol:g} "
-                f"(||rho - rho^dag|| = {defect:.3e})"
-            )
-        m = (m + m.conj().T) / 2.0
+        try:
+            m = hermitian_part(mat, tol)
+        except (NonSquareError, NonHermitianError) as exc:
+            raise StateValidationError(f"DensityMatrix: {exc}") from None
         tr = float(np.trace(m).real)
         if abs(tr - 1.0) > tol:
             raise StateValidationError(
@@ -127,15 +123,12 @@ class Hamiltonian:
     __slots__ = ("mat", "dim", "spectral", "clusters", "energies")
 
     def __init__(self, mat, tol: float = DEFAULT_TOL, cluster_gap: float = CLUSTER_GAP):
-        m = as_matrix(mat)
-        if m.shape[0] != m.shape[1]:
-            raise NonSquareError(f"Hamiltonian: must be square, got shape {m.shape}")
-        self.spectral = hermitian_eig(m, tol=tol)
-        m = (m + m.conj().T) / 2.0
+        m = hermitian_part(mat, tol)
         m.setflags(write=False)
+        w, v = np.linalg.eigh(m)
+        self.spectral = SpectralDecomposition(w, v)
         self.mat = m
         self.dim = m.shape[0]
-        w = self.spectral.eigenvalues
         self.clusters = tuple(eigenvalue_clusters(w, gap=cluster_gap))
         for idx in self.clusters:
             idx.setflags(write=False)
@@ -196,15 +189,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def gibbs_state(h: Hamiltonian, t: Temperature) -> DensityMatrix:
-    """Thermal state e^(-beta H) / Z, computed in the eigenbasis.
-
-    The exponent is shifted by the ground energy so arbitrarily large beta
-    cannot overflow.
-    """
-    w = h.spectral.eigenvalues
-    x = -t.beta * (w - w[0])
-    p = np.exp(x)
-    p /= p.sum()
+    """Thermal state e^(-beta H) / Z, computed in the eigenbasis."""
+    p = thermal(h.spectral.eigenvalues, t.beta)
     v = h.spectral.eigenvectors
     return DensityMatrix((v * p) @ v.conj().T)
 
@@ -213,11 +199,25 @@ def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """U = tr[rho H]."""
     _check_dims(rho, h)
     val = complex(np.trace(rho.mat @ h.mat))
-    if abs(val.imag) > 1e-10:
+    # rounding leaves an imaginary part proportional to the energy scale
+    if abs(val.imag) > 1e-10 * max(1.0, -h.energies[0], h.energies[-1]):
         raise StateValidationError(
             f"average_energy: nonreal trace, imaginary part {val.imag:.3e}"
         )
     return val.real
+
+
+def check_first_law(what: str, work: float, heat_absorbed: float,
+                    energy_change: float):
+    """Raise ``ConsistencyError`` unless energy_change = heat_absorbed - work.
+
+    The tolerance, 1e-10 * max(1, |work|, |heat|, |energy change|), follows
+    the energy scale, so changing the units of H and T together trips nothing.
+    A NaN term fails the check.
+    """
+    gap = abs(energy_change - (heat_absorbed - work))
+    if not gap <= 1e-10 * max(1.0, abs(work), abs(heat_absorbed), abs(energy_change)):
+        raise ConsistencyError(f"{what} violates the first law by {gap:.3e}")
 
 
 def free_energy(rho: DensityMatrix, h: Hamiltonian, t: Temperature) -> float:
@@ -283,8 +283,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         violation = float(p @ overlap[:, outside].sum(axis=1))
         if violation > 1e-10:
             return math.inf
-    pos = p > 0.0
-    s_term = float((p[pos] * np.log(p[pos])).sum())
+    s_term = -shannon(p)
     inside = ~outside
     cross = float((p[:, None] * overlap[:, inside] * np.log(q[inside])[None, :]).sum())
     val = (s_term - cross) / _LN2

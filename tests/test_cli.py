@@ -446,3 +446,53 @@ class TestMain:
         out = tmp_path / "report.json"
         assert main(["run", path, "--out", str(out)]) == EXIT_OK
         assert json.loads(out.read_text())["results"]["work"] > 0
+
+
+class TestEnergyScale:
+    @pytest.mark.parametrize("seed", [2, 4, 5])
+    def test_large_energy_protocol_runs(self, tmp_path, seed, capsys):
+        # MHz-scale levels at beta = 1e-6: ordinary physics in large units
+        scn = {"kind": "protocol", "beta": 1e-6,
+               "hamiltonian": {"diag": [0.0, 1.3e6, 2.9e6, 4.1e6]},
+               "state": {"random": {"dim": 4, "seed": seed}}}
+        assert run_scenario(write(tmp_path, scn)) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        exact = report["results"]["exact"]["totals"]["work"]
+        assert exact == pytest.approx(report["results"]["w_opt"], rel=1e-9)
+
+    def test_first_law_violation_is_physics_error(self, tmp_path, monkeypatch, capsys):
+        from coherework.protocol import LedgerEntry, WorkLedger
+
+        bad = LedgerEntry("x", work=1.0, heat_absorbed=0.0,
+                          energy_change=1.0, entropy_change=0.0)
+        monkeypatch.setitem(cli._RUNNERS, "project",
+                            lambda scn, ctx: WorkLedger((bad,)))
+        assert run_scenario(write(tmp_path, canonical_project_scenario())) == EXIT_PHYSICS
+        assert "ConsistencyError" in capsys.readouterr().err
+
+
+def test_tolerances_come_from_the_library_constants():
+    from coherework.linalg import CLUSTER_GAP, DEFAULT_TOL
+    from coherework.protocol import PLAN_TOL
+    from coherework.states import EIGENVALUE_FLOOR
+
+    assert cli.TOLERANCES == {"hermitian": DEFAULT_TOL, "projector": DEFAULT_TOL,
+                              "cluster_gap": CLUSTER_GAP,
+                              "eigenvalue_floor": EIGENVALUE_FLOOR, "plan": PLAN_TOL}
+    assert cli.TOLERANCES == {"hermitian": 1e-10, "projector": 1e-10, "cluster_gap": 1e-8,
+                              "eigenvalue_floor": -1e-10, "plan": 1e-8}
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy would add about 0.3 s to every CLI start; only self-test needs it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, coherework.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

@@ -1,18 +1,29 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coherework.errors import CohereworkError, NonHermitianError, NonSquareError
+from coherework.errors import (
+    CohereworkError,
+    NonFiniteError,
+    NonHermitianError,
+    NonSquareError,
+)
 from coherework.linalg import (
     as_matrix,
     eigenvalue_clusters,
     hermitian_eig,
+    hermitian_part,
     hs_norm,
     is_hermitian,
     is_unitary,
     kron,
+    log_partition,
     shannon,
+    thermal,
 )
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -190,3 +201,70 @@ def test_reconstruction_property(seed, dim):
     a = random_hermitian(dim, seed)
     dec = hermitian_eig(a)
     assert hs_norm(dec.reconstruct() - a) <= 1e-10 * max(hs_norm(a), 1e-30)
+
+
+def direct_thermal(e, beta, g=None):
+    """g_k e^(-beta e_k) / sum_j g_j e^(-beta e_j), term by term."""
+    g = [1.0] * len(e) if g is None else list(g)
+    w = [gk * math.exp(-beta * ek) for ek, gk in zip(e, g)]
+    z = sum(w)
+    return [wk / z for wk in w], math.log(z)
+
+
+class TestThermal:
+    @pytest.mark.parametrize("beta", [0.7, -1.3, 0.0])
+    def test_direct_formula(self, beta):
+        e = [-0.4, 0.1, 1.2, 2.5]
+        p, log_z = direct_thermal(e, beta)
+        np.testing.assert_allclose(thermal(np.array(e), beta), p, rtol=1e-14)
+        assert log_partition(np.array(e), beta) == pytest.approx(log_z, rel=1e-14, abs=1e-15)
+
+    def test_degeneracies_weight_levels(self):
+        e, g = [0.0, 0.5, 2.0], [1.0, 3.0, 2.0]
+        p, _ = direct_thermal(e, 1.1, g)
+        np.testing.assert_allclose(thermal(np.array(e), 1.1, np.array(g)), p, rtol=1e-14)
+
+    def test_input_not_modified(self):
+        e = np.array([0.0, 1.0, 2.0])
+        thermal(e, 1.0, np.array([1.0, 2.0, 1.0]))
+        thermal(e, 0.0)
+        np.testing.assert_array_equal(e, [0.0, 1.0, 2.0])
+
+    def test_rows_match_one_dimensional_calls(self):
+        e = np.random.default_rng(4).normal(size=(5, 3))
+        rows = thermal(e, 2.0)
+        for i in range(5):
+            np.testing.assert_array_equal(rows[i], thermal(e[i], 2.0))
+
+    @pytest.mark.parametrize("beta", [1e4, -1e4])
+    def test_large_beta_spread_is_finite(self, beta):
+        e = np.array([0.0, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = thermal(e, beta)
+            log_z = log_partition(e, beta)
+        ground = 0 if beta > 0 else 2
+        assert p[ground] == 1.0 and p.sum() == 1.0
+        assert log_z == pytest.approx(-beta * e[ground], rel=1e-15)
+
+
+class TestHermitianPart:
+    def test_returns_symmetrised_matrix(self):
+        a = random_hermitian(4, seed=6)
+        a[0, 1] += 1e-13
+        np.testing.assert_array_equal(hermitian_part(a), (a + a.conj().T) / 2)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(NonSquareError, match="square"):
+            hermitian_part(np.zeros((2, 3)))
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(NonHermitianError, match="not Hermitian"):
+            hermitian_part(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_nan_rejected(self):
+        with pytest.raises(NonFiniteError):
+            hermitian_part(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_is_hermitian_rejects_nan(self):
+        assert not is_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))

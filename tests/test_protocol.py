@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coherework.errors import ClampRequiredError
 from coherework.linalg import hs_norm
@@ -13,7 +15,12 @@ from coherework.protocol import (
     exact_step_works,
     simulate,
 )
-from coherework.sampling import random_density_matrix, random_hamiltonian, rng_from_seed
+from coherework.sampling import (
+    random_density_matrix,
+    random_hamiltonian,
+    random_hermitian,
+    rng_from_seed,
+)
 from coherework.states import (
     DensityMatrix,
     Hamiltonian,
@@ -271,3 +278,35 @@ class TestWorkLedger:
         rho, h, t = canonical_qubit
         ledger = exact_step_works(build_plan(rho, h, t, purity_clamp=1e-7))
         assert ledger.purity_clamp == 1e-7
+
+
+def _works(rho, hm, beta):
+    """Optimal projection work, exact ledger total and simulated total."""
+    h = Hamiltonian(hm)
+    t = Temperature(beta)
+    plan = build_plan(rho, h, t)
+    return (optimal_projection_work(rho, h, energy_projectors(h), t).work,
+            exact_step_works(plan).totals.work,
+            simulate(plan, 100).totals.work)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.floats(-3.0, 8.0))
+def test_units_of_energy_and_temperature_rescale_work(seed, log_s):
+    # (s H, beta / s) is the same physics in other units: W(sH, beta/s) = s W(H, beta)
+    rng = rng_from_seed(seed)
+    hm = random_hermitian(4, rng)
+    assume(np.diff(np.linalg.eigvalsh(hm)).min() > 1e-3)  # levels stay distinct at s=1e-3
+    rho = random_density_matrix(4, rng)
+    beta = float(np.exp(rng.uniform(math.log(0.2), math.log(5.0))))
+    s = 10.0 ** log_s
+    for w, w_scaled in zip(_works(rho, hm, beta), _works(rho, s * hm, beta / s)):
+        assert abs(w_scaled - s * w) <= 1e-9 * s * max(1.0, abs(w))
+
+
+@pytest.mark.parametrize("field", ["work", "heat_absorbed", "energy_change"])
+def test_first_law_rejects_nan(field):
+    values = {"work": 0.5, "heat_absorbed": 1.5, "energy_change": 1.0}
+    values[field] = math.nan
+    with pytest.raises(ValueError, match="first law"):
+        WorkLedger((LedgerEntry("x", entropy_change=0.0, **values),))

@@ -336,3 +336,52 @@ class TestMisc:
         base = d_min_eps(p, q, 0.0)
         monkeypatch.setattr(singleshot, "LN2", singleshot.LN2 / 2)
         assert d_min_eps(p, q, 0.0) == pytest.approx(2 * base, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 5, 9])
+def test_type_classes_match_product_oracle_in_order(m, n):
+    oracle = [list(k) for k in itertools.product(range(n + 1), repeat=m) if sum(k) == n]
+    assert singleshot._type_classes(n, m).tolist() == oracle
+
+
+def recursive_compositions(n, parts):
+    if parts == 1:
+        yield (n,)
+        return
+    for k in range(n + 1):
+        for rest in recursive_compositions(n - k, parts - 1):
+            yield (k,) + rest
+
+
+def recursive_iid_rate(p, q, eps, n):
+    """The type-class path with a recursive composition generator and
+    elementwise lgamma; the ratio cap and the rate formulas are shared."""
+    ks = np.array(list(recursive_compositions(n, len(p))), dtype=float)
+    log_mult = math.lgamma(n + 1) - np.vectorize(math.lgamma)(ks + 1.0).sum(axis=1)
+    log_p, log_q = ks @ np.log(p.probs), ks @ np.log(q.probs)
+    log_cp, log_cq = log_mult + log_p, log_mult + log_q
+    order = np.argsort(-(log_p - log_q))
+    cls_p, log_cls_q = np.exp(log_cp[order]), log_cq[order]
+    cum = np.cumsum(cls_p)
+    boundary = int(np.searchsorted(cum, 1.0 - eps - 1e-15))
+    terms = list(log_cls_q[:boundary])
+    if boundary < len(cls_p):
+        needed = 1.0 - eps - (cum[boundary - 1] if boundary > 0 else 0.0)
+        if needed > 0.0 and cls_p[boundary] > 0.0:
+            terms.append(log_cls_q[boundary] + math.log(min(needed / cls_p[boundary], 1.0)))
+    top = max(terms)
+    log_qa = top + math.log(np.exp(np.array(terms) - top).sum())
+    rate_max = singleshot._log_cap_threshold(log_cp, log_cq, eps) / singleshot.LN2 / n
+    return (-log_qa / singleshot.LN2) / n, rate_max
+
+
+def test_iid_rate_bit_equal_to_recursive_path():
+    rng = np.random.default_rng(102)
+    for _ in range(30):
+        d = int(rng.integers(1, 5))
+        n = int(rng.integers(1, {1: 512, 2: 256, 3: 40, 4: 16}[d]))
+        p = Distribution.normalized(np.maximum(rng.dirichlet(np.ones(d)), 1e-3))
+        q = Distribution.normalized(np.maximum(rng.dirichlet(np.ones(d)), 1e-3))
+        eps = float(rng.choice([0.0, 0.01, 0.1, 0.4]))
+        assert tuple(iid_rate(p, q, eps, n)) == recursive_iid_rate(p, q, eps, n)

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from coherework.errors import CohereworkError, DimMismatchError, StateValidationError
-from coherework.linalg import hs_norm
+from coherework.errors import (
+    CohereworkError,
+    DimMismatchError,
+    NonFiniteError,
+    NonHermitianError,
+    NonSquareError,
+    StateValidationError,
+)
+from coherework.linalg import hermitian_part, hs_norm
 from coherework.projection import max_work_fixed_energy
 from coherework.sampling import (
     random_density_matrix,
@@ -374,3 +381,46 @@ class TestHamiltonian:
         h = Hamiltonian(np.diag([2.0, 2.0 + 1e-12, 5.0]).astype(complex))
         assert len(h.levels) == 2
         np.testing.assert_array_equal(h.degeneracies, [2, 1])
+
+
+class TestOneHermitianValidator:
+    def test_density_matrix_errors_keep_type_and_prefix(self):
+        with pytest.raises(StateValidationError, match="^DensityMatrix: .*Hermitian"):
+            DensityMatrix(np.array([[0.5, 0.3], [0.0, 0.5]]))
+        with pytest.raises(StateValidationError, match="^DensityMatrix: .*square"):
+            DensityMatrix(np.ones((2, 3)) / 6)
+        with pytest.raises(StateValidationError, match="^DensityMatrix: .*2-d"):
+            DensityMatrix(np.ones(4) / 4)
+
+    def test_density_matrix_nan_stays_non_finite(self):
+        with pytest.raises(NonFiniteError):
+            DensityMatrix([[math.nan, 0.0], [0.0, 1.0]])
+
+    def test_hamiltonian_raises_validator_errors(self):
+        with pytest.raises(NonSquareError):
+            Hamiltonian(np.zeros((2, 3)))
+        with pytest.raises(NonHermitianError):
+            Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_constructors_store_hermitian_part(self):
+        m = random_hamiltonian(4, rng_from_seed(3)).mat.copy()
+        m[0, 1] += 1e-13
+        np.testing.assert_array_equal(Hamiltonian(m).mat, hermitian_part(m))
+        r = random_density_matrix(4, rng_from_seed(3)).mat.copy()
+        r[1, 2] += 1e-14
+        np.testing.assert_array_equal(DensityMatrix(r).mat, hermitian_part(r))
+
+    def test_hamiltonian_spectrum_matches_its_matrix(self):
+        h = random_hamiltonian(6, rng_from_seed(8))
+        assert hs_norm(h.spectral.reconstruct() - h.mat) <= 1e-12 * hs_norm(h.mat)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8, 1e12])
+def test_average_energy_imaginary_check_follows_energy_scale(scale):
+    for seed in range(10):
+        rng = rng_from_seed(seed)
+        rho = random_density_matrix(4, rng)
+        h = random_hamiltonian(4, rng)
+        scaled = Hamiltonian(scale * h.mat)
+        assert average_energy(rho, scaled) == pytest.approx(
+            scale * average_energy(rho, h), rel=1e-12, abs=1e-12 * scale)
