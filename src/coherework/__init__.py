@@ -31,6 +31,7 @@ from .errors import (
     NotUnitaryError,
     RankError,
     StateValidationError,
+    SupportError,
 )
 from .fluctuation import (
     ProjectionHeat,

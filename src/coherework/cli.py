@@ -19,6 +19,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -86,17 +87,19 @@ class ScenarioError(Exception):
 # schema document and mini-validator
 
 
+# a number leaf and an [re, im] pair: validate_schema checks a whole array of
+# either in one scan
+_NUMBER = {"type": "number"}
+_PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
+
+
 def _matrix_schema():
-    entry = {"type": "array", "items": {"type": "number"},
-             "minItems": 2, "maxItems": 2}
-    row = {"type": "array", "items": entry, "minItems": 1}
+    row = {"type": "array", "items": _PAIR, "minItems": 1}
     return {"type": "array", "items": row, "minItems": 1}
 
 
 def _vector_schema():
-    entry = {"type": "array", "items": {"type": "number"},
-             "minItems": 2, "maxItems": 2}
-    return {"type": "array", "items": entry, "minItems": 1}
+    return {"type": "array", "items": _PAIR, "minItems": 1}
 
 
 # size caps, checked before anything is built: the documented working range
@@ -141,7 +144,7 @@ _HAMILTONIAN_SCHEMA = {
         {"required": ["matrix"], "properties": {"matrix": _matrix_schema()},
          "additionalProperties": False},
         {"required": ["diag"], "properties": {"diag": {
-            "type": "array", "items": {"type": "number"}, "minItems": 1}},
+            "type": "array", "items": _NUMBER, "minItems": 1}},
          "additionalProperties": False},
         {"required": ["random"], "properties": {"random": _RANDOM_SCHEMA},
          "additionalProperties": False},
@@ -203,7 +206,7 @@ KIND_SCHEMAS = {
         "properties": {
             "kind": {"type": "string", "enum": ["bound_scan"]},
             "a": {"type": "number", "minimum": 0, "maximum": 1},
-            "thetas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+            "thetas": {"type": "array", "items": _NUMBER, "minItems": 1},
         },
         "additionalProperties": False,
     },
@@ -282,8 +285,8 @@ _SERIES_SCHEMA = {
         "required": ["label", "x", "y"],
         "properties": {
             "label": {"type": "string"},
-            "x": {"type": "array", "items": {"type": "number"}},
-            "y": {"type": "array", "items": {"type": "number"}},
+            "x": {"type": "array", "items": _NUMBER},
+            "y": {"type": "array", "items": _NUMBER},
         },
         "additionalProperties": False,
     },
@@ -327,12 +330,57 @@ _TYPE_CHECKS = {
     "boolean": lambda v: isinstance(v, bool),
 }
 
+# the smallest integer that float() rounds to infinity: a "number" must be a
+# double, so an integer literal at or beyond it is a schema violation
+_INT_LIMIT = 2**1024 - 2**970
 
-def validate_schema(value, schema: dict, path: str = "$"):
+
+def _path_str(path) -> str:
+    """Render a lazy path: a root string, or a ``(parent, template, key)``
+    triple whose template formats the key as ``.key`` or ``[i]``."""
+    parts = []
+    while isinstance(path, tuple):
+        path, template, key = path
+        parts.append(template.format(key))
+    return path + "".join(reversed(parts))
+
+
+def _all_numbers(values) -> bool:
+    """True when every entry of ``values`` passes :data:`_NUMBER`, in one scan.
+
+    A False is not a verdict: the per-item check decides and words the error.
+    """
+    types = set(map(type, values))
+    if types <= {float}:
+        return True
+    # min/max return NaN or the out-of-range int when either is present
+    return (types <= {int, float}
+            and -_INT_LIMIT < min(values) and max(values) < _INT_LIMIT)
+
+
+def _all_items_valid(values: list, item_schema: dict) -> bool:
+    """True when every entry passes ``item_schema``, decided in one scan for
+    number leaves and ``[re, im]`` pairs; False (look item by item) otherwise."""
+    if item_schema == _NUMBER:
+        return _all_numbers(values)
+    if item_schema == _PAIR:
+        return (set(map(type, values)) <= {list} and set(map(len, values)) <= {2}
+                and _all_numbers(list(itertools.chain.from_iterable(values))))
+    return False
+
+
+def validate_schema(value, schema: dict, path="$"):
     """Validate ``value`` against the subset of JSON Schema used here.
 
+    ``path`` names ``value`` in messages: a string, or the lazy triple the
+    recursion passes so that no path string is built unless one is raised.
     Raises :class:`ScenarioError` naming the first offending field.
     """
+    # the type applies before any alternative: no oneOf branch names one
+    typ = schema.get("type")
+    if typ is not None and not _TYPE_CHECKS[typ](value):
+        raise ScenarioError(
+            f"{_path_str(path)}: expected {typ}, got {type(value).__name__}")
     if "oneOf" in schema:
         errors = []
         for branch in schema["oneOf"]:
@@ -347,60 +395,65 @@ def validate_schema(value, schema: dict, path: str = "$"):
                 errors.append((not meant, str(exc)))
         errors.sort(key=lambda e: e[0])
         raise ScenarioError(
-            f"{path}: no schema alternative matched "
+            f"{_path_str(path)}: no schema alternative matched "
             f"(closest errors: {' | '.join(e for _, e in errors[:3])})"
         )
-    typ = schema.get("type")
-    if typ is not None and not _TYPE_CHECKS[typ](value):
-        raise ScenarioError(f"{path}: expected {typ}, got {type(value).__name__}")
+    if typ == "number" and isinstance(value, int) and not -_INT_LIMIT < value < _INT_LIMIT:
+        raise ScenarioError(f"{_path_str(path)}: integer too large for a double")
     if "enum" in schema and value not in schema["enum"]:
-        raise ScenarioError(f"{path}: must be one of {schema['enum']}, got {value!r}")
+        raise ScenarioError(
+            f"{_path_str(path)}: must be one of {schema['enum']}, got {value!r}")
     # keyword checks apply by the value's actual type, as in JSON Schema
     if _TYPE_CHECKS["number"](value):
         if "minimum" in schema and value < schema["minimum"]:
-            raise ScenarioError(f"{path}: must be >= {schema['minimum']}, got {value}")
+            raise ScenarioError(
+                f"{_path_str(path)}: must be >= {schema['minimum']}, got {value}")
         if "maximum" in schema and value > schema["maximum"]:
-            raise ScenarioError(f"{path}: must be <= {schema['maximum']}, got {value}")
+            raise ScenarioError(
+                f"{_path_str(path)}: must be <= {schema['maximum']}, got {value}")
         if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
             raise ScenarioError(
-                f"{path}: must be > {schema['exclusiveMinimum']}, got {value}"
+                f"{_path_str(path)}: must be > {schema['exclusiveMinimum']}, got {value}"
             )
         if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
             raise ScenarioError(
-                f"{path}: must be < {schema['exclusiveMaximum']}, got {value}"
+                f"{_path_str(path)}: must be < {schema['exclusiveMaximum']}, got {value}"
             )
     if isinstance(value, dict):
         for key in schema.get("required", ()):
             if key not in value:
-                raise ScenarioError(f"{path}.{key}: required field missing")
+                raise ScenarioError(f"{_path_str(path)}.{key}: required field missing")
         props = schema.get("properties", {})
         if schema.get("additionalProperties") is False:
             for key in value:
                 if key not in props:
-                    raise ScenarioError(f"{path}.{key}: unknown field")
+                    raise ScenarioError(f"{_path_str(path)}.{key}: unknown field")
         for key, sub in props.items():
             if key in value:
-                validate_schema(value[key], sub, f"{path}.{key}")
+                validate_schema(value[key], sub, (path, ".{}", key))
     if isinstance(value, list):
         if "minItems" in schema and len(value) < schema["minItems"]:
             raise ScenarioError(
-                f"{path}: needs at least {schema['minItems']} items, got {len(value)}"
+                f"{_path_str(path)}: needs at least {schema['minItems']} items, "
+                f"got {len(value)}"
             )
         if "maxItems" in schema and len(value) > schema["maxItems"]:
             raise ScenarioError(
-                f"{path}: needs at most {schema['maxItems']} items, got {len(value)}"
+                f"{_path_str(path)}: needs at most {schema['maxItems']} items, "
+                f"got {len(value)}"
             )
         item_schema = schema.get("items")
-        if item_schema is not None:
+        if item_schema is not None and not _all_items_valid(value, item_schema):
             for i, item in enumerate(value):
-                validate_schema(item, item_schema, f"{path}[{i}]")
+                validate_schema(item, item_schema, (path, "[{}]", i))
 
 
 def validate_scenario(obj):
     if not isinstance(obj, dict):
         raise ScenarioError("$: scenario must be a JSON object")
     kind = obj.get("kind")
-    if kind not in KIND_SCHEMAS:
+    # a list or an object is unhashable: test the type before the lookup
+    if not isinstance(kind, str) or kind not in KIND_SCHEMAS:
         raise ScenarioError(
             f"$.kind: must be one of {sorted(KIND_SCHEMAS)}, got {kind!r}"
         )
@@ -411,10 +464,53 @@ def validate_scenario(obj):
 # deterministic report serialisation
 
 
+_FLOAT_FORMAT = "%.17g"
+
+# json.dumps of a string with the default arguments, without its per-call setup
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _format_float(x: float) -> str:
     if not math.isfinite(x):
         raise NonFiniteError(f"non-finite float {x!r} cannot enter a report")
-    return f"{x:.17g}"
+    return _FLOAT_FORMAT % x
+
+
+# the deepest float array a report holds is an echoed [re, im] matrix; deeper
+# nesting is left to the recursion, which keeps a pathological nesting linear
+_BLOCK_MAX_DEPTH = 3
+
+
+def _float_block(o: list):
+    """``(shape, leaves)`` of a non-empty rectangular nested list of plain
+    floats at most :data:`_BLOCK_MAX_DEPTH` deep (a series, or an echoed
+    ``[re, im]`` matrix), else None.
+
+    ``leaves`` lists the floats in document order; each level is checked with
+    one scan over all of its entries.
+    """
+    shape = [len(o)]
+    leaves = o
+    while True:
+        types = set(map(type, leaves))
+        if types == {float}:
+            return shape, leaves
+        lengths = set(map(len, leaves)) if types == {list} else ()
+        if len(lengths) != 1 or 0 in lengths or len(shape) == _BLOCK_MAX_DEPTH:
+            return None
+        shape.extend(lengths)
+        leaves = list(itertools.chain.from_iterable(leaves))
+
+
+def _block_template(shape, level: int, indent: int) -> str:
+    """The text of a :func:`_float_block` at nesting ``level`` with one
+    :data:`_FLOAT_FORMAT` slot per float, laid out as ``dumps_stable`` does."""
+    text = _FLOAT_FORMAT
+    for depth in range(len(shape) - 1, -1, -1):
+        pad = " " * (indent * (level + depth + 1))
+        closing = " " * (indent * (level + depth))
+        text = f"[\n{pad}" + f",\n{pad}".join([text] * shape[depth]) + f"\n{closing}]"
+    return text
 
 
 def dumps_stable(obj, indent: int = 2) -> str:
@@ -433,8 +529,18 @@ def dumps_stable(obj, indent: int = 2) -> str:
         elif isinstance(o, (float, np.floating)):
             out.append(_format_float(float(o)))
         elif isinstance(o, str):
-            out.append(json.dumps(o))
+            out.append(_quote(o))
         elif isinstance(o, (list, tuple, np.ndarray)):
+            block = _float_block(o) if type(o) is list else None
+            if block is not None:
+                shape, leaves = block
+                # any inf or nan makes the sum non-finite (so may an overflow
+                # of finite floats: then the loop finds nothing to raise)
+                if not math.isfinite(sum(leaves)):
+                    for x in leaves:
+                        _format_float(x)
+                out.append(_block_template(shape, level, indent) % tuple(leaves))
+                return
             items = list(o)
             if not items:
                 out.append("[]")
@@ -454,7 +560,7 @@ def dumps_stable(obj, indent: int = 2) -> str:
             for i, key in enumerate(keys):
                 if not isinstance(key, str):
                     raise ValueError(f"non-string report key {key!r}")
-                out.append(pad + json.dumps(key) + ": ")
+                out.append(pad + _quote(key) + ": ")
                 emit(o[key], level + 1)
                 out.append(",\n" if i + 1 < len(keys) else "\n")
             out.append(closing + "}")
@@ -745,7 +851,9 @@ def run_scenario(path: str, out: str | None = None) -> int:
         return EXIT_IO
     try:
         obj = json.loads(text, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, ScenarioError) as exc:
+    except (ValueError, RecursionError, ScenarioError) as exc:
+        # ValueError covers JSONDecodeError and integer literals longer than
+        # the interpreter converts; RecursionError, nesting deeper than it parses
         print(f"invalid JSON in {path}: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     try:

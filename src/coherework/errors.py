@@ -49,6 +49,14 @@ class ClampRequiredError(CohereworkError):
     """State has a zero eigenvalue and no purity clamp was allowed."""
 
 
+class SupportError(CohereworkError, ValueError):
+    """A distribution lacks the full support a computation needs, such as a
+    thermal state whose populations underflow at a large beta.
+
+    Also a :class:`ValueError`, the type numeric code raises for a bad value.
+    """
+
+
 class AlphabetTooLargeError(CohereworkError):
     """Distribution alphabet too large for exact computation."""
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatchError, NotUnitaryError, StateValidationError
-from .linalg import as_matrix, is_unitary, thermal
+from .linalg import as_matrix, is_unitary, log_partition, thermal
 from .projection import energy_projectors, project
 from .states import (
     DensityMatrix,
@@ -36,7 +36,9 @@ class TransitionTable:
     ``e0``/``etau`` are the clustered level energies, ``g0`` the initial level
     degeneracies. Entries are nonnegative and sum to 1; column marginals are
     the Boltzmann weights g0_n exp(-beta (E0_n - F0)), both to 1e-10, enforced
-    at construction.
+    at construction. ``log_probs`` holds ln p[m][n] (-inf for an impossible
+    jump), finite also where p underflows to 0; a table given only ``probs``
+    takes their logarithms.
     """
 
     probs: np.ndarray
@@ -44,6 +46,7 @@ class TransitionTable:
     etau: np.ndarray
     beta: float
     g0: np.ndarray
+    log_probs: np.ndarray | None = None
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -55,6 +58,20 @@ class TransitionTable:
                 f"TransitionTable: probs shape {probs.shape} != "
                 f"({etau.size}, {e0.size})"
             )
+        if self.log_probs is None:
+            with np.errstate(divide="ignore"):
+                log_probs = np.log(probs)
+        else:
+            log_probs = np.asarray(self.log_probs, dtype=float)
+            if log_probs.shape != probs.shape:
+                raise DimMismatchError(
+                    f"TransitionTable: log_probs shape {log_probs.shape} != "
+                    f"probs shape {probs.shape}"
+                )
+            if not np.abs(np.exp(log_probs) - probs).max() <= 1e-12:
+                raise StateValidationError(
+                    "TransitionTable: log_probs disagree with probs"
+                )
         if probs.min() < -1e-12:
             raise StateValidationError(
                 f"TransitionTable: negative probability {probs.min()!r}"
@@ -69,9 +86,10 @@ class TransitionTable:
                 f"TransitionTable: column marginals deviate from thermal "
                 f"weights by {gap:.3e}"
             )
-        for arr in (probs, e0, etau, g0):
+        for arr in (probs, e0, etau, g0, log_probs):
             arr.setflags(write=False)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "log_probs", log_probs)
         object.__setattr__(self, "e0", e0)
         object.__setattr__(self, "etau", etau)
         object.__setattr__(self, "g0", g0)
@@ -105,22 +123,29 @@ def transition_table(h0: Hamiltonian, htau: Hamiltonian, v,
     e0 = h0.energies
     g0 = h0.degeneracies.astype(float)
     weights = thermal(e0, beta, g0) / g0  # per-eigenstate thermal weight
+    # ln of that weight, finite where the weight itself underflows
+    log_weights = -beta * e0 - log_partition(e0, beta, g0)
     amp = htau.spectral.eigenvectors.conj().T @ vm @ h0.spectral.eigenvectors
     # clusters are contiguous runs of the ascending spectrum, so each level's
     # rows (columns) are summed by one reduceat segment
-    probs = np.add.reduceat(np.abs(amp) ** 2, [c[0] for c in htau.clusters], axis=0)
-    probs = np.add.reduceat(probs, [c[0] for c in h0.clusters], axis=1) * weights
-    return TransitionTable(probs=probs, e0=e0, etau=htau.energies,
-                           beta=beta, g0=g0)
+    mass = np.add.reduceat(np.abs(amp) ** 2, [c[0] for c in htau.clusters], axis=0)
+    mass = np.add.reduceat(mass, [c[0] for c in h0.clusters], axis=1)
+    with np.errstate(divide="ignore"):
+        log_probs = np.log(mass) + log_weights
+    return TransitionTable(probs=mass * weights, e0=e0, etau=htau.energies,
+                           beta=beta, g0=g0, log_probs=log_probs)
 
 
 def jarzynski_average(table: TransitionTable) -> float:
     """<e^(beta W)> = sum_mn e^(-beta (Etau_m - E0_n)) p[m][n].
 
     Equals e^(-beta dF) identically, with dF the equilibrium free-energy
-    difference of the two Hamiltonians, for every unitary.
+    difference of the two Hamiltonians, for every unitary. Each term is
+    exp(ln p - beta dE), so a jump whose probability underflows still
+    counts, no e^(-beta dE) overflows against a zero probability, and an
+    impossible jump (ln p = -inf) adds exactly 0.
     """
-    return float((np.exp(-table.beta * table.delta_e) * table.probs).sum())
+    return float(np.exp(table.log_probs - table.beta * table.delta_e).sum())
 
 
 def average_unitary_work(table: TransitionTable) -> float:

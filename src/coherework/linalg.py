@@ -57,11 +57,15 @@ def thermal(e, beta: float, g=None) -> np.ndarray:
     return p
 
 
-def log_partition(e, beta: float) -> float:
-    """ln Z = ln sum_k e^(-beta e_k) of a 1-d ``e``, shifted like :func:`thermal`."""
+def log_partition(e, beta: float, g=None) -> float:
+    """ln Z = ln sum_k g_k e^(-beta e_k) of a 1-d ``e``, shifted like
+    :func:`thermal`; ``g`` (default all ones) holds the degeneracies."""
     x = -beta * np.asarray(e, dtype=float)
     m = x.max()
-    return float(m + math.log(np.exp(x - m).sum()))
+    w = np.exp(x - m)
+    if g is not None:
+        w *= g
+    return float(m + math.log(w.sum()))
 
 
 def cluster_projectors(basis: np.ndarray, clusters) -> tuple[np.ndarray, ...]:

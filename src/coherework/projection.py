@@ -197,8 +197,11 @@ def projection_angle_factor(m: np.ndarray) -> float:
     Zero when M is a permutation (bases coincide), one for mutually unbiased
     bases. "Second smallest" is index 1 of the ascending spectrum, so a fully
     degenerate zero spectrum degrades the bound to zero rather than failing.
+    A one-level system has one basis, so its factor is zero.
     """
     m = np.asarray(m, dtype=float)
+    if m.shape[0] < 2:
+        return 0.0
     a = np.eye(m.shape[0]) - m.T @ m
     w = np.linalg.eigvalsh((a + a.T) / 2.0)
     return float(min(max(w[1], 0.0), 1.0))

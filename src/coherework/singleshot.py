@@ -22,7 +22,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AlphabetTooLargeError, DimMismatchError, StateValidationError
+from .errors import (
+    AlphabetTooLargeError,
+    DimMismatchError,
+    StateValidationError,
+    SupportError,
+)
 from .linalg import log_partition, thermal
 from .protocol import build_plan
 from .states import DensityMatrix, Hamiltonian, Temperature, average_energy
@@ -79,7 +84,7 @@ def _check_pair(p: Distribution, q: Distribution):
             f"distributions have different sizes ({len(p)} vs {len(q)})"
         )
     if q.probs.min() <= 0.0:
-        raise ValueError("q must have full support (it plays the thermal state)")
+        raise SupportError("q must have full support (it plays the thermal state)")
 
 
 def _check_eps(eps: float):
@@ -192,7 +197,7 @@ def iid_rate(p: Distribution, q: Distribution, eps: float, n_copies: int) -> Rat
     if n < 1:
         raise ValueError(f"n_copies must be >= 1, got {n_copies!r}")
     if p.probs.min() <= 0.0:
-        raise ValueError("iid_rate requires p with full support (clamp the state first)")
+        raise SupportError("iid_rate requires p with full support (clamp the state first)")
     m = len(p)
     n_classes = math.comb(n + m - 1, m - 1)
     if n_classes > _MAX_TYPE_CLASSES:

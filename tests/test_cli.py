@@ -270,6 +270,61 @@ class TestRunScenarioFile:
         points = json.loads(capsys.readouterr().out)["results"]["points"]
         assert all(math.isfinite(pt["work"]) for pt in points)
 
+    def test_unhashable_kind_is_schema_error(self, tmp_path, capsys):
+        assert main(["run", write(tmp_path, {"kind": ["project"]})]) == EXIT_SCHEMA
+        assert "$.kind: must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal, where", [
+        ("1.0", "$.beta"),                     # a scalar
+        ("0.65", "$.state.matrix[0][0][0]"),   # an entry of a bulk-checked matrix
+    ], ids=["beta", "matrix-entry"])
+    def test_integer_beyond_a_double_is_schema_error(self, tmp_path, capsys,
+                                                     literal, where):
+        scn = canonical_project_scenario()
+        scn["state"] = {"matrix": [[[0.65, 0.0], [0.2, 0.1]],
+                                   [[0.2, -0.1], [0.35, 0.0]]]}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(scn).replace(literal, "9" * 400, 1))
+        assert main(["run", str(path)]) == EXIT_SCHEMA
+        assert f"{where}: integer too large for a double" in capsys.readouterr().err
+
+    def test_integer_literal_beyond_the_parser_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(canonical_project_scenario())
+                        .replace("1.0", "9" * 5000, 1))
+        assert main(["run", str(path)]) == EXIT_SCHEMA
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_nesting_beyond_the_parser_is_schema_error(self, tmp_path, capsys):
+        scn = canonical_project_scenario()
+        scn["state"] = {"gibbs": {"x": "NEST"}}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(scn).replace('"NEST"', "[" * 10**5 + "]" * 10**5))
+        assert main(["run", str(path)]) == EXIT_SCHEMA
+        assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("node", [None, 1.0, "gibbs", [{"gibbs": {}}]])
+    def test_non_object_state_is_schema_error(self, tmp_path, capsys, node):
+        scn = {**canonical_project_scenario(), "state": node}
+        assert main(["run", write(tmp_path, scn)]) == EXIT_SCHEMA
+        assert "$.state: expected object" in capsys.readouterr().err
+
+    def test_one_level_system_runs(self, tmp_path, capsys):
+        scn = {**canonical_project_scenario(), "state": {"gibbs": {}},
+               "hamiltonian": {"diag": [0.5]}}
+        assert main(["run", write(tmp_path, scn)]) == EXIT_OK
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["work"] == 0.0 and res["entropy_change_bound"] == 0.0
+
+    def test_thermal_state_without_support_is_physics_error(self, tmp_path, capsys):
+        # at beta = 1e308 the upper thermal populations underflow to zero
+        scn = {"kind": "singleshot", "beta": 1e308,
+               "state": {"random": {"dim": 3, "seed": 83}},
+               "hamiltonian": {"diag": [-0.2, -0.4, 0.3]},
+               "eps": 0.05, "n_copies": [2]}
+        assert main(["run", write(tmp_path, scn)]) == EXIT_PHYSICS
+        assert "SupportError" in capsys.readouterr().err
+
     def test_schema_violation_names_field(self, tmp_path, capsys):
         scn = canonical_project_scenario()
         del scn["hamiltonian"]
@@ -376,6 +431,18 @@ class TestJarzynskiScenario:
         hist = report["series"][0]
         assert sum(hist["y"]) == 50_000
         assert report["provenance"]["seeds"]["$.unitary.random"] == 11
+
+    def test_jump_with_underflowing_probability_counts(self, tmp_path, capsys):
+        # the swap's jump 1000 -> 0 has probability e^-1000, which underflows,
+        # and weight e^1000, which overflows; their product is exactly 1
+        scn = {"kind": "jarzynski", "beta": 1.0,
+               "hamiltonian": {"diag": [0.0, 1000.0]},
+               "unitary": {"matrix": [[[0.0, 0.0], [1.0, 0.0]],
+                                      [[1.0, 0.0], [0.0, 0.0]]]}}
+        assert main(["run", write(tmp_path, scn)]) == EXIT_OK
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["jarzynski_lhs"] == pytest.approx(1.0, abs=1e-12)
+        assert res["jarzynski_rhs"] == pytest.approx(1.0, abs=1e-12)
 
     def test_deterministic_sampling_report(self):
         scn = {

@@ -140,6 +140,29 @@ class TestJarzynskiAverage:
         assert expected == pytest.approx(2.4381069959666024, abs=1e-15)
         assert jarzynski_average(table) == pytest.approx(expected, abs=1e-12)
 
+    def test_jump_with_underflowing_probability_counts(self):
+        # p = e^-1000 underflows and e^(beta W) = e^1000 overflows; the log
+        # domain keeps their product, which is the whole average
+        h = Hamiltonian(np.diag([0.0, 1000.0]).astype(complex))
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        table = transition_table(h, h, swap, BETA1)
+        assert table.probs[0, 1] == 0.0
+        assert table.log_probs[0, 1] == pytest.approx(-1000.0, rel=1e-15)
+        assert table.log_probs[0, 0] == -math.inf
+        assert jarzynski_average(table) == pytest.approx(1.0, abs=1e-12)
+
+    def test_log_probs_must_match_probs(self):
+        probs = np.array([[0.5, 0.0], [0.0, 0.5]])
+        kwargs = dict(e0=np.zeros(2), etau=np.zeros(2), beta=1.0, g0=np.ones(2))
+        with np.errstate(divide="ignore"):
+            good = np.log(probs)
+        assert jarzynski_average(TransitionTable(probs=probs, log_probs=good,
+                                                 **kwargs)) == 1.0
+        with pytest.raises(StateValidationError, match="log_probs"):
+            TransitionTable(probs=probs, log_probs=good + 0.1, **kwargs)
+        with pytest.raises(DimMismatchError, match="log_probs"):
+            TransitionTable(probs=probs, log_probs=good[:1], **kwargs)
+
     def test_holds_for_every_unitary(self):
         rng = rng_from_seed(67)
         h0 = random_hamiltonian(4, rng)
