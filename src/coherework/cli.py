@@ -131,7 +131,8 @@ _STATE_SCHEMA = {
                            "theta": {"type": "number"}},
             "additionalProperties": False}},
          "additionalProperties": False},
-        {"required": ["gibbs"], "properties": {"gibbs": {"type": "object"}},
+        {"required": ["gibbs"], "properties": {"gibbs": {
+            "type": "object", "additionalProperties": False}},
          "additionalProperties": False},
         {"required": ["random"], "properties": {"random": _RANDOM_SCHEMA},
          "additionalProperties": False},

@@ -16,7 +16,8 @@ from .errors import CohereworkError, NonFiniteError, NonHermitianError, NonSquar
 
 DEFAULT_TOL = 1e-10
 
-# eigenvalues closer than this are treated as one degenerate cluster
+# eigenvalues closer than this, relative to the largest |eigenvalue| (at
+# least 1), are treated as one degenerate cluster
 CLUSTER_GAP = 1e-8
 
 
@@ -155,16 +156,18 @@ def eigenvalue_clusters(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[np
     """Group an ascending eigenvalue array into degenerate clusters.
 
     A new cluster starts whenever the jump to the next eigenvalue exceeds
-    ``gap``. Returns index arrays into ``values``.
+    ``gap * max(1, max|values|)``, so the grouping does not change with the
+    units of the spectrum. Returns index arrays into ``values``.
     """
-    n = len(values)
-    if n == 0:
+    w = np.asarray(values).tolist()
+    if not w:
         return []
+    tol = gap * max(1.0, abs(w[0]), abs(w[-1]))
     clusters = []
     start = 0
-    for i in range(1, n):
-        if values[i] - values[i - 1] > gap:
+    for i in range(1, len(w)):
+        if w[i] - w[i - 1] > tol:
             clusters.append(np.arange(start, i))
             start = i
-    clusters.append(np.arange(start, n))
+    clusters.append(np.arange(start, len(w)))
     return clusters

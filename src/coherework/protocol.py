@@ -23,14 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClampRequiredError, NotUnitaryError, StateValidationError
-from .linalg import hs_norm, is_unitary, shannon, thermal
+from .linalg import as_matrix, hs_norm, is_unitary, shannon, thermal
 from .states import (
     DensityMatrix,
     Hamiltonian,
     Temperature,
     average_energy,
     check_first_law,
-    gibbs_state,
 )
 
 PLAN_TOL = 1e-8
@@ -86,13 +85,15 @@ class ProtocolPlan:
     all three Hamiltonians are diagonal; ``e0/e1/e2`` are their eigenvalues in
     that basis, ``populations`` the spectrum of the rotated state, and
     ``target_populations`` the spectrum of eta. ``rho0`` is the (possibly
-    clamped) initial state the plan actually drives.
+    clamped) initial state the plan actually drives. The auxiliary
+    Hamiltonians exist only as ``e1``/``e2``: H_k = basis diag(e_k) basis^dag.
+
+    Construction checks that ``v`` and ``basis`` are unitary, that rho1 and
+    eta are the thermal states of H1 and H2, and that H0, H1 and H2 commute.
     """
 
     rho0: DensityMatrix
     h0: Hamiltonian
-    h1: Hamiltonian
-    h2: Hamiltonian
     v: np.ndarray
     temperature: Temperature
     basis: np.ndarray
@@ -112,21 +113,26 @@ class ProtocolPlan:
             raise NotUnitaryError("ProtocolPlan: step-1 rotation is not unitary")
         if not is_unitary(self.basis, 1e-10):
             raise NotUnitaryError("ProtocolPlan: shared eigenbasis is not unitary")
+        basis, basis_dag = self.basis, self.basis.conj().T
+        beta = self.temperature.beta
+        # an infinite gap (vanishing beta) raises NonFiniteError here
+        h1 = as_matrix((basis * self.e1) @ basis_dag)
+        h2 = as_matrix((basis * self.e2) @ basis_dag)
         rho1 = self.v @ self.rho0.mat @ self.v.conj().T
-        gap1 = hs_norm(gibbs_state(self.h1, self.temperature).mat - rho1)
+        gap1 = hs_norm((basis * thermal(self.e1, beta)) @ basis_dag - rho1)
         if gap1 > PLAN_TOL:
             raise StateValidationError(
                 f"ProtocolPlan: rotated state is not thermal for H1 "
                 f"(distance {gap1:.3e})"
             )
-        eta = (self.basis * self.target_populations) @ self.basis.conj().T
-        gap2 = hs_norm(gibbs_state(self.h2, self.temperature).mat - eta)
+        eta = (basis * self.target_populations) @ basis_dag
+        gap2 = hs_norm((basis * thermal(self.e2, beta)) @ basis_dag - eta)
         if gap2 > PLAN_TOL:
             raise StateValidationError(
                 f"ProtocolPlan: target state is not thermal for H2 "
                 f"(distance {gap2:.3e})"
             )
-        mats = (self.h0.mat, self.h1.mat, self.h2.mat)
+        mats = (self.h0.mat, h1, h2)
         scale = max(max(hs_norm(m) for m in mats), 1e-30)
         for i in range(3):
             for j in range(i + 1, 3):
@@ -229,11 +235,9 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
     e1 -= e1.mean()
     e2 = -np.log(q) / beta
     e2 -= e2.mean()
-    h1 = Hamiltonian((basis * e1) @ basis.conj().T)
-    h2 = Hamiltonian((basis * e2) @ basis.conj().T)
 
     return ProtocolPlan(
-        rho0=rho_c, h0=h, h1=h1, h2=h2, v=v, temperature=t,
+        rho0=rho_c, h0=h, v=v, temperature=t,
         basis=basis, e0=e0, e1=e1, e2=e2,
         populations=pop, target_populations=q,
         purity_clamp=purity_clamp, pairing=perm,
@@ -296,26 +300,22 @@ def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
     work = 0.0
     heat = 0.0
     s = np.linspace(0.0, 1.0, n + 1)
-    prev_e = e1
-    prev_p = thermal(e1, beta)
-    first_p, first_e = prev_p, prev_e
     chunk = 65536
-    for start in range(1, n + 1, chunk):
-        stop = min(start + chunk, n + 1)
-        ee = e1[None, :] + s[start:stop, None] * (e2 - e1)[None, :]
+    for start in range(0, n, chunk):
+        # schedule rows start..stop inclusive: chunk steps, each chunk sharing
+        # its first row with the previous one
+        stop = min(start + chunk, n)
+        ee = e1[None, :] + s[start:stop + 1, None] * (e2 - e1)[None, :]
         pp = thermal(ee, beta)
-        ee_full = np.vstack([prev_e[None, :], ee])
-        pp_full = np.vstack([prev_p[None, :], pp])
         # each sum forms its terms in place in one chunk-sized scratch array
-        step = ee_full[:-1] - ee_full[1:]
-        work += float(np.multiply(step, pp_full[:-1], out=step).sum())
-        step = pp_full[1:] - pp_full[:-1]
-        heat += float(np.multiply(step, ee_full[1:], out=step).sum())
-        prev_e = ee[-1]
-        prev_p = pp[-1]
-    last_p, last_e = prev_p, prev_e
+        step = ee[:-1] - ee[1:]
+        work += float(np.multiply(step, pp[:-1], out=step).sum())
+        step = pp[1:] - pp[:-1]
+        heat += float(np.multiply(step, ee[1:], out=step).sum())
+    first_p = thermal(e1, beta)
+    last_e, last_p = ee[-1], pp[-1]
 
-    u1 = float(first_p @ first_e)
+    u1 = float(first_p @ e1)
     u2 = float(last_p @ last_e)
     isotherm = LedgerEntry("isotherm", work=work, heat_absorbed=heat,
                            energy_change=u2 - u1,

@@ -37,10 +37,6 @@ def random_density_matrix(dim: int, rng: np.random.Generator,
     return DensityMatrix(m / np.trace(m).real)
 
 
-def random_pure_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    return random_density_matrix(dim, rng, rank=1)
-
-
 def random_projector_set(dim: int, rng: np.random.Generator) -> ProjectorSet:
     """Complete rank-1 family from a random unitary's columns."""
     return ProjectorSet.from_basis(random_unitary(dim, rng))
@@ -51,10 +47,3 @@ def random_bipartite_state(dim_s: int, dim_a: int, rng: np.random.Generator,
     rho = random_density_matrix(dim_s * dim_a, rng, rank=rank)
     return BipartiteState(rho_sa=rho, dim_s=dim_s, dim_a=dim_a)
 
-
-def random_distribution(dim: int, rng: np.random.Generator,
-                        floor: float = 0.0) -> np.ndarray:
-    p = rng.dirichlet(np.ones(dim))
-    if floor > 0.0:
-        p = np.maximum(p, floor)
-    return p / p.sum()

@@ -21,7 +21,6 @@ from .errors import (
     StateValidationError,
 )
 from .linalg import (
-    CLUSTER_GAP,
     DEFAULT_TOL,
     SpectralDecomposition,
     cluster_projectors,
@@ -113,23 +112,24 @@ class DensityMatrix:
 class Hamiltonian:
     """Hermitian observable with cached spectral data and energy levels.
 
-    Eigenvalues closer than ``cluster_gap`` are merged into one degenerate
-    level: :attr:`clusters` holds the eigenvector column indices of each level
-    in ascending energy order, and :attr:`energies` the mean eigenvalue of
-    each cluster. Downstream code depends only on the spanned eigenspaces,
+    Eigenvalues closer than ``CLUSTER_GAP * max(1, max|E|)`` are merged into
+    one degenerate level, so the levels do not depend on the energy unit:
+    :attr:`clusters` holds the eigenvector column indices of each level in
+    ascending energy order, and :attr:`energies` the mean eigenvalue of each
+    cluster. Downstream code depends only on the spanned eigenspaces,
     never on the basis chosen inside a degenerate cluster.
     """
 
     __slots__ = ("mat", "dim", "spectral", "clusters", "energies")
 
-    def __init__(self, mat, tol: float = DEFAULT_TOL, cluster_gap: float = CLUSTER_GAP):
+    def __init__(self, mat, tol: float = DEFAULT_TOL):
         m = hermitian_part(mat, tol)
         m.setflags(write=False)
         w, v = np.linalg.eigh(m)
         self.spectral = SpectralDecomposition(w, v)
         self.mat = m
         self.dim = m.shape[0]
-        self.clusters = tuple(eigenvalue_clusters(w, gap=cluster_gap))
+        self.clusters = tuple(eigenvalue_clusters(w))
         for idx in self.clusters:
             idx.setflags(write=False)
         self.energies = np.array([float(np.mean(w[idx])) for idx in self.clusters])

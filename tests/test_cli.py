@@ -331,6 +331,20 @@ class TestRunScenarioFile:
         assert run_scenario(write(tmp_path, scn)) == EXIT_SCHEMA
         assert "$.hamiltonian" in capsys.readouterr().err
 
+    def test_gibbs_state_takes_no_fields(self, tmp_path, capsys):
+        scn = {**canonical_project_scenario(), "state": {"gibbs": {"bogus": [1, 2, 3]}}}
+        assert main(["run", write(tmp_path, scn)]) == EXIT_SCHEMA
+        assert "$.state.gibbs.bogus: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta", [1e-310, 5e-324])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_vanishing_beta_protocol_is_physics_error(self, tmp_path, capsys, beta):
+        scn = {**canonical_project_scenario(), "kind": "protocol", "beta": beta,
+               "steps": [10]}
+        assert main(["run", write(tmp_path, scn)]) == EXIT_PHYSICS
+        assert ("NonFiniteError: matrix of shape (2, 2) has NaN or infinite entries"
+                in capsys.readouterr().err)
+
     def test_unnormalised_state_is_physics_error(self, tmp_path, capsys):
         scn = canonical_project_scenario()
         scn["state"] = {"matrix": [[[0.5, 0.0], [0.0, 0.0]],

@@ -194,6 +194,13 @@ class TestEigenvalueClusters:
     def test_empty(self):
         assert eigenvalue_clusters(np.array([])) == []
 
+    def test_gap_scales_with_largest_magnitude(self):
+        # 1e-6 apart: one level at the scale 1e3, two at the scale 1
+        big = eigenvalue_clusters(np.array([-1e3, 0.0, 1e-6]))
+        assert [list(c) for c in big] == [[0], [1, 2]]
+        small = eigenvalue_clusters(np.array([-1.0, 0.0, 1e-6]))
+        assert [list(c) for c in small] == [[0], [1], [2]]
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 8))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coherework.errors import ClampRequiredError
+from coherework.errors import (
+    ClampRequiredError,
+    NonFiniteError,
+    NotUnitaryError,
+    StateValidationError,
+)
 from coherework.linalg import hs_norm
 from coherework.projection import energy_projectors, optimal_projection_work, project
 from coherework.protocol import (
@@ -19,6 +25,7 @@ from coherework.sampling import (
     random_density_matrix,
     random_hamiltonian,
     random_hermitian,
+    random_unitary,
     rng_from_seed,
 )
 from coherework.states import (
@@ -35,6 +42,13 @@ def binary_entropy(x):
 
 
 W_OPT_CANONICAL = binary_entropy(0.65) - binary_entropy(0.8)
+
+
+def auxiliary_hamiltonians(plan):
+    """H1 and H2 rebuilt from the plan's shared basis and eigenvalues."""
+    b = plan.basis
+    return (Hamiltonian((b * plan.e1) @ b.conj().T),
+            Hamiltonian((b * plan.e2) @ b.conj().T))
 
 
 class TestBuildPlan:
@@ -59,8 +73,9 @@ class TestBuildPlan:
         plan = build_plan(gibbs_state(h, t), h, t)
         # identity rotation up to phases, both auxiliary Hamiltonians equal H
         assert hs_norm(np.abs(plan.v) - np.eye(2)) < 1e-8
-        assert hs_norm(plan.h1.mat - h.mat) < 1e-8
-        assert hs_norm(plan.h2.mat - h.mat) < 1e-8
+        h1, h2 = auxiliary_hamiltonians(plan)
+        assert hs_norm(h1.mat - h.mat) < 1e-8
+        assert hs_norm(h2.mat - h.mat) < 1e-8
         for entry in exact_step_works(plan).entries:
             assert abs(entry.work) < 1e-10
 
@@ -73,8 +88,9 @@ class TestBuildPlan:
             t = Temperature(beta=float(rng.uniform(0.3, 3.0)))
             plan = build_plan(rho, h, t)
             rho1 = plan.v @ plan.rho0.mat @ plan.v.conj().T
-            assert hs_norm(gibbs_state(plan.h1, t).mat - rho1) < 1e-8
-            assert hs_norm(gibbs_state(plan.h2, t).mat
+            h1, h2 = auxiliary_hamiltonians(plan)
+            assert hs_norm(gibbs_state(h1, t).mat - rho1) < 1e-8
+            assert hs_norm(gibbs_state(h2, t).mat
                            - plan.target_state.mat) < 1e-8
 
     def test_target_is_block_projection(self):
@@ -128,6 +144,32 @@ class TestBuildPlan:
         rho, h, t = canonical_qubit
         with pytest.raises(ValueError, match="permutation"):
             build_plan(rho, h, t, pairing=(0, 0))
+
+
+class TestPlanRejections:
+    """Every check of ``ProtocolPlan`` rejects a plan that breaks it."""
+
+    @pytest.mark.parametrize("change, error, message", [
+        (lambda p: {"v": 2.0 * p.v}, NotUnitaryError, "step-1 rotation is not unitary"),
+        (lambda p: {"basis": 2.0 * p.basis}, NotUnitaryError,
+         "shared eigenbasis is not unitary"),
+        (lambda p: {"e1": p.e1[::-1]}, StateValidationError, "not thermal for H1"),
+        (lambda p: {"e2": p.e2[::-1]}, StateValidationError, "not thermal for H2"),
+        (lambda p: {"h0": Hamiltonian(np.array([[0.0, 1.0], [1.0, 0.0]]))},
+         StateValidationError, "H0 and H1 do not share eigenprojectors"),
+    ], ids=["v", "basis", "e1", "e2", "h0"])
+    def test_broken_plan_is_rejected(self, canonical_qubit, change, error, message):
+        plan = build_plan(*canonical_qubit)
+        with pytest.raises(error, match=message):
+            dataclasses.replace(plan, **change(plan))
+
+    @pytest.mark.parametrize("beta", [1e-310, 5e-324])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_vanishing_beta_is_non_finite(self, canonical_qubit, beta):
+        rho, h, _ = canonical_qubit
+        with pytest.raises(NonFiniteError,
+                           match=r"matrix of shape \(2, 2\) has NaN or infinite entries"):
+            build_plan(rho, h, Temperature(beta))
 
 
 class TestExactStepWorks:
@@ -290,16 +332,22 @@ def _works(rho, hm, beta):
             simulate(plan, 100).totals.work)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.floats(-3.0, 8.0))
-def test_units_of_energy_and_temperature_rescale_work(seed, log_s):
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.floats(-3.0, 9.0), st.booleans())
+def test_units_of_energy_and_temperature_rescale_work(seed, log_s, degenerate):
     # (s H, beta / s) is the same physics in other units: W(sH, beta/s) = s W(H, beta)
     rng = rng_from_seed(seed)
-    hm = random_hermitian(4, rng)
-    assume(np.diff(np.linalg.eigvalsh(hm)).min() > 1e-3)  # levels stay distinct at s=1e-3
+    if degenerate:
+        # the two-fold level stays one level although its rounding grows with s
+        u = random_unitary(4, rng)
+        hm = (u * np.array([0.0, 1.0, 1.0, 2.0])) @ u.conj().T
+    else:
+        hm = random_hermitian(4, rng)
+        assume(np.diff(np.linalg.eigvalsh(hm)).min() > 1e-3)  # levels stay distinct at s=1e-3
     rho = random_density_matrix(4, rng)
     beta = float(np.exp(rng.uniform(math.log(0.2), math.log(5.0))))
     s = 10.0 ** log_s
+    assert len(Hamiltonian(s * hm).clusters) == (3 if degenerate else 4)
     for w, w_scaled in zip(_works(rho, hm, beta), _works(rho, s * hm, beta / s)):
         assert abs(w_scaled - s * w) <= 1e-9 * s * max(1.0, abs(w))
 
