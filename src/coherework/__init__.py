@@ -43,15 +43,7 @@ from .fluctuation import (
     sample_trajectories,
     transition_table,
 )
-from .linalg import (
-    SpectralDecomposition,
-    hermitian_eig,
-    hs_norm,
-    is_hermitian,
-    is_unitary,
-    kron,
-    shannon,
-)
+from .linalg import hermitian_eig, hs_norm, is_unitary, kron, shannon
 from .projection import (
     MaxWorkResult,
     ProjectorSet,

@@ -45,12 +45,7 @@ from .projection import (
     project,
 )
 from .protocol import PLAN_TOL, build_plan, exact_step_works, simulate
-from .sampling import (
-    random_density_matrix,
-    random_hamiltonian,
-    random_unitary,
-    rng_from_seed,
-)
+from .sampling import random_density_matrix, random_hamiltonian, random_unitary
 from .singleshot import consistency_work, smoothing_failure_probability
 from .states import (
     EIGENVALUE_FLOOR,
@@ -91,15 +86,8 @@ class ScenarioError(Exception):
 # either in one scan
 _NUMBER = {"type": "number"}
 _PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
-
-
-def _matrix_schema():
-    row = {"type": "array", "items": _PAIR, "minItems": 1}
-    return {"type": "array", "items": row, "minItems": 1}
-
-
-def _vector_schema():
-    return {"type": "array", "items": _PAIR, "minItems": 1}
+_VECTOR = {"type": "array", "items": _PAIR, "minItems": 1}
+_MATRIX = {"type": "array", "items": _VECTOR, "minItems": 1}
 
 
 # size caps, checked before anything is built: the documented working range
@@ -121,9 +109,9 @@ _RANDOM_SCHEMA = {
 _STATE_SCHEMA = {
     "type": "object",
     "oneOf": [
-        {"required": ["matrix"], "properties": {"matrix": _matrix_schema()},
+        {"required": ["matrix"], "properties": {"matrix": _MATRIX},
          "additionalProperties": False},
-        {"required": ["pure"], "properties": {"pure": _vector_schema()},
+        {"required": ["pure"], "properties": {"pure": _VECTOR},
          "additionalProperties": False},
         {"required": ["bloch"], "properties": {"bloch": {
             "type": "object", "required": ["a", "theta"],
@@ -142,7 +130,7 @@ _STATE_SCHEMA = {
 _HAMILTONIAN_SCHEMA = {
     "type": "object",
     "oneOf": [
-        {"required": ["matrix"], "properties": {"matrix": _matrix_schema()},
+        {"required": ["matrix"], "properties": {"matrix": _MATRIX},
          "additionalProperties": False},
         {"required": ["diag"], "properties": {"diag": {
             "type": "array", "items": _NUMBER, "minItems": 1}},
@@ -155,7 +143,7 @@ _HAMILTONIAN_SCHEMA = {
 _UNITARY_SCHEMA = {
     "type": "object",
     "oneOf": [
-        {"required": ["matrix"], "properties": {"matrix": _matrix_schema()},
+        {"required": ["matrix"], "properties": {"matrix": _MATRIX},
          "additionalProperties": False},
         {"required": ["random"], "properties": {"random": _RANDOM_SCHEMA},
          "additionalProperties": False},
@@ -166,7 +154,7 @@ _PROJECTORS_SCHEMA = {
     "oneOf": [
         {"type": "string", "enum": ["energy"]},
         {"type": "object", "required": ["basis"],
-         "properties": {"basis": _matrix_schema()},
+         "properties": {"basis": _MATRIX},
          "additionalProperties": False},
     ],
 }
@@ -250,7 +238,7 @@ KIND_SCHEMAS = {
                 "type": "object",
                 "oneOf": [
                     {"required": ["matrix", "dims"],
-                     "properties": {"matrix": _matrix_schema(),
+                     "properties": {"matrix": _MATRIX,
                                     "dims": {"type": "array",
                                              "items": {"type": "integer", "minimum": 1},
                                              "minItems": 2, "maxItems": 2}},
@@ -466,6 +454,7 @@ def validate_scenario(obj):
 
 
 _FLOAT_FORMAT = "%.17g"
+_INDENT = 2
 
 # json.dumps of a string with the default arguments, without its per-call setup
 _quote = json.encoder.encode_basestring_ascii
@@ -503,24 +492,25 @@ def _float_block(o: list):
         leaves = list(itertools.chain.from_iterable(leaves))
 
 
-def _block_template(shape, level: int, indent: int) -> str:
+def _block_template(shape, level: int) -> str:
     """The text of a :func:`_float_block` at nesting ``level`` with one
     :data:`_FLOAT_FORMAT` slot per float, laid out as ``dumps_stable`` does."""
     text = _FLOAT_FORMAT
     for depth in range(len(shape) - 1, -1, -1):
-        pad = " " * (indent * (level + depth + 1))
-        closing = " " * (indent * (level + depth))
+        pad = " " * (_INDENT * (level + depth + 1))
+        closing = " " * (_INDENT * (level + depth))
         text = f"[\n{pad}" + f",\n{pad}".join([text] * shape[depth]) + f"\n{closing}]"
     return text
 
 
-def dumps_stable(obj, indent: int = 2) -> str:
-    """JSON text with sorted keys and 17-significant-digit floats."""
+def dumps_stable(obj) -> str:
+    """JSON text with sorted keys, 17-significant-digit floats and an indent
+    of :data:`_INDENT` spaces per level."""
     out = []
 
     def emit(o, level):
-        pad = " " * (indent * (level + 1))
-        closing = " " * (indent * level)
+        pad = " " * (_INDENT * (level + 1))
+        closing = " " * (_INDENT * level)
         if o is None:
             out.append("null")
         elif isinstance(o, bool):
@@ -540,7 +530,7 @@ def dumps_stable(obj, indent: int = 2) -> str:
                 if not math.isfinite(sum(leaves)):
                     for x in leaves:
                         _format_float(x)
-                out.append(_block_template(shape, level, indent) % tuple(leaves))
+                out.append(_block_template(shape, level) % tuple(leaves))
                 return
             items = list(o)
             if not items:
@@ -586,6 +576,13 @@ def _complex_matrix(node, path: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _seeded_rng(node, path, ctx) -> np.random.Generator:
+    """The generator of a ``random`` block, its seed recorded in the report."""
+    seed = int(node["random"]["seed"])
+    ctx["seeds"][f"{path}.random"] = seed
+    return np.random.default_rng(seed)
+
+
 def _build_state(node, path, ctx, h: Hamiltonian | None, t: Temperature | None) -> DensityMatrix:
     if "matrix" in node:
         return DensityMatrix(_complex_matrix(node["matrix"], f"{path}.matrix"))
@@ -602,9 +599,7 @@ def _build_state(node, path, ctx, h: Hamiltonian | None, t: Temperature | None) 
         if h is None or t is None:
             raise ScenarioError(f"{path}.gibbs: needs a hamiltonian and beta in scope")
         return gibbs_state(h, t)
-    spec = node["random"]
-    ctx["seeds"][f"{path}.random"] = int(spec["seed"])
-    return random_density_matrix(int(spec["dim"]), rng_from_seed(int(spec["seed"])))
+    return random_density_matrix(int(node["random"]["dim"]), _seeded_rng(node, path, ctx))
 
 
 def _build_hamiltonian(node, path, ctx) -> Hamiltonian:
@@ -612,17 +607,13 @@ def _build_hamiltonian(node, path, ctx) -> Hamiltonian:
         return Hamiltonian(_complex_matrix(node["matrix"], f"{path}.matrix"))
     if "diag" in node:
         return Hamiltonian(np.diag([float(x) for x in node["diag"]]).astype(complex))
-    spec = node["random"]
-    ctx["seeds"][f"{path}.random"] = int(spec["seed"])
-    return random_hamiltonian(int(spec["dim"]), rng_from_seed(int(spec["seed"])))
+    return random_hamiltonian(int(node["random"]["dim"]), _seeded_rng(node, path, ctx))
 
 
 def _build_unitary(node, path, ctx) -> np.ndarray:
     if "matrix" in node:
         return _complex_matrix(node["matrix"], f"{path}.matrix")
-    spec = node["random"]
-    ctx["seeds"][f"{path}.random"] = int(spec["seed"])
-    return random_unitary(int(spec["dim"]), rng_from_seed(int(spec["seed"])))
+    return random_unitary(int(node["random"]["dim"]), _seeded_rng(node, path, ctx))
 
 
 def _build_projectors(node, path, ctx, h: Hamiltonian) -> ProjectorSet:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, DimMismatchError
+from .errors import DimMismatchError
 from .linalg import kron, shannon
 from .projection import ProjectorSet, WorkReport, project
 from .states import (
@@ -59,8 +59,7 @@ def _lift(p: ProjectorSet, dim_a: int) -> ProjectorSet:
     """The family {P_k (x) 1_A}: basis U (x) 1_A, cluster k = c_k * dim_a + a."""
     cols = np.arange(dim_a)
     return ProjectorSet(kron(p.basis, np.eye(dim_a)),
-                        [(c[:, None] * dim_a + cols).ravel() for c in p.clusters],
-                        labels=p.labels)
+                        [(c[:, None] * dim_a + cols).ravel() for c in p.clusters])
 
 
 def local_project(state: BipartiteState, p: ProjectorSet) -> BipartiteState:
@@ -113,14 +112,13 @@ def delta_correlation(state: BipartiteState, p: ProjectorSet) -> float:
 
 
 def global_optimal_work(state: BipartiteState, h_s: Hamiltonian, p: ProjectorSet,
-                        t: Temperature, h_a: Hamiltonian | None = None) -> WorkReport:
+                        t: Temperature) -> WorkReport:
     """Optimal work from realising the local projection on S globally.
 
     work = dS_SA / beta - dU with dS_SA the entropy change of the joint state
     and dU the energy change of the system alone (the ancilla term of an
-    additive Hamiltonian cannot move since its marginal is fixed; passing
-    ``h_a`` asserts this explicitly and raises ``ConsistencyError`` beyond
-    1e-8). Exceeds the system-only work by exactly delta(A:S) / beta.
+    additive Hamiltonian cannot move since its marginal is fixed). Exceeds
+    the system-only work by exactly delta(A:S) / beta.
     """
     if h_s.dim != state.dim_s:
         raise DimMismatchError(
@@ -131,18 +129,6 @@ def global_optimal_work(state: BipartiteState, h_s: Hamiltonian, p: ProjectorSet
     d_s = von_neumann_entropy(eta.rho_sa) - von_neumann_entropy(state.rho_sa)
     d_u = (average_energy(eta.marginal_s, h_s)
            - average_energy(state.marginal_s, h_s))
-    if h_a is not None:
-        if h_a.dim != state.dim_a:
-            raise DimMismatchError(
-                f"global_optimal_work: ancilla Hamiltonian dimension {h_a.dim} "
-                f"!= ancilla dimension {state.dim_a}"
-            )
-        d_u_a = (average_energy(eta.marginal_a, h_a)
-                 - average_energy(state.marginal_a, h_a))
-        if abs(d_u_a) > 1e-8:
-            raise ConsistencyError(
-                f"ancilla energy moved by {d_u_a:.3e} under a local projection"
-            )
     heat = d_s / t.beta
     return WorkReport(work=heat - d_u, entropy_change=d_s,
                       energy_change=d_u, heat_absorbed=heat)

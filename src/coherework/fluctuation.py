@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatchError, NotUnitaryError, StateValidationError
+from .errors import DimMismatchError, NonFiniteError, NotUnitaryError, StateValidationError
 from .linalg import as_matrix, is_unitary, log_partition, thermal
 from .projection import energy_projectors, project
 from .states import (
@@ -34,11 +34,11 @@ class TransitionTable:
     """Joint probabilities p[m][n] of energy jumps E0_n -> Etau_m.
 
     ``e0``/``etau`` are the clustered level energies, ``g0`` the initial level
-    degeneracies. Entries are nonnegative and sum to 1; column marginals are
-    the Boltzmann weights g0_n exp(-beta (E0_n - F0)), both to 1e-10, enforced
-    at construction. ``log_probs`` holds ln p[m][n] (-inf for an impossible
-    jump), finite also where p underflows to 0; a table given only ``probs``
-    takes their logarithms.
+    degeneracies. Entries are finite, nonnegative and sum to 1; column
+    marginals are the Boltzmann weights g0_n exp(-beta (E0_n - F0)), both to
+    1e-10, enforced at construction. ``log_probs`` holds ln p[m][n] (-inf for
+    an impossible jump), finite also where p underflows to 0; a table given
+    only ``probs`` takes their logarithms.
     """
 
     probs: np.ndarray
@@ -53,6 +53,10 @@ class TransitionTable:
         e0 = np.asarray(self.e0, dtype=float)
         etau = np.asarray(self.etau, dtype=float)
         g0 = np.asarray(self.g0, dtype=float)
+        # every comparison with NaN is False, so no later check would fire
+        if not (all(np.isfinite(a).all() for a in (probs, e0, etau, g0))
+                and math.isfinite(self.beta)):
+            raise NonFiniteError("TransitionTable: NaN or infinite entry or beta")
         if probs.shape != (etau.size, e0.size):
             raise DimMismatchError(
                 f"TransitionTable: probs shape {probs.shape} != "
@@ -117,7 +121,7 @@ def transition_table(h0: Hamiltonian, htau: Hamiltonian, v,
             f"transition_table: dimensions differ "
             f"(H0 {h0.dim}, Htau {htau.dim}, V {vm.shape})"
         )
-    if not is_unitary(vm, 1e-10):
+    if not is_unitary(vm):
         raise NotUnitaryError("transition_table: V is not unitary")
     beta = t.beta
     e0 = h0.energies
@@ -125,7 +129,7 @@ def transition_table(h0: Hamiltonian, htau: Hamiltonian, v,
     weights = thermal(e0, beta, g0) / g0  # per-eigenstate thermal weight
     # ln of that weight, finite where the weight itself underflows
     log_weights = -beta * e0 - log_partition(e0, beta, g0)
-    amp = htau.spectral.eigenvectors.conj().T @ vm @ h0.spectral.eigenvectors
+    amp = htau.eigenvectors.conj().T @ vm @ h0.eigenvectors
     # clusters are contiguous runs of the ascending spectrum, so each level's
     # rows (columns) are summed by one reduceat segment
     mass = np.add.reduceat(np.abs(amp) ** 2, [c[0] for c in htau.clusters], axis=0)

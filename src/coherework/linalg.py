@@ -8,12 +8,13 @@ mutate their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CohereworkError, NonFiniteError, NonHermitianError, NonSquareError
+from .errors import NonFiniteError, NonHermitianError, NonSquareError
 
+# relative Hermiticity and unitarity tolerance of every check (DensityMatrix
+# also holds its trace to it); reports record it in provenance.tolerances
 DEFAULT_TOL = 1e-10
 
 # eigenvalues closer than this, relative to the largest |eigenvalue| (at
@@ -69,78 +70,41 @@ def log_partition(e, beta: float, g=None) -> float:
     return float(m + math.log(w.sum()))
 
 
-def cluster_projectors(basis: np.ndarray, clusters) -> tuple[np.ndarray, ...]:
-    """Projectors B_k B_k^dag onto the column groups B_k = basis[:, c_k]."""
-    return tuple(basis[:, c] @ basis[:, c].conj().T for c in clusters)
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product; output dimensions are the products of the inputs'."""
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def hermitian_part(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """(A + A^dag)/2 of a square matrix A that is Hermitian within ``tol``.
+def hermitian_part(a) -> np.ndarray:
+    """(A + A^dag)/2 of a square matrix A that is Hermitian within DEFAULT_TOL.
 
     Raises ``NonSquareError`` on shape mismatch and ``NonHermitianError`` when
-    ``||A - A^dag|| > tol * ||A||``.
+    ``||A - A^dag|| > DEFAULT_TOL * ||A||``.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"matrix must be square, got shape {m.shape}")
     scale = max(hs_norm(m), 1e-300)
     defect = hs_norm(m - m.conj().T)
-    if defect > tol * scale:
+    if defect > DEFAULT_TOL * scale:
         raise NonHermitianError(
             f"matrix is not Hermitian: ||A - A^dag|| = {defect:.3e} "
-            f"exceeds {tol:g} * ||A|| = {tol * scale:.3e}"
+            f"exceeds {DEFAULT_TOL:g} * ||A|| = {DEFAULT_TOL * scale:.3e}"
         )
     return (m + m.conj().T) / 2.0
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL) -> bool:
-    try:
-        hermitian_part(a, tol)
-    except CohereworkError:
-        return False
-    return True
-
-
-def is_unitary(a, tol: float = DEFAULT_TOL) -> bool:
+def is_unitary(a) -> bool:
     m = np.asarray(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     d = m.shape[0]
-    return hs_norm(m.conj().T @ m - np.eye(d)) <= tol * math.sqrt(d)
+    return hs_norm(m.conj().T @ m - np.eye(d)) <= DEFAULT_TOL * math.sqrt(d)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns.
-
-    Satisfies ``A @ V == V @ diag(w)`` and ``V^dag V == 1`` to 1e-10 relative
-    accuracy for the decomposed matrix A.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the original matrix as V diag(w) V^dag."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eig(a, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``w`` (ascending) and orthonormal eigenvector columns ``v``
+    of a Hermitian matrix, as ``np.linalg.eigh`` returns them.
 
     The input is validated and symmetrised by :func:`hermitian_part` before
     factorisation, so the result is deterministic for identical inputs;
@@ -148,21 +112,20 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     the underlying LAPACK routine returns, and callers must not rely on it
     beyond the spanned subspace.
     """
-    w, v = np.linalg.eigh(hermitian_part(a, tol))
-    return SpectralDecomposition(w, v)
+    return np.linalg.eigh(hermitian_part(a))
 
 
-def eigenvalue_clusters(values: np.ndarray, gap: float = CLUSTER_GAP) -> list[np.ndarray]:
+def eigenvalue_clusters(values: np.ndarray) -> list[np.ndarray]:
     """Group an ascending eigenvalue array into degenerate clusters.
 
     A new cluster starts whenever the jump to the next eigenvalue exceeds
-    ``gap * max(1, max|values|)``, so the grouping does not change with the
-    units of the spectrum. Returns index arrays into ``values``.
+    ``CLUSTER_GAP * max(1, max|values|)``, so the grouping does not change
+    with the units of the spectrum. Returns index arrays into ``values``.
     """
     w = np.asarray(values).tolist()
     if not w:
         return []
-    tol = gap * max(1.0, abs(w[0]), abs(w[-1]))
+    tol = CLUSTER_GAP * max(1.0, abs(w[0]), abs(w[-1]))
     clusters = []
     start = 0
     for i in range(1, len(w)):

@@ -22,15 +22,7 @@ from .errors import (
     RankError,
     StateValidationError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    as_matrix,
-    cluster_projectors,
-    hs_norm,
-    is_unitary,
-    log_partition,
-    thermal,
-)
+from .linalg import as_matrix, hs_norm, is_unitary, log_partition, thermal
 from .states import (
     DensityMatrix,
     Hamiltonian,
@@ -46,18 +38,18 @@ class ProjectorSet:
 
     Stored as a unitary ``basis`` and ``clusters``, a partition of its column
     indices: P_k = B_k B_k^dag with B_k = basis[:, clusters[k]], so validation
-    is one unitarity check within ``tol`` plus a check that the clusters split
-    0..d-1 into nonempty groups. Rank-1 families (one per basis vector) are
-    required by the entropy bound and the correlated-system machinery;
-    general ranks appear as eigenprojectors of degenerate Hamiltonians.
+    is one unitarity check within ``DEFAULT_TOL`` plus a check that the
+    clusters split 0..d-1 into nonempty groups. Rank-1 families (one per
+    basis vector) are required by the entropy bound and the correlated-system
+    machinery; general ranks appear as eigenprojectors of degenerate
+    Hamiltonians.
     """
 
-    __slots__ = ("basis", "clusters", "labels", "dim", "ranks", "mask")
+    __slots__ = ("basis", "clusters", "dim", "ranks", "mask")
 
-    def __init__(self, basis, clusters: Sequence, labels: Sequence | None = None,
-                 tol: float = DEFAULT_TOL):
+    def __init__(self, basis, clusters: Sequence):
         u = as_matrix(basis)
-        if not is_unitary(u, tol):
+        if not is_unitary(u):
             raise NotUnitaryError("ProjectorSet: basis matrix not unitary")
         d = u.shape[0]
         cl = tuple(np.array(c, dtype=np.intp).reshape(-1) for c in clusters)
@@ -67,9 +59,6 @@ class ProjectorSet:
                 f"ProjectorSet: clusters must partition the columns 0..{d - 1} "
                 f"into nonempty groups, got {[c.tolist() for c in cl]}"
             )
-        self.labels = tuple(labels) if labels is not None else tuple(range(len(cl)))
-        if len(self.labels) != len(cl):
-            raise StateValidationError("ProjectorSet: labels length mismatch")
         owner = np.empty(d, dtype=np.intp)
         for k, c in enumerate(cl):
             c.setflags(write=False)
@@ -84,16 +73,15 @@ class ProjectorSet:
         self.ranks = tuple(c.size for c in cl)
 
     @classmethod
-    def from_basis(cls, basis, labels: Sequence | None = None,
-                   tol: float = DEFAULT_TOL) -> "ProjectorSet":
+    def from_basis(cls, basis) -> "ProjectorSet":
         """Rank-1 projectors onto the columns of a unitary matrix."""
         u = as_matrix(basis)
-        return cls(u, np.arange(u.shape[1])[:, None], labels=labels, tol=tol)
+        return cls(u, np.arange(u.shape[1])[:, None])
 
     @property
     def projectors(self) -> tuple[np.ndarray, ...]:
-        """The d x d projector matrices, built on demand."""
-        return cluster_projectors(self.basis, self.clusters)
+        """The d x d projector matrices B_k B_k^dag, built on demand."""
+        return tuple(self.basis[:, c] @ self.basis[:, c].conj().T for c in self.clusters)
 
     @property
     def is_rank_one(self) -> bool:
@@ -117,8 +105,7 @@ class ProjectorSet:
 
 def energy_projectors(h: Hamiltonian) -> ProjectorSet:
     """Eigenprojector family of a Hamiltonian, one member per clustered level."""
-    return ProjectorSet(h.spectral.eigenvectors, h.clusters,
-                        labels=tuple(float(e) for e in h.energies))
+    return ProjectorSet(h.eigenvectors, h.clusters)
 
 
 @dataclass(frozen=True)
@@ -179,8 +166,8 @@ def optimal_projection_work(rho: DensityMatrix, h: Hamiltonian, p: ProjectorSet,
 def overlap_matrix(rho: DensityMatrix, p: ProjectorSet) -> np.ndarray:
     """Doubly stochastic overlap matrix M_kl = |<phi_k | l>|^2.
 
-    Rows follow the projector family, columns the eigenbasis of rho in the
-    deterministic ascending-eigenvalue order of ``hermitian_eig``. For a
+    Rows follow the projector family, columns the eigenbasis of rho in its
+    deterministic ascending-eigenvalue order. For a
     degenerate rho the bound below depends on this basis choice.
     """
     if rho.dim != p.dim:
@@ -244,7 +231,7 @@ def max_work_fixed_energy(rho: DensityMatrix, h: Hamiltonian,
     optimal projection work; in higher dimensions it is generally larger.
     """
     u = average_energy(rho, h)
-    w = h.spectral.eigenvalues
+    w = h.eigenvalues
     if not (w[0] < u < w[-1]):
         raise EnergyOutOfRangeError(
             f"average energy {u!r} not strictly inside the spectral interval "

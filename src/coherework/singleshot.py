@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     AlphabetTooLargeError,
     DimMismatchError,
+    NonFiniteError,
     StateValidationError,
     SupportError,
 )
@@ -51,6 +52,8 @@ class Distribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise StateValidationError("Distribution: needs a nonempty 1-d array")
+        if not np.isfinite(p).all():
+            raise NonFiniteError("Distribution: probabilities include NaN or infinity")
         if p.min() < 0.0:
             raise StateValidationError(
                 f"Distribution: negative probability {p.min()!r}"

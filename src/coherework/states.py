@@ -20,15 +20,7 @@ from .errors import (
     NonSquareError,
     StateValidationError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    SpectralDecomposition,
-    cluster_projectors,
-    eigenvalue_clusters,
-    hermitian_part,
-    shannon,
-    thermal,
-)
+from .linalg import DEFAULT_TOL, eigenvalue_clusters, hermitian_part, shannon, thermal
 
 # eigenvalues in [EIGENVALUE_FLOOR, 0) are numerical noise and clamp to 0;
 # anything below the floor is a genuine validation failure
@@ -61,23 +53,24 @@ class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.
 
     Validation happens once at construction: Hermiticity and unit trace within
-    ``tol``, eigenvalues above ``EIGENVALUE_FLOOR``. Eigenvalues in the small
-    negative noise band are clamped to zero whenever read through
-    :meth:`spectrum`, which is what the entropy functions consume. Instances
-    are immutable after construction.
+    ``DEFAULT_TOL``, eigenvalues above ``EIGENVALUE_FLOOR``. Eigenvalues in the
+    small negative noise band are clamped to zero whenever read through
+    :meth:`spectrum`, which is what the entropy functions consume;
+    :attr:`eigenvectors` holds the matching columns. Instances are immutable
+    after construction.
     """
 
-    __slots__ = ("mat", "dim", "_eigenvalues", "_eigenvectors")
+    __slots__ = ("mat", "dim", "_eigenvalues", "eigenvectors")
 
-    def __init__(self, mat, tol: float = DEFAULT_TOL):
+    def __init__(self, mat):
         try:
-            m = hermitian_part(mat, tol)
+            m = hermitian_part(mat)
         except (NonSquareError, NonHermitianError) as exc:
             raise StateValidationError(f"DensityMatrix: {exc}") from None
         tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > tol:
+        if abs(tr - 1.0) > DEFAULT_TOL:
             raise StateValidationError(
-                f"DensityMatrix: trace must be 1 within {tol:g}, got {tr!r}"
+                f"DensityMatrix: trace must be 1 within {DEFAULT_TOL:g}, got {tr!r}"
             )
         w, v = np.linalg.eigh(m)
         if w[0] < EIGENVALUE_FLOOR:
@@ -85,21 +78,12 @@ class DensityMatrix:
                 f"DensityMatrix: negative eigenvalue {w[0]:.3e} below floor "
                 f"{EIGENVALUE_FLOOR:g}"
             )
-        m.setflags(write=False)
-        w.setflags(write=False)
-        v.setflags(write=False)
+        for arr in (m, w, v):
+            arr.setflags(write=False)
         self.mat = m
         self.dim = m.shape[0]
         self._eigenvalues = w
-        self._eigenvectors = v
-
-    @property
-    def spectral(self) -> SpectralDecomposition:
-        return SpectralDecomposition(self._eigenvalues, self._eigenvectors)
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        return self._eigenvectors
+        self.eigenvectors = v
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues ascending, clamped to be nonnegative."""
@@ -112,38 +96,31 @@ class DensityMatrix:
 class Hamiltonian:
     """Hermitian observable with cached spectral data and energy levels.
 
-    Eigenvalues closer than ``CLUSTER_GAP * max(1, max|E|)`` are merged into
-    one degenerate level, so the levels do not depend on the energy unit:
-    :attr:`clusters` holds the eigenvector column indices of each level in
-    ascending energy order, and :attr:`energies` the mean eigenvalue of each
-    cluster. Downstream code depends only on the spanned eigenspaces,
+    :attr:`eigenvalues` (ascending) and :attr:`eigenvectors` (columns) come
+    from one ``eigh``. Eigenvalues closer than ``CLUSTER_GAP * max(1, max|E|)``
+    are merged into one degenerate level, so the levels do not depend on the
+    energy unit: :attr:`clusters` holds the eigenvector column indices of each
+    level in ascending energy order, and :attr:`energies` the mean eigenvalue
+    of each cluster. Downstream code depends only on the spanned eigenspaces,
     never on the basis chosen inside a degenerate cluster.
     """
 
-    __slots__ = ("mat", "dim", "spectral", "clusters", "energies")
+    __slots__ = ("mat", "dim", "eigenvalues", "eigenvectors", "clusters", "energies")
 
-    def __init__(self, mat, tol: float = DEFAULT_TOL):
-        m = hermitian_part(mat, tol)
-        m.setflags(write=False)
+    def __init__(self, mat):
+        m = hermitian_part(mat)
         w, v = np.linalg.eigh(m)
-        self.spectral = SpectralDecomposition(w, v)
+        for arr in (m, w, v):
+            arr.setflags(write=False)
         self.mat = m
         self.dim = m.shape[0]
+        self.eigenvalues = w
+        self.eigenvectors = v
         self.clusters = tuple(eigenvalue_clusters(w))
         for idx in self.clusters:
             idx.setflags(write=False)
         self.energies = np.array([float(np.mean(w[idx])) for idx in self.clusters])
         self.energies.setflags(write=False)
-
-    @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """Eigenprojector of each level, built on demand."""
-        return cluster_projectors(self.spectral.eigenvectors, self.clusters)
-
-    @property
-    def levels(self) -> tuple[tuple[float, np.ndarray], ...]:
-        """``(energy, projector)`` pairs in ascending energy order."""
-        return tuple(zip(self.energies.tolist(), self.projectors))
 
     @property
     def degeneracies(self) -> np.ndarray:
@@ -190,8 +167,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def gibbs_state(h: Hamiltonian, t: Temperature) -> DensityMatrix:
     """Thermal state e^(-beta H) / Z, computed in the eigenbasis."""
-    p = thermal(h.spectral.eigenvalues, t.beta)
-    v = h.spectral.eigenvectors
+    p = thermal(h.eigenvalues, t.beta)
+    v = h.eigenvectors
     return DensityMatrix((v * p) @ v.conj().T)
 
 

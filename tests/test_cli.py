@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,6 +253,22 @@ class TestRunScenarioFile:
         path.write_text(json.dumps(canonical_project_scenario()).replace("-1.0", "-1e999"))
         assert run_scenario(str(path)) == EXIT_PHYSICS
         assert "NonFiniteError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("state", [{"bloch": {"a": 0.8, "theta": 1.0}},
+                                       {"pure": [[1.0, 0.0], [0.0, 1.0]]}])
+    def test_vanishing_beta_protocol_writes_one_line(self, tmp_path, state):
+        # -ln(p) / beta overflows: the plan raises its typed error and numpy
+        # prints no RuntimeWarning before it
+        scn = {"kind": "protocol", "beta": 1e-310, "state": state,
+               "hamiltonian": {"diag": [0.0, 1.0]}}
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "PYTHONWARNINGS": "default"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "coherework.cli", "run", write(tmp_path, scn)],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == EXIT_PHYSICS
+        assert proc.stderr.splitlines() == [
+            "NonFiniteError: matrix of shape (2, 2) has NaN or infinite entries"]
 
     def test_non_finite_report_value_is_physics_error(self, tmp_path, capsys,
                                                       monkeypatch):

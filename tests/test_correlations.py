@@ -22,7 +22,6 @@ from coherework.sampling import (
     random_density_matrix,
     random_hamiltonian,
     random_projector_set,
-    rng_from_seed,
 )
 from coherework.states import (
     DensityMatrix,
@@ -57,14 +56,14 @@ class TestBipartiteState:
             BipartiteState(DensityMatrix(np.eye(6) / 6), 2, 2)
 
     def test_marginals(self):
-        state, rho_s, rho_a = product_state(rng_from_seed(81), 2, 3)
+        state, rho_s, rho_a = product_state(np.random.default_rng(81), 2, 3)
         assert hs_norm(state.marginal_s.mat - rho_s.mat) < 1e-12
         assert hs_norm(state.marginal_a.mat - rho_a.mat) < 1e-12
 
 
 class TestLocalProject:
     def test_product_state_factorises(self):
-        state, rho_s, rho_a = product_state(rng_from_seed(82))
+        state, rho_s, rho_a = product_state(np.random.default_rng(82))
         out = local_project(state, COMPUTATIONAL)
         diag = np.diag(np.diag(rho_s.mat))
         expected = np.kron(diag, rho_a.mat)
@@ -77,7 +76,7 @@ class TestLocalProject:
         assert hs_norm(out.rho_sa.mat - expected) < 1e-12
 
     def test_output_is_block_diagonal(self):
-        rng = rng_from_seed(83)
+        rng = np.random.default_rng(83)
         state = random_bipartite_state(2, 3, rng)
         p = random_projector_set(2, rng)
         out = local_project(state, p)
@@ -89,7 +88,7 @@ class TestLocalProject:
                     assert hs_norm(block) < 1e-12
 
     def test_ancilla_marginal_unchanged(self):
-        rng = rng_from_seed(84)
+        rng = np.random.default_rng(84)
         for _ in range(20):
             state = random_bipartite_state(2, 3, rng)
             p = random_projector_set(2, rng)
@@ -97,7 +96,7 @@ class TestLocalProject:
             assert hs_norm(out.marginal_a.mat - state.marginal_a.mat) < 1e-10
 
     def test_system_marginal_is_projected(self):
-        rng = rng_from_seed(85)
+        rng = np.random.default_rng(85)
         state = random_bipartite_state(3, 2, rng)
         p = random_projector_set(3, rng)
         out = local_project(state, p)
@@ -108,24 +107,24 @@ class TestLocalProject:
 
     def test_rank_one_required(self):
         h = Hamiltonian(np.diag([1.0, 1.0, 2.0]).astype(complex))
-        state = random_bipartite_state(3, 2, rng_from_seed(86))
+        state = random_bipartite_state(3, 2, np.random.default_rng(86))
         with pytest.raises(RankError):
             local_project(state, energy_projectors(h))
 
     def test_dim_mismatch(self):
-        state = random_bipartite_state(3, 2, rng_from_seed(87))
+        state = random_bipartite_state(3, 2, np.random.default_rng(87))
         with pytest.raises(DimMismatchError):
             local_project(state, COMPUTATIONAL)
 
 
 class TestDeltaCorrelation:
     def test_product_state_is_zero(self):
-        state, _, _ = product_state(rng_from_seed(88))
+        state, _, _ = product_state(np.random.default_rng(88))
         assert delta_correlation(state, COMPUTATIONAL) == pytest.approx(
             0.0, abs=1e-12)
 
     def test_purification_reaches_marginal_entropy(self):
-        rng = rng_from_seed(89)
+        rng = np.random.default_rng(89)
         for _ in range(20):
             rho_s = random_density_matrix(2, rng)
             state = BipartiteState(purify(rho_s), 2, 2)
@@ -146,7 +145,7 @@ class TestDeltaCorrelation:
         assert delta_correlation(state, PLUS_MINUS) > 1e-3
 
     def test_nonnegative_and_bounded(self):
-        rng = rng_from_seed(90)
+        rng = np.random.default_rng(90)
         for _ in range(100):
             state = random_bipartite_state(2, 2, rng)
             p = random_projector_set(2, rng)
@@ -155,7 +154,7 @@ class TestDeltaCorrelation:
             assert delta <= von_neumann_entropy(state.marginal_s) + 1e-10
 
     def test_decomposition_identity(self):
-        rng = rng_from_seed(91)
+        rng = np.random.default_rng(91)
         for _ in range(50):
             state = random_bipartite_state(2, 3, rng)
             p = random_projector_set(2, rng)
@@ -170,7 +169,7 @@ class TestDeltaCorrelation:
 
 class TestGlobalOptimalWork:
     def test_product_state_equals_system_only(self):
-        rng = rng_from_seed(92)
+        rng = np.random.default_rng(92)
         state, rho_s, _ = product_state(rng)
         h = random_hamiltonian(2, rng)
         joint = global_optimal_work(state, h, COMPUTATIONAL, BETA1)
@@ -192,7 +191,7 @@ class TestGlobalOptimalWork:
             system.work + von_neumann_entropy(rho), abs=1e-9)
 
     def test_work_decomposition(self):
-        rng = rng_from_seed(93)
+        rng = np.random.default_rng(93)
         for _ in range(50):
             state = random_bipartite_state(2, 2, rng)
             p = random_projector_set(2, rng)
@@ -204,24 +203,8 @@ class TestGlobalOptimalWork:
             assert joint.work == pytest.approx(
                 system.work + delta / t.beta, abs=1e-9)
 
-    def test_ancilla_hamiltonian_accepted(self):
-        rng = rng_from_seed(94)
-        state = random_bipartite_state(2, 3, rng)
-        h_s = random_hamiltonian(2, rng)
-        h_a = random_hamiltonian(3, rng)
-        with_ha = global_optimal_work(state, h_s, COMPUTATIONAL, BETA1, h_a=h_a)
-        without = global_optimal_work(state, h_s, COMPUTATIONAL, BETA1)
-        assert with_ha.work == pytest.approx(without.work, abs=1e-14)
-
-    def test_ancilla_hamiltonian_dim_checked(self):
-        state = random_bipartite_state(2, 3, rng_from_seed(95))
-        h_s = random_hamiltonian(2, rng_from_seed(96))
-        with pytest.raises(DimMismatchError):
-            global_optimal_work(state, h_s, COMPUTATIONAL, BETA1,
-                                h_a=random_hamiltonian(2, rng_from_seed(97)))
-
     def test_purification_is_optimal_for_fixed_marginal(self):
-        rng = rng_from_seed(98)
+        rng = np.random.default_rng(98)
         rho_s = random_density_matrix(2, rng)
         p = random_projector_set(2, rng)
         h = random_hamiltonian(2, rng)
@@ -242,7 +225,7 @@ class TestGlobalOptimalWork:
 
 class TestLemma1:
     def test_purification_saturates_at_zero(self):
-        rho_s = random_density_matrix(2, rng_from_seed(99))
+        rho_s = random_density_matrix(2, np.random.default_rng(99))
         state = BipartiteState(purify(rho_s), 2, 2)
         res = verify_lemma1(state, COMPUTATIONAL)
         assert res.holds
@@ -250,7 +233,7 @@ class TestLemma1:
         assert res.rhs == pytest.approx(0.0, abs=1e-10)
 
     def test_product_state(self):
-        state, rho_s, rho_a = product_state(rng_from_seed(100))
+        state, rho_s, rho_a = product_state(np.random.default_rng(100))
         res = verify_lemma1(state, COMPUTATIONAL)
         assert res.holds
         assert res.lhs == pytest.approx(
@@ -258,7 +241,7 @@ class TestLemma1:
         assert res.rhs == pytest.approx(von_neumann_entropy(rho_a), abs=1e-10)
 
     def test_random_instances(self):
-        rng = rng_from_seed(101)
+        rng = np.random.default_rng(101)
         for i in range(100):
             ds, da = (2, 2) if i % 2 == 0 else (2, 3)
             state = random_bipartite_state(ds, da, rng)
@@ -267,7 +250,7 @@ class TestLemma1:
 
     def test_rhs_matches_branch_loop(self):
         """rhs against a loop over raw branches Tr_S[(P_k x 1) rho (P_k x 1)]."""
-        rng = rng_from_seed(102)
+        rng = np.random.default_rng(102)
         for ds, da in ((2, 3), (3, 2), (4, 4)):
             state = random_bipartite_state(ds, da, rng)
             p = random_projector_set(ds, rng)

@@ -5,6 +5,7 @@ import pytest
 
 from coherework.errors import (
     DimMismatchError,
+    NonFiniteError,
     NotUnitaryError,
     StateValidationError,
 )
@@ -16,11 +17,11 @@ from coherework.fluctuation import (
     sample_trajectories,
     transition_table,
 )
+from coherework.projection import energy_projectors
 from coherework.sampling import (
     random_density_matrix,
     random_hamiltonian,
     random_unitary,
-    rng_from_seed,
 )
 from coherework.states import (
     DensityMatrix,
@@ -38,13 +39,15 @@ BETA1 = Temperature(beta=1.0)
 
 def oracle_table(h0, htau, v, beta):
     """Direct sandwich-formula evaluation, independent of the library path."""
-    w0 = h0.spectral.eigenvalues
+    w0 = h0.eigenvalues
     z0 = np.exp(-beta * w0).sum()
-    rho0 = (h0.spectral.eigenvectors * (np.exp(-beta * w0) / z0)
-            ) @ h0.spectral.eigenvectors.conj().T
-    out = np.empty((len(htau.levels), len(h0.levels)))
-    for n, (_, p0) in enumerate(h0.levels):
-        for m, (_, pt) in enumerate(htau.levels):
+    rho0 = (h0.eigenvectors * (np.exp(-beta * w0) / z0)
+            ) @ h0.eigenvectors.conj().T
+    levels0 = energy_projectors(h0).projectors
+    levels_tau = energy_projectors(htau).projectors
+    out = np.empty((len(levels_tau), len(levels0)))
+    for n, p0 in enumerate(levels0):
+        for m, pt in enumerate(levels_tau):
             op = pt @ v @ p0 @ rho0 @ p0 @ v.conj().T @ pt
             out[m, n] = np.trace(op).real
     return out
@@ -58,16 +61,16 @@ class TestTransitionTable:
             table.probs, np.diag([math.e / z, 1 / (math.e * z)]), atol=1e-12)
 
     def test_qubit_rotation_entry(self):
-        rng = rng_from_seed(61)
+        rng = np.random.default_rng(61)
         v = random_unitary(2, rng)
         table = transition_table(H_QUBIT, H_QUBIT, v, BETA1)
         p_thermal = math.e / (math.e + 1 / math.e)
-        e0 = H_QUBIT.spectral.eigenvectors[:, 0]
+        e0 = H_QUBIT.eigenvectors[:, 0]
         overlap = abs(np.vdot(e0, v @ e0)) ** 2
         assert table.probs[0, 0] == pytest.approx(p_thermal * overlap, abs=1e-12)
 
     def test_matches_dense_formula(self):
-        rng = rng_from_seed(62)
+        rng = np.random.default_rng(62)
         h0 = random_hamiltonian(5, rng)
         htau = random_hamiltonian(5, rng)
         v = random_unitary(5, rng)
@@ -77,7 +80,7 @@ class TestTransitionTable:
                                    atol=1e-12)
 
     def test_matches_dense_formula_with_degenerate_levels(self):
-        rng = rng_from_seed(64)
+        rng = np.random.default_rng(64)
         u = random_unitary(6, rng)
         h0 = Hamiltonian((u * np.array([-1.0, 0.5, 0.5, 0.5, 1.0, 2.0])) @ u.conj().T)
         htau = Hamiltonian(np.diag([0.0, 0.0, 1.0, 1.5, 1.5, 3.0]).astype(complex))
@@ -88,19 +91,19 @@ class TestTransitionTable:
                                    atol=1e-12)
 
     def test_row_marginals_are_final_populations(self):
-        rng = rng_from_seed(63)
+        rng = np.random.default_rng(63)
         h0 = random_hamiltonian(4, rng)
         htau = random_hamiltonian(4, rng)
         v = random_unitary(4, rng)
         t = Temperature(beta=1.1)
         table = transition_table(h0, htau, v, t)
         rho_tau = v @ gibbs_state(h0, t).mat @ v.conj().T
-        expected = [np.trace(rho_tau @ p).real for _, p in htau.levels]
+        expected = [np.trace(rho_tau @ p).real for p in energy_projectors(htau).projectors]
         np.testing.assert_allclose(table.probs.sum(axis=1), expected, atol=1e-10)
 
     def test_degenerate_levels_aggregate(self):
         h0 = Hamiltonian(np.diag([0.0, 0.0, 2.0]).astype(complex))
-        v = random_unitary(3, rng_from_seed(64))
+        v = random_unitary(3, np.random.default_rng(64))
         table = transition_table(h0, h0, v, BETA1)
         assert table.probs.shape == (2, 2)
         np.testing.assert_array_equal(table.g0, [2.0, 1.0])
@@ -123,17 +126,32 @@ class TestTransitionTable:
                             e0=np.array([-1.0, 1.0]), etau=np.array([-1.0, 1.0]),
                             beta=1.0, g0=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("field", ["probs", "e0", "etau", "beta"])
+    def test_rejects_nan(self, field):
+        v = random_unitary(2, np.random.default_rng(65))
+        table = transition_table(H_QUBIT, H_QUBIT_WIDE, v, BETA1)
+        fields = {"probs": table.probs.copy(), "e0": table.e0.copy(),
+                  "etau": table.etau.copy(), "beta": table.beta, "g0": table.g0}
+        if field == "beta":
+            fields["beta"] = math.nan
+        else:
+            fields[field][0] = math.nan
+        # NaN fails no comparison, so only a finiteness check stops it before
+        # jarzynski_average returns nan
+        with pytest.raises(NonFiniteError):
+            TransitionTable(**fields)
+
 
 class TestJarzynskiAverage:
     def test_unchanged_hamiltonian_gives_one(self):
-        rng = rng_from_seed(65)
+        rng = np.random.default_rng(65)
         for _ in range(10):
             v = random_unitary(2, rng)
             table = transition_table(H_QUBIT, H_QUBIT, v, BETA1)
             assert jarzynski_average(table) == pytest.approx(1.0, abs=1e-14)
 
     def test_qubit_partition_ratio(self):
-        rng = rng_from_seed(66)
+        rng = np.random.default_rng(66)
         v = random_unitary(2, rng)
         table = transition_table(H_QUBIT, H_QUBIT_WIDE, v, BETA1)
         expected = math.cosh(2.0) / math.cosh(1.0)
@@ -164,12 +182,12 @@ class TestJarzynskiAverage:
             TransitionTable(probs=probs, log_probs=good[:1], **kwargs)
 
     def test_holds_for_every_unitary(self):
-        rng = rng_from_seed(67)
+        rng = np.random.default_rng(67)
         h0 = random_hamiltonian(4, rng)
         htau = random_hamiltonian(4, rng)
         beta = 0.9
-        z0 = np.exp(-beta * h0.spectral.eigenvalues).sum()
-        ztau = np.exp(-beta * htau.spectral.eigenvalues).sum()
+        z0 = np.exp(-beta * h0.eigenvalues).sum()
+        ztau = np.exp(-beta * htau.eigenvalues).sum()
         for _ in range(50):
             v = random_unitary(4, rng)
             table = transition_table(h0, htau, v, Temperature(beta=beta))
@@ -183,7 +201,7 @@ class TestAverageUnitaryWork:
         assert average_unitary_work(table) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_state_side(self):
-        rng = rng_from_seed(68)
+        rng = np.random.default_rng(68)
         h0 = random_hamiltonian(3, rng)
         htau = random_hamiltonian(3, rng)
         v = random_unitary(3, rng)
@@ -221,7 +239,7 @@ class TestProjectionHeat:
         assert heat == pytest.approx(expected, abs=1e-12)
 
     def test_nonnegative(self):
-        rng = rng_from_seed(69)
+        rng = np.random.default_rng(69)
         for _ in range(50):
             d = int(rng.integers(2, 6))
             rho = random_density_matrix(d, rng)
@@ -231,7 +249,7 @@ class TestProjectionHeat:
 
 class TestSampleTrajectories:
     def test_deterministic_per_seed(self):
-        rng = rng_from_seed(70)
+        rng = np.random.default_rng(70)
         table = transition_table(H_QUBIT, H_QUBIT_WIDE, random_unitary(2, rng),
                                  BETA1)
         a = sample_trajectories(table, 20_000, seed=5)
@@ -250,7 +268,7 @@ class TestSampleTrajectories:
         assert stats.exp_beta_w_std_error == 0.0
 
     def test_estimates_within_standard_errors(self):
-        rng = rng_from_seed(71)
+        rng = np.random.default_rng(71)
         h0 = random_hamiltonian(3, rng)
         htau = random_hamiltonian(3, rng)
         table = transition_table(h0, htau, random_unitary(3, rng),
@@ -262,7 +280,7 @@ class TestSampleTrajectories:
         assert abs(stats.work_estimate - exact_w) < 5 * stats.work_std_error
 
     def test_histogram_counts_sum_to_samples(self):
-        rng = rng_from_seed(72)
+        rng = np.random.default_rng(72)
         table = transition_table(H_QUBIT, H_QUBIT_WIDE, random_unitary(2, rng),
                                  BETA1)
         stats = sample_trajectories(table, 12_345, seed=3)
@@ -275,7 +293,7 @@ class TestSampleTrajectories:
             sample_trajectories(table, 0, seed=1)
 
     def test_unbiased_across_seeds(self):
-        rng = rng_from_seed(73)
+        rng = np.random.default_rng(73)
         table = transition_table(random_hamiltonian(3, rng),
                                  random_hamiltonian(3, rng),
                                  random_unitary(3, rng),
@@ -306,7 +324,7 @@ def per_sample_oracle(table, n, seed):
 
 
 def _oracle_tables():
-    rng = rng_from_seed(74)
+    rng = np.random.default_rng(74)
     h3 = Hamiltonian(np.diag([-1.0, 0.0, 1.0]).astype(complex))
     shift = np.roll(np.eye(3), 1, axis=0).astype(complex)  # 6 of 9 cells are 0
     u = random_unitary(8, rng)

@@ -13,12 +13,12 @@ from coherework.errors import (
     NonSquareError,
 )
 from coherework.linalg import (
+    DEFAULT_TOL,
     as_matrix,
     eigenvalue_clusters,
     hermitian_eig,
     hermitian_part,
     hs_norm,
-    is_hermitian,
     is_unitary,
     kron,
     log_partition,
@@ -38,50 +38,47 @@ def random_hermitian(dim, seed):
 
 class TestHermitianEig:
     def test_diagonal_input(self):
-        dec = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
+        w, v = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
+        np.testing.assert_allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
         # eigenvectors are basis vectors up to phase
         np.testing.assert_allclose(
-            np.abs(dec.eigenvectors),
+            np.abs(v),
             [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
             atol=1e-12,
         )
 
     def test_pauli_x(self):
-        dec = hermitian_eig(PAULI_X)
-        np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-14)
+        w, v = hermitian_eig(PAULI_X)
+        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
         s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(np.abs(dec.eigenvectors), [[s, s], [s, s]],
-                                   atol=1e-12)
+        np.testing.assert_allclose(np.abs(v), [[s, s], [s, s]], atol=1e-12)
         # minus eigenvector has opposite signs, plus has equal signs
-        v_minus = dec.eigenvectors[:, 0]
-        v_plus = dec.eigenvectors[:, 1]
+        v_minus = v[:, 0]
+        v_plus = v[:, 1]
         assert abs(v_minus[0] * v_minus[1].conjugate() + 0.5) < 1e-12
         assert abs(v_plus[0] * v_plus[1].conjugate() - 0.5) < 1e-12
 
     def test_random_residual_and_reconstruction(self):
         a = random_hermitian(6, seed=1234)
-        dec = hermitian_eig(a)
-        residual = hs_norm(a @ dec.eigenvectors
-                           - dec.eigenvectors * dec.eigenvalues)
+        w, v = hermitian_eig(a)
+        residual = hs_norm(a @ v - v * w)
         assert residual < 1e-10 * hs_norm(a)
-        np.testing.assert_allclose(dec.reconstruct(), a, atol=1e-10)
+        np.testing.assert_allclose((v * w) @ v.conj().T, a, atol=1e-10)
 
     def test_orthonormal_columns(self):
-        dec = hermitian_eig(random_hermitian(5, seed=77))
-        v = dec.eigenvectors
+        _, v = hermitian_eig(random_hermitian(5, seed=77))
         assert hs_norm(v.conj().T @ v - np.eye(5)) < 1e-10
 
     def test_ascending_order(self):
-        dec = hermitian_eig(random_hermitian(8, seed=3))
-        assert np.all(np.diff(dec.eigenvalues) >= 0)
+        w, _ = hermitian_eig(random_hermitian(8, seed=3))
+        assert np.all(np.diff(w) >= 0)
 
     def test_deterministic(self):
         a = random_hermitian(6, seed=9)
-        d1 = hermitian_eig(a)
-        d2 = hermitian_eig(a)
-        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+        w1, v1 = hermitian_eig(a)
+        w2, v2 = hermitian_eig(a)
+        assert np.array_equal(w1, w2)
+        assert np.array_equal(v1, v2)
 
     def test_non_square_rejected(self):
         with pytest.raises(NonSquareError):
@@ -92,12 +89,6 @@ class TestHermitianEig:
         with pytest.raises(NonHermitianError):
             hermitian_eig(m)
 
-    def test_tolerance_is_relative(self):
-        a = random_hermitian(4, seed=5)
-        a[0, 1] += 1e-13  # breaks hermiticity below the default tolerance
-        hermitian_eig(a)
-        with pytest.raises(NonHermitianError):
-            hermitian_eig(a, tol=1e-16)
 
 
 class TestNorms:
@@ -151,15 +142,17 @@ class TestKron:
 
 
 class TestPredicates:
-    def test_is_hermitian(self):
-        assert is_hermitian(PAULI_X)
-        assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert not is_hermitian(np.zeros((2, 3)))
+    def test_hermitian_part_accepts_and_rejects(self):
+        np.testing.assert_array_equal(hermitian_part(PAULI_X), PAULI_X)
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NonHermitianError):
+            hermitian_part(PAULI_X + 10 * DEFAULT_TOL * skew)
+        with pytest.raises(NonSquareError):
+            hermitian_part(np.zeros((2, 3)))
 
     def test_is_unitary(self):
         assert is_unitary(np.eye(3))
-        dec = hermitian_eig(random_hermitian(4, seed=2))
-        assert is_unitary(dec.eigenvectors)
+        assert is_unitary(hermitian_eig(random_hermitian(4, seed=2))[1])
         assert not is_unitary(2 * np.eye(3))
 
 
@@ -206,8 +199,8 @@ class TestEigenvalueClusters:
 @given(st.integers(0, 10_000), st.integers(2, 8))
 def test_reconstruction_property(seed, dim):
     a = random_hermitian(dim, seed)
-    dec = hermitian_eig(a)
-    assert hs_norm(dec.reconstruct() - a) <= 1e-10 * max(hs_norm(a), 1e-30)
+    w, v = hermitian_eig(a)
+    assert hs_norm((v * w) @ v.conj().T - a) <= 1e-10 * max(hs_norm(a), 1e-30)
 
 
 def direct_thermal(e, beta, g=None):
@@ -273,5 +266,18 @@ class TestHermitianPart:
         with pytest.raises(NonFiniteError):
             hermitian_part(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_is_hermitian_rejects_nan(self):
-        assert not is_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    def test_infinity_rejected(self):
+        with pytest.raises(NonFiniteError):
+            hermitian_part(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_tolerance_is_relative(self):
+        a = random_hermitian(4, seed=5)
+        a[0, 1] += 1e-13  # breaks hermiticity below the default tolerance
+        hermitian_part(a)
+        hermitian_eig(a)
+        defect = np.zeros_like(a)
+        defect[0, 1] = 10 * DEFAULT_TOL * hs_norm(a)
+        with pytest.raises(NonHermitianError):
+            hermitian_part(a + defect)
+        # the same absolute defect is within tolerance at a thousand times the scale
+        hermitian_part(1e3 * a + defect)

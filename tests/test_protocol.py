@@ -26,7 +26,6 @@ from coherework.sampling import (
     random_hamiltonian,
     random_hermitian,
     random_unitary,
-    rng_from_seed,
 )
 from coherework.states import (
     DensityMatrix,
@@ -80,7 +79,7 @@ class TestBuildPlan:
             assert abs(entry.work) < 1e-10
 
     def test_rotated_state_is_thermal_for_h1(self):
-        rng = rng_from_seed(31)
+        rng = np.random.default_rng(31)
         for _ in range(10):
             d = int(rng.integers(2, 6))
             rho = random_density_matrix(d, rng)
@@ -90,16 +89,17 @@ class TestBuildPlan:
             rho1 = plan.v @ plan.rho0.mat @ plan.v.conj().T
             h1, h2 = auxiliary_hamiltonians(plan)
             assert hs_norm(gibbs_state(h1, t).mat - rho1) < 1e-8
-            assert hs_norm(gibbs_state(h2, t).mat
-                           - plan.target_state.mat) < 1e-8
+            eta = (plan.basis * plan.target_populations) @ plan.basis.conj().T
+            assert hs_norm(gibbs_state(h2, t).mat - eta) < 1e-8
 
     def test_target_is_block_projection(self):
-        rng = rng_from_seed(32)
+        rng = np.random.default_rng(32)
         rho = random_density_matrix(3, rng)
         h = Hamiltonian(np.diag([1.0, 1.0, 3.0]).astype(complex))
         plan = build_plan(rho, h, Temperature(beta=1.0))
         eta = project(rho, energy_projectors(h))
-        assert hs_norm(plan.target_state.mat - eta.mat) < 1e-10
+        target = (plan.basis * plan.target_populations) @ plan.basis.conj().T
+        assert hs_norm(target - eta.mat) < 1e-10
 
     def test_pure_state_needs_clamp(self):
         h = Hamiltonian(np.diag([-1.0, 1.0]).astype(complex))
@@ -126,24 +126,6 @@ class TestBuildPlan:
         ideal = math.log(2)  # S(eta) - S(rho) for the pure unbiased qubit
         gap = abs(exact_step_works(plan).totals.work - ideal)
         assert gap <= 2 * 2 * clamp * math.log(1 / clamp)
-
-    def test_custom_pairing_changes_path_not_totals(self, canonical_qubit):
-        # pairing relabels which slot carries which population; the rotation
-        # and the discretised isotherm path change, the exact totals do not
-        rho, h, t = canonical_qubit
-        default = build_plan(rho, h, t)
-        swapped = build_plan(rho, h, t, pairing=(0, 1))
-        assert np.abs(default.v - swapped.v).max() > 0.5
-        l1, l2 = exact_step_works(default), exact_step_works(swapped)
-        assert l1.totals.work == pytest.approx(l2.totals.work, abs=1e-10)
-        coarse1 = simulate(default, 10).entries[1].work
-        coarse2 = simulate(swapped, 10).entries[1].work
-        assert abs(coarse1 - coarse2) > 1e-3
-
-    def test_bad_pairing_rejected(self, canonical_qubit):
-        rho, h, t = canonical_qubit
-        with pytest.raises(ValueError, match="permutation"):
-            build_plan(rho, h, t, pairing=(0, 0))
 
 
 class TestPlanRejections:
@@ -180,7 +162,7 @@ class TestExactStepWorks:
         assert totals.energy_change == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_projection_work_on_random_instances(self):
-        rng = rng_from_seed(33)
+        rng = np.random.default_rng(33)
         rho = random_density_matrix(4, rng)
         h = random_hamiltonian(4, rng)
         t = Temperature(beta=2.0)
@@ -189,7 +171,7 @@ class TestExactStepWorks:
         assert totals.work == pytest.approx(rep.work, abs=1e-9)
 
     def test_degenerate_hamiltonian(self):
-        rng = rng_from_seed(34)
+        rng = np.random.default_rng(34)
         rho = random_density_matrix(4, rng)
         h = Hamiltonian(np.diag([0.5, 0.5, 0.5, 2.0]).astype(complex))
         t = Temperature(beta=1.0)
@@ -276,7 +258,7 @@ class TestSimulate:
             exact.entries[1].entropy_change, abs=1e-12)
 
     def test_energy_conservation_of_totals(self):
-        rng = rng_from_seed(35)
+        rng = np.random.default_rng(35)
         for _ in range(10):
             d = int(rng.integers(2, 5))
             rho = random_density_matrix(d, rng)
@@ -316,11 +298,6 @@ class TestWorkLedger:
         with pytest.raises(ValueError, match="first law"):
             WorkLedger((bad,))
 
-    def test_clamp_recorded(self, canonical_qubit):
-        rho, h, t = canonical_qubit
-        ledger = exact_step_works(build_plan(rho, h, t, purity_clamp=1e-7))
-        assert ledger.purity_clamp == 1e-7
-
 
 def _works(rho, hm, beta):
     """Optimal projection work, exact ledger total and simulated total."""
@@ -336,7 +313,7 @@ def _works(rho, hm, beta):
 @given(st.integers(0, 10_000), st.floats(-3.0, 9.0), st.booleans())
 def test_units_of_energy_and_temperature_rescale_work(seed, log_s, degenerate):
     # (s H, beta / s) is the same physics in other units: W(sH, beta/s) = s W(H, beta)
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     if degenerate:
         # the two-fold level stays one level although its rounding grows with s
         u = random_unitary(4, rng)

@@ -10,6 +10,7 @@ import coherework.singleshot as singleshot
 from coherework.errors import (
     AlphabetTooLargeError,
     DimMismatchError,
+    NonFiniteError,
     StateValidationError,
 )
 from coherework.singleshot import (
@@ -58,6 +59,13 @@ class TestDistribution:
     def test_rejects_unnormalised(self):
         with pytest.raises(StateValidationError, match="sum"):
             dist(0.5, 0.4)
+
+    def test_rejects_nan(self):
+        # every comparison with NaN is False, so the sign and sum checks miss it
+        with pytest.raises(NonFiniteError):
+            dist(math.nan, 0.5)
+        with pytest.raises(NonFiniteError):
+            Distribution.normalized([math.nan, 1.0])
 
     def test_normalized_constructor(self):
         d = Distribution.normalized([0.5, 0.5 - 1e-15, -1e-18])
