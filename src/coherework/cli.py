@@ -7,9 +7,12 @@ computation modules, and emits a deterministic JSON report (stdout or
 validated against.
 
 Exit codes: 0 success, 1 I/O failure, 2 schema violation (the message names
-the offending field; size caps included), 3 physics validation failure or a
-non-finite report value (the message carries the library error name),
-4 self-test failure.
+the offending field; size caps included) or a command-line usage error,
+3 physics validation failure or a non-finite report value (the message
+carries the library error name), 4 self-test failure.
+
+``main(argv)`` may be called repeatedly in one process; it builds its
+argument parser once, on the first call, and reuses it.
 
 Reports are byte-stable: keys are sorted and floats printed with 17
 significant digits, so identical (scenario, version) pairs produce identical
@@ -19,6 +22,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -868,7 +872,9 @@ def run_scenario(path: str, out: str | None = None) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, never at import, so importing stays cheap
     parser = argparse.ArgumentParser(
         prog="coherework",
         description="Scenario runner for coherence-to-work numerics.",
@@ -879,7 +885,11 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", help="write the report here instead of stdout")
     sub.add_parser("self-test", help="run the embedded acceptance suite")
     sub.add_parser("schema", help="print the scenario and report schema")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "run":
         return run_scenario(args.file, args.out)

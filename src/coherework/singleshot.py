@@ -69,7 +69,10 @@ class Distribution:
     @classmethod
     def normalized(cls, probs: Sequence[float]) -> "Distribution":
         """Clip tiny negatives and renormalise before validating."""
-        p = np.maximum(np.asarray(probs, dtype=float), 0.0)
+        p = np.asarray(probs, dtype=float)
+        if not np.isfinite(p).all():
+            raise NonFiniteError("Distribution: probabilities include NaN or infinity")
+        p = np.maximum(p, 0.0)
         return cls(p / p.sum())
 
     def __len__(self):

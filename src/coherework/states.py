@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     ConsistencyError,
     DimMismatchError,
+    NonFiniteError,
     NonHermitianError,
     NonSquareError,
     StateValidationError,
@@ -190,8 +191,13 @@ def check_first_law(what: str, work: float, heat_absorbed: float,
 
     The tolerance, 1e-10 * max(1, |work|, |heat|, |energy change|), follows
     the energy scale, so changing the units of H and T together trips nothing.
-    A NaN term fails the check.
+    A NaN or infinite term raises ``NonFiniteError`` naming the term: the
+    balance cannot be checked, which is not the same as being broken.
     """
+    for name, value in (("work", work), ("heat_absorbed", heat_absorbed),
+                        ("energy_change", energy_change)):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{what} cannot check the first law: {name} is {value!r}")
     gap = abs(energy_change - (heat_absorbed - work))
     if not gap <= 1e-10 * max(1.0, abs(work), abs(heat_absorbed), abs(energy_change)):
         raise ConsistencyError(f"{what} violates the first law by {gap:.3e}")

@@ -549,6 +549,38 @@ class TestMain:
         assert json.loads(out.read_text())["results"]["work"] > 0
 
 
+class TestParser:
+    def test_main_builds_one_parser(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        path = write(tmp_path, canonical_project_scenario())
+        for argv in (["run", path], ["schema"], ["run", path]):
+            assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert cli._parser.cache_info().misses == 1
+        assert cli._parser() is cli._parser()
+
+    def test_no_argument_state_leaks_between_calls(self, tmp_path, capsys):
+        path = write(tmp_path, canonical_project_scenario())
+        out = tmp_path / "report.json"
+        assert main(["run", path, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(["run", path]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["no-command", "bogus"])
+    def test_usage_error_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_SCHEMA
+        assert capsys.readouterr().err.startswith("usage: coherework")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: coherework")
+
+
 class TestEnergyScale:
     @pytest.mark.parametrize("seed", [2, 4, 5])
     def test_large_energy_protocol_runs(self, tmp_path, seed, capsys):
@@ -560,6 +592,21 @@ class TestEnergyScale:
         report = json.loads(capsys.readouterr().out)
         exact = report["results"]["exact"]["totals"]["work"]
         assert exact == pytest.approx(report["results"]["w_opt"], rel=1e-9)
+
+    @pytest.mark.parametrize("scn", [
+        {"kind": "project", "beta": 1e-310},
+        {"kind": "singleshot", "beta": 5e-324, "eps": 0.05, "n_copies": [4]},
+    ], ids=["project", "singleshot"])
+    def test_vanishing_beta_work_is_non_finite_error(self, tmp_path, capsys, scn):
+        # T*dS overflows: the error names the infinite term instead of
+        # failing the energy balance by inf - inf = nan
+        scn = {**scn, "hamiltonian": {"diag": [0.0, 1.0]},
+               "state": {"bloch": {"a": 0.8, "theta": 1.0}}}
+        assert main(["run", write(tmp_path, scn)]) == EXIT_PHYSICS
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("NonFiniteError: ")
+        assert "first law" in err[0]
 
     def test_first_law_violation_is_physics_error(self, tmp_path, monkeypatch, capsys):
         from coherework.protocol import LedgerEntry, WorkLedger

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,15 @@ class TestDistribution:
             dist(math.nan, 0.5)
         with pytest.raises(NonFiniteError):
             Distribution.normalized([math.nan, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_normalized_rejects_infinity_before_dividing(self, bad):
+        # inf / inf would make numpy warn before the constructor's own check,
+        # and clipping would turn -inf into a silent 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="NaN or infinity"):
+                Distribution.normalized([bad, 1.0])
 
     def test_normalized_constructor(self):
         d = Distribution.normalized([0.5, 0.5 - 1e-15, -1e-18])
