@@ -34,7 +34,6 @@ from .errors import (
     SupportError,
 )
 from .fluctuation import (
-    ProjectionHeat,
     TrajectoryStats,
     TransitionTable,
     average_unitary_work,

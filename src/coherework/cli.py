@@ -40,7 +40,7 @@ from .fluctuation import (
     sample_trajectories,
     transition_table,
 )
-from .linalg import CLUSTER_GAP, DEFAULT_TOL, kron
+from .linalg import CLUSTER_GAP, DEFAULT_TOL, as_matrix, kron
 from .projection import (
     ProjectorSet,
     energy_projectors,
@@ -48,7 +48,8 @@ from .projection import (
     optimal_projection_work,
     project,
 )
-from .protocol import PLAN_TOL, build_plan, exact_step_works, simulate
+from .protocol import (DEFAULT_PURITY_CLAMP, MAX_PURITY_CLAMP, PLAN_TOL, build_plan,
+                       exact_step_works, simulate)
 from .sampling import random_density_matrix, random_hamiltonian, random_unitary
 from .singleshot import consistency_work, smoothing_failure_probability
 from .states import (
@@ -110,49 +111,36 @@ _RANDOM_SCHEMA = {
     "additionalProperties": False,
 }
 
+
+def _forms(**forms) -> list:
+    """``oneOf`` branches, one per ``name=schema``: an object whose only field
+    is ``name``. The order is kept: it orders the "closest errors" message."""
+    return [{"required": [k], "properties": {k: s}, "additionalProperties": False}
+            for k, s in forms.items()]
+
+
 _STATE_SCHEMA = {
     "type": "object",
-    "oneOf": [
-        {"required": ["matrix"], "properties": {"matrix": _MATRIX},
-         "additionalProperties": False},
-        {"required": ["pure"], "properties": {"pure": _VECTOR},
-         "additionalProperties": False},
-        {"required": ["bloch"], "properties": {"bloch": {
-            "type": "object", "required": ["a", "theta"],
-            "properties": {"a": {"type": "number", "minimum": 0, "maximum": 1},
-                           "theta": {"type": "number"}},
-            "additionalProperties": False}},
-         "additionalProperties": False},
-        {"required": ["gibbs"], "properties": {"gibbs": {
-            "type": "object", "additionalProperties": False}},
-         "additionalProperties": False},
-        {"required": ["random"], "properties": {"random": _RANDOM_SCHEMA},
-         "additionalProperties": False},
-    ],
+    "oneOf": _forms(
+        matrix=_MATRIX,
+        pure=_VECTOR,
+        bloch={"type": "object", "required": ["a", "theta"],
+               "properties": {"a": {"type": "number", "minimum": 0, "maximum": 1},
+                              "theta": {"type": "number"}},
+               "additionalProperties": False},
+        gibbs={"type": "object", "additionalProperties": False},
+        random=_RANDOM_SCHEMA,
+    ),
 }
 
 _HAMILTONIAN_SCHEMA = {
     "type": "object",
-    "oneOf": [
-        {"required": ["matrix"], "properties": {"matrix": _MATRIX},
-         "additionalProperties": False},
-        {"required": ["diag"], "properties": {"diag": {
-            "type": "array", "items": _NUMBER, "minItems": 1}},
-         "additionalProperties": False},
-        {"required": ["random"], "properties": {"random": _RANDOM_SCHEMA},
-         "additionalProperties": False},
-    ],
+    "oneOf": _forms(matrix=_MATRIX,
+                    diag={"type": "array", "items": _NUMBER, "minItems": 1},
+                    random=_RANDOM_SCHEMA),
 }
 
-_UNITARY_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {"required": ["matrix"], "properties": {"matrix": _MATRIX},
-         "additionalProperties": False},
-        {"required": ["random"], "properties": {"random": _RANDOM_SCHEMA},
-         "additionalProperties": False},
-    ],
-}
+_UNITARY_SCHEMA = {"type": "object", "oneOf": _forms(matrix=_MATRIX, random=_RANDOM_SCHEMA)}
 
 _PROJECTORS_SCHEMA = {
     "oneOf": [
@@ -189,7 +177,7 @@ KIND_SCHEMAS = {
             "steps": {"type": "array",
                       "items": {"type": "integer", "minimum": 1, "maximum": MAX_STEPS},
                       "minItems": 1},
-            "purity_clamp": {"type": "number", "minimum": 0, "maximum": 1e-3},
+            "purity_clamp": {"type": "number", "minimum": 0, "maximum": MAX_PURITY_CLAMP},
         },
         "additionalProperties": False,
     },
@@ -228,7 +216,7 @@ KIND_SCHEMAS = {
             "eps": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
             "n_copies": {"type": "array", "items": {"type": "integer", "minimum": 1},
                          "minItems": 1},
-            "purity_clamp": {"type": "number", "minimum": 0, "maximum": 1e-3},
+            "purity_clamp": {"type": "number", "minimum": 0, "maximum": MAX_PURITY_CLAMP},
         },
         "additionalProperties": False,
     },
@@ -247,16 +235,11 @@ KIND_SCHEMAS = {
                                              "items": {"type": "integer", "minimum": 1},
                                              "minItems": 2, "maxItems": 2}},
                      "additionalProperties": False},
-                    {"required": ["purify"],
-                     "properties": {"purify": _STATE_SCHEMA},
-                     "additionalProperties": False},
-                    {"required": ["product"],
-                     "properties": {"product": {
-                         "type": "object", "required": ["system", "ancilla"],
-                         "properties": {"system": _STATE_SCHEMA,
-                                        "ancilla": _STATE_SCHEMA},
-                         "additionalProperties": False}},
-                     "additionalProperties": False},
+                    *_forms(purify=_STATE_SCHEMA,
+                            product={"type": "object", "required": ["system", "ancilla"],
+                                     "properties": {"system": _STATE_SCHEMA,
+                                                    "ancilla": _STATE_SCHEMA},
+                                     "additionalProperties": False}),
                 ],
             },
             "hamiltonian": _HAMILTONIAN_SCHEMA,
@@ -320,7 +303,6 @@ _TYPE_CHECKS = {
     "string": lambda v: isinstance(v, str),
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
 }
 
 # the smallest integer that float() rounds to infinity: a "number" must be a
@@ -591,7 +573,8 @@ def _build_state(node, path, ctx, h: Hamiltonian | None, t: Temperature | None) 
     if "matrix" in node:
         return DensityMatrix(_complex_matrix(node["matrix"], f"{path}.matrix"))
     if "pure" in node:
-        vec = np.array([complex(e[0], e[1]) for e in node["pure"]])
+        # a 1 x d matrix, so as_matrix bounds the entries before the norm
+        vec = as_matrix([[complex(e[0], e[1]) for e in node["pure"]]])[0]
         norm = np.linalg.norm(vec)
         if norm <= 0.0:
             raise StateValidationError("pure state vector has zero norm")
@@ -627,15 +610,9 @@ def _build_projectors(node, path, ctx, h: Hamiltonian) -> ProjectorSet:
 
 
 def _ledger_dict(ledger) -> dict:
-    entry = lambda e: {
-        "label": e.label,
-        "work": e.work,
-        "heat_absorbed": e.heat_absorbed,
-        "energy_change": e.energy_change,
-        "entropy_change": e.entropy_change,
-    }
-    return {"entries": [entry(e) for e in ledger.entries],
-            "totals": entry(ledger.totals)}
+    # every LedgerEntry field, copied: vars() is the instance's own dict
+    return {"entries": [dict(vars(e)) for e in ledger.entries],
+            "totals": dict(vars(ledger.totals))}
 
 
 # ---------------------------------------------------------------------------
@@ -648,14 +625,8 @@ def _run_project(scn, ctx):
     rho = _build_state(scn["state"], "$.state", ctx, h, t)
     p = _build_projectors(scn.get("projectors"), "$.projectors", ctx, h)
     rep = optimal_projection_work(rho, h, p, t)
-    results = {
-        "work": rep.work,
-        "entropy_change": rep.entropy_change,
-        "energy_change": rep.energy_change,
-        "heat_absorbed": rep.heat_absorbed,
-        "entropy_change_bound": entropy_change_bound(rho, p) if p.is_rank_one else None,
-    }
-    return results, []
+    bound = entropy_change_bound(rho, p) if p.is_rank_one else None
+    return {**vars(rep), "entropy_change_bound": bound}, []
 
 
 def _run_protocol(scn, ctx):
@@ -663,7 +634,7 @@ def _run_protocol(scn, ctx):
     h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", ctx)
     rho = _build_state(scn["state"], "$.state", ctx, h, t)
     steps = [int(s) for s in scn.get("steps", [100])]
-    clamp = float(scn.get("purity_clamp", 1e-9))
+    clamp = float(scn.get("purity_clamp", DEFAULT_PURITY_CLAMP))
     plan = build_plan(rho, h, t, purity_clamp=clamp)
     w_opt = optimal_projection_work(rho, h, energy_projectors(h), t).work
     exact = exact_step_works(plan)
@@ -719,12 +690,13 @@ def _run_jarzynski(scn, ctx):
     ftau = free_energy(gibbs_state(htau, t), htau, t)
     rho_tau = DensityMatrix(v @ rho0.mat @ v.conj().T)
     heat = projection_heat(rho_tau, htau, t)
+    # an optimal final measurement pays all of its heat out as extra work
     results = {
         "jarzynski_lhs": jarzynski_average(table),
         "jarzynski_rhs": math.exp(-t.beta * (ftau - f0)),
         "average_unitary_work": average_unitary_work(table),
-        "projection_heat": heat.heat,
-        "projection_extra_work": heat.extra_work,
+        "projection_heat": heat,
+        "projection_extra_work": heat,
         "sampling": None,
     }
     series = []
@@ -732,14 +704,9 @@ def _run_jarzynski(scn, ctx):
         seed = int(scn.get("seed", 0))
         ctx["seeds"]["$.seed"] = seed
         stats = sample_trajectories(table, int(scn["n_samples"]), seed)
-        results["sampling"] = {
-            "n_samples": stats.n_samples,
-            "seed": stats.seed,
-            "exp_beta_w_estimate": stats.exp_beta_w_estimate,
-            "exp_beta_w_std_error": stats.exp_beta_w_std_error,
-            "work_estimate": stats.work_estimate,
-            "work_std_error": stats.work_std_error,
-        }
+        # the TrajectoryStats scalars; the delta_e arrays go to the series
+        results["sampling"] = {k: v for k, v in vars(stats).items()
+                               if not k.startswith("delta_e_")}
         series.append({
             "label": "delta_e_histogram",
             "x": [float(x) for x in stats.delta_e_values],
@@ -753,7 +720,7 @@ def _run_singleshot(scn, ctx):
     h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", ctx)
     rho = _build_state(scn["state"], "$.state", ctx, h, t)
     eps = float(scn["eps"])
-    clamp = float(scn.get("purity_clamp", 1e-9))
+    clamp = float(scn.get("purity_clamp", DEFAULT_PURITY_CLAMP))
     ns = [int(n) for n in scn["n_copies"]]
     w_opt = optimal_projection_work(rho, h, energy_projectors(h), t).work
     points = []
@@ -772,16 +739,17 @@ def _run_singleshot(scn, ctx):
     return results, series
 
 
-def _build_bipartite(node, path, ctx, t: Temperature) -> BipartiteState:
+def _build_bipartite(node, path, ctx, h: Hamiltonian, t: Temperature) -> BipartiteState:
     if "matrix" in node:
         ds, da = (int(d) for d in node["dims"])
         rho = DensityMatrix(_complex_matrix(node["matrix"], f"{path}.matrix"))
         return BipartiteState(rho_sa=rho, dim_s=ds, dim_a=da)
     if "purify" in node:
-        rho_s = _build_state(node["purify"], f"{path}.purify", ctx, None, t)
+        rho_s = _build_state(node["purify"], f"{path}.purify", ctx, h, t)
         return BipartiteState(rho_sa=purify(rho_s), dim_s=rho_s.dim, dim_a=rho_s.dim)
     spec = node["product"]
-    rho_s = _build_state(spec["system"], f"{path}.product.system", ctx, None, t)
+    rho_s = _build_state(spec["system"], f"{path}.product.system", ctx, h, t)
+    # the ancilla has no Hamiltonian, so it has no gibbs state
     rho_a = _build_state(spec["ancilla"], f"{path}.product.ancilla", ctx, None, t)
     joint = DensityMatrix(kron(rho_s.mat, rho_a.mat))
     return BipartiteState(rho_sa=joint, dim_s=rho_s.dim, dim_a=rho_a.dim)
@@ -790,7 +758,7 @@ def _build_bipartite(node, path, ctx, t: Temperature) -> BipartiteState:
 def _run_correlations(scn, ctx):
     t = Temperature(beta=float(scn["beta"]))
     h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", ctx)
-    state = _build_bipartite(scn["state_sa"], "$.state_sa", ctx, t)
+    state = _build_bipartite(scn["state_sa"], "$.state_sa", ctx, h, t)
     p = _build_projectors(scn.get("projectors"), "$.projectors", ctx, h)
     delta = delta_correlation(state, p)
     system = optimal_projection_work(state.marginal_s, h, p, t)
@@ -800,7 +768,7 @@ def _run_correlations(scn, ctx):
         "delta": delta,
         "system_work": system.work,
         "global_work": joint.work,
-        "lemma1": {"lhs": lemma.lhs, "rhs": lemma.rhs, "holds": lemma.holds},
+        "lemma1": lemma._asdict(),
     }
     return results, []
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +36,7 @@ class TransitionTable:
     degeneracies. Entries are finite, nonnegative and sum to 1; column
     marginals are the Boltzmann weights g0_n exp(-beta (E0_n - F0)), both to
     1e-10, enforced at construction. ``log_probs`` holds ln p[m][n] (-inf for
-    an impossible jump), finite also where p underflows to 0; a table given
-    only ``probs`` takes their logarithms.
+    an impossible jump), finite also where p underflows to 0.
     """
 
     probs: np.ndarray
@@ -46,7 +44,7 @@ class TransitionTable:
     etau: np.ndarray
     beta: float
     g0: np.ndarray
-    log_probs: np.ndarray | None = None
+    log_probs: np.ndarray
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -62,20 +60,16 @@ class TransitionTable:
                 f"TransitionTable: probs shape {probs.shape} != "
                 f"({etau.size}, {e0.size})"
             )
-        if self.log_probs is None:
-            with np.errstate(divide="ignore"):
-                log_probs = np.log(probs)
-        else:
-            log_probs = np.asarray(self.log_probs, dtype=float)
-            if log_probs.shape != probs.shape:
-                raise DimMismatchError(
-                    f"TransitionTable: log_probs shape {log_probs.shape} != "
-                    f"probs shape {probs.shape}"
-                )
-            if not np.abs(np.exp(log_probs) - probs).max() <= 1e-12:
-                raise StateValidationError(
-                    "TransitionTable: log_probs disagree with probs"
-                )
+        log_probs = np.asarray(self.log_probs, dtype=float)
+        if log_probs.shape != probs.shape:
+            raise DimMismatchError(
+                f"TransitionTable: log_probs shape {log_probs.shape} != "
+                f"probs shape {probs.shape}"
+            )
+        if not np.abs(np.exp(log_probs) - probs).max() <= 1e-12:
+            raise StateValidationError(
+                "TransitionTable: log_probs disagree with probs"
+            )
         if probs.min() < -1e-12:
             raise StateValidationError(
                 f"TransitionTable: negative probability {probs.min()!r}"
@@ -157,13 +151,8 @@ def average_unitary_work(table: TransitionTable) -> float:
     return float(-(table.delta_e * table.probs).sum())
 
 
-class ProjectionHeat(NamedTuple):
-    heat: float
-    extra_work: float
-
-
 def projection_heat(rho_tau: DensityMatrix, htau: Hamiltonian,
-                    t: Temperature) -> ProjectionHeat:
+                    t: Temperature) -> float:
     """Heat absorbed by an optimal realisation of the final measurement.
 
     Removing the coherences of rho_tau in the htau eigenbasis raises the
@@ -178,8 +167,7 @@ def projection_heat(rho_tau: DensityMatrix, htau: Hamiltonian,
             f"Hamiltonian dimension {htau.dim}"
         )
     eta = project(rho_tau, energy_projectors(htau))
-    heat = (von_neumann_entropy(eta) - von_neumann_entropy(rho_tau)) / t.beta
-    return ProjectionHeat(heat=heat, extra_work=heat)
+    return (von_neumann_entropy(eta) - von_neumann_entropy(rho_tau)) / t.beta
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,25 @@ DEFAULT_TOL = 1e-10
 # least 1), are treated as one degenerate cluster
 CLUSTER_GAP = 1e-8
 
+# the largest real or imaginary part a matrix entry may have: up to d = 64,
+# the norm of such a matrix and every entry of a product of two stay finite
+MAX_ENTRY = 1e150
+
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d complex array (no copy when already one)."""
+    """Coerce to a 2-d complex array with finite entries, each part at most
+    :data:`MAX_ENTRY` in magnitude (no copy when already one)."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise NonSquareError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise NonFiniteError(f"matrix of shape {m.shape} has NaN or infinite entries")
+    # an entry's modulus bounds both of its parts, so the parts are looked at
+    # only past this one cheaper test, which a NaN or an infinity also fails
+    if not np.abs(m).max(initial=0.0) <= MAX_ENTRY:
+        if not np.isfinite(m).all():
+            raise NonFiniteError(f"matrix of shape {m.shape} has NaN or infinite entries")
+        if max(np.abs(m.real).max(), np.abs(m.imag).max()) > MAX_ENTRY:
+            raise NonFiniteError(
+                f"matrix of shape {m.shape} has an entry beyond {MAX_ENTRY:g} in magnitude")
     return m
 
 

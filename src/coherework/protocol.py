@@ -32,6 +32,10 @@ from .states import (
 
 PLAN_TOL = 1e-8
 
+# the purity clamp build_plan applies by default, and the largest it accepts
+DEFAULT_PURITY_CLAMP = 1e-9
+MAX_PURITY_CLAMP = 1e-3
+
 # an eigenvalue at or below this is "zero" for clamping purposes
 _ZERO_EIGENVALUE = 1e-14
 
@@ -99,7 +103,6 @@ class ProtocolPlan:
     e2: np.ndarray
     populations: np.ndarray
     target_populations: np.ndarray
-    purity_clamp: float
 
     def __post_init__(self):
         for arr in (self.v, self.basis, self.e0, self.e1, self.e2,
@@ -149,7 +152,7 @@ def _clamp_distribution(p: np.ndarray, clamp: float) -> np.ndarray:
 
 
 def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
-               purity_clamp: float = 1e-9) -> ProtocolPlan:
+               purity_clamp: float = DEFAULT_PURITY_CLAMP) -> ProtocolPlan:
     """Construct the three-step plan for projecting rho onto h's eigenbasis.
 
     The spectrum of rho is clamped into [purity_clamp, 1 - purity_clamp] and
@@ -164,9 +167,9 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
     state. The rotation pairs descending populations with ascending energies,
     which reduces to the identity rotation when rho is already thermal.
     """
-    if not 0.0 <= purity_clamp <= 1e-3:
+    if not 0.0 <= purity_clamp <= MAX_PURITY_CLAMP:
         raise ValueError(
-            f"purity_clamp must lie in [0, 1e-3], got {purity_clamp!r}"
+            f"purity_clamp must lie in [0, {MAX_PURITY_CLAMP:g}], got {purity_clamp!r}"
         )
     if rho.dim != h.dim:
         raise StateValidationError(
@@ -218,7 +221,6 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
         rho0=rho_c, h0=h, v=v, temperature=t,
         basis=basis, e0=e0, e1=e1, e2=e2,
         populations=pop, target_populations=q,
-        purity_clamp=purity_clamp,
     )
 
 

@@ -30,7 +30,7 @@ from .errors import (
     SupportError,
 )
 from .linalg import log_partition, thermal
-from .protocol import build_plan
+from .protocol import DEFAULT_PURITY_CLAMP, build_plan
 from .states import DensityMatrix, Hamiltonian, Temperature, average_energy
 
 LN2 = math.log(2.0)
@@ -251,7 +251,7 @@ def smoothing_failure_probability(eps: float) -> float:
 
 def consistency_work(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
                      eps: float, n_copies: int,
-                     purity_clamp: float = 1e-9) -> float:
+                     purity_clamp: float = DEFAULT_PURITY_CLAMP) -> float:
     """Average work of the rotate / extract / form split at finite n, eps.
 
     The unitary rotation contributes its average work tr[(rho - rho_1) H];

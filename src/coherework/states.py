@@ -45,10 +45,6 @@ class Temperature:
                 f"Temperature: beta must be finite and > 0, got {self.beta!r}"
             )
 
-    @property
-    def temperature(self) -> float:
-        return 1.0 / self.beta
-
 
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix.

@@ -14,6 +14,7 @@ from coherework.cli import (
     EXIT_OK,
     EXIT_PHYSICS,
     EXIT_SCHEMA,
+    EXIT_SELFTEST,
     REPORT_SCHEMA,
     SCHEMA_DOCUMENT,
     ScenarioError,
@@ -405,6 +406,43 @@ class TestRunScenarioFile:
         assert run_scenario(write(tmp_path, scn)) == EXIT_PHYSICS
         assert "NotUnitaryError" in capsys.readouterr().err
 
+    def test_huge_non_hermitian_hamiltonian_is_physics_error(self, tmp_path, capsys):
+        # ||H|| overflows to inf, so only the entry bound can reject this H
+        scn = canonical_project_scenario()
+        scn["hamiltonian"] = {"matrix": [[[1e200, 0.0], [5.0, 0.0]],
+                                         [[-3.0, 0.0], [1.0, 0.0]]]}
+        assert run_scenario(write(tmp_path, scn)) == EXIT_PHYSICS
+        assert capsys.readouterr().err.startswith("NonFiniteError: ")
+
+    def test_huge_pure_vector_is_physics_error(self, tmp_path, capsys):
+        # the norm of this vector overflows, so its entries are bounded first
+        scn = canonical_project_scenario()
+        scn["state"] = {"pure": [[1e300, 0.0], [1e300, 0.0]]}
+        assert run_scenario(write(tmp_path, scn)) == EXIT_PHYSICS
+        assert capsys.readouterr().err.startswith("NonFiniteError: ")
+
+    def test_zero_norm_pure_vector_is_physics_error(self, tmp_path, capsys):
+        scn = canonical_project_scenario()
+        scn["state"] = {"pure": [[0.0, 0.0], [0.0, 0.0]]}
+        assert run_scenario(write(tmp_path, scn)) == EXIT_PHYSICS
+        assert "zero norm" in capsys.readouterr().err
+
+    def test_top_level_array_is_schema_error(self, tmp_path, capsys):
+        assert run_scenario(write(tmp_path, [1, 2])) == EXIT_SCHEMA
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_ragged_matrix_row_is_schema_error(self, tmp_path, capsys):
+        scn = canonical_project_scenario()
+        scn["state"] = {"matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]]}
+        assert run_scenario(write(tmp_path, scn)) == EXIT_SCHEMA
+        assert "$.state.matrix[1]: ragged matrix row" in capsys.readouterr().err
+
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        path = write(tmp_path, canonical_project_scenario())
+        out = tmp_path / "missing" / "x.json"
+        assert main(["run", path, "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"cannot write {out}")
+
     def test_energy_projection_of_state_with_mismatched_dim(self, tmp_path, capsys):
         scn = {"kind": "project", "beta": 1.0,
                "state": {"random": {"dim": 3, "seed": 1}},
@@ -518,6 +556,30 @@ class TestCorrelationsScenario:
         assert res["global_work"] == pytest.approx(
             res["system_work"] + res["delta"], abs=1e-9)
 
+    # delta is S(rho_S) on a purification and 0 on a product; the thermal
+    # qubit of diag(-1, 1) at beta 0.7 has S = ln(2 cosh 0.7) - 0.7 tanh 0.7
+    @pytest.mark.parametrize("state_sa, delta", [
+        ({"purify": {"gibbs": {}}}, math.log(2 * math.cosh(0.7)) - 0.7 * math.tanh(0.7)),
+        ({"product": {"system": {"gibbs": {}},
+                      "ancilla": {"random": {"dim": 3, "seed": 2}}}}, 0.0),
+    ], ids=["purify", "product.system"])
+    def test_gibbs_system_state(self, state_sa, delta):
+        scn = {"kind": "correlations", "beta": 0.7, "state_sa": state_sa,
+               "hamiltonian": {"diag": [-1.0, 1.0]}}
+        res = run_scenario_obj(scn)["results"]
+        # a state diagonal in the energy basis holds nothing to extract
+        assert res["system_work"] == pytest.approx(0.0, abs=1e-12)
+        assert res["delta"] == pytest.approx(delta, abs=1e-10)
+
+    def test_gibbs_ancilla_needs_a_hamiltonian(self, tmp_path, capsys):
+        scn = {"kind": "correlations", "beta": 1.0,
+               "state_sa": {"product": {"system": {"bloch": {"a": 0.7, "theta": 0.5}},
+                                        "ancilla": {"gibbs": {}}}},
+               "hamiltonian": {"diag": [-1.0, 1.0]}}
+        assert run_scenario(write(tmp_path, scn)) == EXIT_SCHEMA
+        assert ("$.state_sa.product.ancilla.gibbs: needs a hamiltonian"
+                in capsys.readouterr().err)
+
     def test_product_state(self):
         scn = {
             "kind": "correlations", "beta": 2.0,
@@ -541,6 +603,13 @@ class TestMain:
         assert main(["schema"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert "scenario" in doc and "report" in doc
+
+    @pytest.mark.parametrize("passed, code", [(True, EXIT_OK), (False, EXIT_SELFTEST)])
+    def test_self_test_exit_code(self, monkeypatch, passed, code):
+        import coherework.acceptance
+
+        monkeypatch.setattr(coherework.acceptance, "self_test", lambda echo: passed)
+        assert main(["self-test"]) == code
 
     def test_out_flag(self, tmp_path):
         path = write(tmp_path, canonical_project_scenario())

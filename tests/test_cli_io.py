@@ -16,6 +16,7 @@ import json
 import math
 import random
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -435,3 +436,32 @@ def test_fuzzed_scenarios_exit_on_a_documented_code(rng):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["run", str(path)])
     assert code in (0, 2, 3), scenario
+
+
+def _run_fuzz_mutant(seed: int, path: Path):
+    """``(exit code, stderr, scenario)`` of ``coherework run`` on the mutant
+    of ``seed``, with every warning raised as an error."""
+    rng = random.Random(seed)
+    scenario = mutate(rng.choice(base_scenarios(rng)), rng, FUZZ_VALUES)
+    path.write_text(json.dumps(scenario))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(["run", str(path)])
+    return code, err.getvalue(), scenario
+
+
+def test_fuzz_sweep_exits_on_a_documented_code_without_warnings(tmp_path):
+    # fixed seeds, so a numpy RuntimeWarning anywhere in the sweep is a fault
+    for seed in range(4000):
+        code, _, scenario = _run_fuzz_mutant(seed, tmp_path / "scenario.json")
+        assert code in (0, 2, 3), (seed, scenario)
+
+
+@pytest.mark.parametrize("seed", [147, 1112, 1517, 3851])
+def test_fuzz_mutants_with_huge_entries_are_non_finite(seed, tmp_path):
+    # mutants with 1e308 entries, which overflow norms and eigensolvers
+    # unless the entry bound rejects them first
+    code, err, _ = _run_fuzz_mutant(seed, tmp_path / "scenario.json")
+    assert code == 3 and err.startswith("NonFiniteError: "), err

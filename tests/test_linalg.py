@@ -14,6 +14,7 @@ from coherework.errors import (
 )
 from coherework.linalg import (
     DEFAULT_TOL,
+    MAX_ENTRY,
     as_matrix,
     eigenvalue_clusters,
     hermitian_eig,
@@ -166,6 +167,26 @@ class TestAsMatrix:
         m = np.eye(2, dtype=complex)
         assert as_matrix(m) is m
 
+    @pytest.mark.parametrize("bad", [2 * MAX_ENTRY, -1e200, 1e308, complex(1.0, 1e300),
+                                     complex(0.0, -2 * MAX_ENTRY)])
+    def test_entry_beyond_bound_rejected(self, bad):
+        with pytest.raises(NonFiniteError, match="beyond"):
+            as_matrix([[1.0, bad], [0.0, 1.0]])
+
+    def test_non_contiguous_input_checked(self):
+        a = np.zeros((4, 4), dtype=complex)
+        a[2, 2] = complex(0.0, 1e200)
+        with pytest.raises(NonFiniteError, match="beyond"):
+            as_matrix(a[::2, ::2])
+
+    def test_bound_keeps_norm_and_products_finite(self):
+        # the documented working range ends at d = 64
+        m = as_matrix(np.full((64, 64), complex(MAX_ENTRY, -MAX_ENTRY)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(hs_norm(m))
+            assert np.isfinite(m @ m).all()
+
 
 class TestShannon:
     def test_zeros_skipped(self):
@@ -269,6 +290,11 @@ class TestHermitianPart:
     def test_infinity_rejected(self):
         with pytest.raises(NonFiniteError):
             hermitian_part(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_huge_entry_rejected(self):
+        # ||A|| overflows to inf here, so the Hermiticity test could never fire
+        with pytest.raises(NonFiniteError):
+            hermitian_part([[1e200, 5], [-3, 1]])
 
     def test_tolerance_is_relative(self):
         a = random_hermitian(4, seed=5)

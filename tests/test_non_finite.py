@@ -1,7 +1,9 @@
 """A NaN or infinite value at any position of otherwise valid input makes
-every public constructor raise a ``CohereworkError``."""
+every public constructor raise a ``CohereworkError``; so does a matrix entry
+beyond ``linalg.MAX_ENTRY``."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coherework.correlations import BipartiteState
-from coherework.errors import CohereworkError
+from coherework.errors import CohereworkError, NonFiniteError
 from coherework.fluctuation import TransitionTable, transition_table
+from coherework.linalg import MAX_ENTRY
 from coherework.projection import ProjectorSet
 from coherework.singleshot import Distribution
 from coherework.states import DensityMatrix, Hamiltonian, Temperature
@@ -37,7 +40,7 @@ def _transition_table(bad, pos, imag):
               "g0": _TABLE.g0, "beta": _TABLE.beta}
     name = sorted(fields)[pos % len(fields)]
     fields[name] = _spoiled(fields[name], bad, pos // len(fields))
-    return TransitionTable(**fields)
+    return TransitionTable(log_probs=_TABLE.log_probs, **fields)
 
 
 def _bipartite_state(bad, pos, imag):
@@ -73,3 +76,16 @@ def test_unspoiled_input_is_valid(name):
 def test_non_finite_entry_raises_typed_error(name, bad, pos, imag):
     with pytest.raises(CohereworkError):
         CONSTRUCTORS[name](bad, pos, imag)
+
+
+@pytest.mark.parametrize("name", ["DensityMatrix", "Hamiltonian", "ProjectorSet",
+                                  "ProjectorSet.from_basis"])
+@settings(max_examples=40, deadline=None)
+@given(huge=st.floats(min_value=MAX_ENTRY, max_value=1.7e308, exclude_min=True),
+       sign=st.sampled_from([1.0, -1.0]), pos=st.integers(0, 100), imag=st.booleans())
+def test_huge_matrix_entry_raises_non_finite_error(name, huge, sign, pos, imag):
+    # norms and eigensolvers overflow beyond the bound: no numpy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            CONSTRUCTORS[name](sign * huge, pos, imag)

@@ -107,7 +107,7 @@ class TestBuildPlan:
         with pytest.raises(ClampRequiredError):
             build_plan(pure, h, Temperature(beta=1.0), purity_clamp=0.0)
         plan = build_plan(pure, h, Temperature(beta=1.0), purity_clamp=1e-9)
-        assert plan.purity_clamp == 1e-9
+        assert plan.populations.min() > 0.0
 
     def test_clamp_range_validated(self):
         h = Hamiltonian(np.diag([-1.0, 1.0]).astype(complex))

@@ -39,12 +39,19 @@ def shannon(probs):
 
 class TestTemperature:
     def test_beta_positive(self):
-        assert Temperature(beta=2.0).temperature == 0.5
+        assert Temperature(beta=2.0).beta == 2.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_invalid_beta(self, bad):
         with pytest.raises(StateValidationError):
             Temperature(beta=bad)
+
+
+class TestHamiltonian:
+    def test_huge_entry_is_non_finite_error(self):
+        # eigh of this matrix gives NaN eigenvalues
+        with pytest.raises(NonFiniteError):
+            Hamiltonian(np.diag([1e308, 1.0]))
 
 
 class TestDensityMatrix:
