@@ -330,9 +330,9 @@ def _dmax_grid(p: np.ndarray, q: np.ndarray, eps: float, resolution: float) -> f
 
 
 def _check_single_shot():
-    rho, h, t = _canonical_instance()
+    plan = build_plan(*_canonical_instance())
     w_ref = _canonical_reference()
-    errors = [abs(consistency_work(rho, h, t, eps=0.05, n_copies=n) - w_ref)
+    errors = [abs(consistency_work(plan, eps=0.05, n_copies=n) - w_ref)
               for n in (8, 16, 32, 64)]
     for small, large in zip(errors, errors[1:]):
         if not large < small:

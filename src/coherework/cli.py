@@ -723,17 +723,13 @@ def _run_singleshot(scn, ctx):
     clamp = float(scn.get("purity_clamp", DEFAULT_PURITY_CLAMP))
     ns = [int(n) for n in scn["n_copies"]]
     w_opt = optimal_projection_work(rho, h, energy_projectors(h), t).work
-    points = []
-    works = []
-    for n in ns:
-        w = consistency_work(rho, h, t, eps, n, purity_clamp=clamp)
-        points.append({"n": n, "work": w})
-        works.append(w)
+    plan = build_plan(rho, h, t, purity_clamp=clamp)
+    works = [consistency_work(plan, eps, n) for n in ns]
     results = {
         "eps": eps,
         "failure_probability": smoothing_failure_probability(eps),
         "w_opt": w_opt,
-        "points": points,
+        "points": [{"n": n, "work": w} for n, w in zip(ns, works)],
     }
     series = [{"label": "consistency_work", "x": [float(n) for n in ns], "y": works}]
     return results, series

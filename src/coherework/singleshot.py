@@ -30,8 +30,8 @@ from .errors import (
     SupportError,
 )
 from .linalg import log_partition, thermal
-from .protocol import DEFAULT_PURITY_CLAMP, build_plan
-from .states import DensityMatrix, Hamiltonian, Temperature, average_energy
+from .protocol import ProtocolPlan
+from .states import average_energy
 
 LN2 = math.log(2.0)
 
@@ -249,24 +249,23 @@ def smoothing_failure_probability(eps: float) -> float:
     return 2.0 * eps - eps * eps
 
 
-def consistency_work(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
-                     eps: float, n_copies: int,
-                     purity_clamp: float = DEFAULT_PURITY_CLAMP) -> float:
+def consistency_work(plan: ProtocolPlan, eps: float, n_copies: int) -> float:
     """Average work of the rotate / extract / form split at finite n, eps.
 
     The unitary rotation contributes its average work tr[(rho - rho_1) H];
     the two diagonal legs through the thermal state contribute
     (ln 2 / beta) * [Dmin_eps(spec rho_1 || thermal) - Dmax_eps(spec eta ||
-    thermal)] per copy, evaluated on n_copies via :func:`iid_rate`. As
-    n grows (and eps shrinks) this approaches the optimal projection work.
+    thermal)] per copy, evaluated on n_copies via :func:`iid_rate` for the
+    :func:`~coherework.protocol.build_plan` plan of (rho, H, T), which does not
+    depend on n. As n grows (and eps shrinks) this approaches the optimal
+    projection work.
     """
-    plan = build_plan(rho, h, t, purity_clamp=purity_clamp)
-    beta = t.beta
+    beta = plan.temperature.beta
     gibbs = Distribution.normalized(thermal(plan.e0, beta))
     populations = Distribution.normalized(plan.populations)
     target = Distribution.normalized(plan.target_populations)
 
-    w_a = average_energy(plan.rho0, h) - float(plan.populations @ plan.e0)
+    w_a = average_energy(plan.rho0, plan.h0) - float(plan.populations @ plan.e0)
     rate_min = iid_rate(populations, gibbs, eps, n_copies).rate_min
     rate_max = iid_rate(target, gibbs, eps, n_copies).rate_max
     return w_a + (LN2 / beta) * (rate_min - rate_max)

@@ -116,7 +116,8 @@ class Hamiltonian:
         self.clusters = tuple(eigenvalue_clusters(w))
         for idx in self.clusters:
             idx.setflags(write=False)
-        self.energies = np.array([float(np.mean(w[idx])) for idx in self.clusters])
+        self.energies = np.array([w[idx].mean() if len(idx) > 1 else w[idx[0]]
+                                  for idx in self.clusters])
         self.energies.setflags(write=False)
 
     @property
@@ -232,13 +233,8 @@ def purify(rho: DensityMatrix) -> DensityMatrix:
     eigenpairs and |l> is the computational (label) basis of the ancilla, so
     tracing out the second factor returns the input.
     """
-    w = rho.spectrum()
-    v = rho.eigenvectors
-    d = rho.dim
-    psi = np.zeros(d * d, dtype=complex)
-    for l in range(d):
-        if w[l] > 0.0:
-            psi += math.sqrt(w[l]) * np.kron(v[:, l], np.eye(d)[:, l])
+    # entry (i, l) of v sqrt(a) is component i*d + l; + 0.0 makes -0.0 zeros +0.0
+    psi = (rho.eigenvectors * np.sqrt(rho.spectrum())).reshape(-1) + 0.0
     psi /= np.linalg.norm(psi)
     return DensityMatrix(np.outer(psi, psi.conj()))
 

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import coherework.cli as cli
+import coherework.protocol as protocol
 from coherework.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -542,6 +544,24 @@ class TestSingleshotScenario:
         assert report["results"]["failure_probability"] == pytest.approx(
             2 * 0.05 - 0.05**2)
 
+    def test_one_plan_for_every_copy_number(self, monkeypatch):
+        calls = []
+        build_plan = protocol.build_plan
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build_plan(*args, **kwargs)
+
+        # both names, so a plan built inside the library is counted too
+        monkeypatch.setattr(cli, "build_plan", counting)
+        monkeypatch.setattr(protocol, "build_plan", counting)
+        scn = {"kind": "singleshot", "beta": 1.0,
+               "state": {"random": {"dim": 3, "seed": 4}},
+               "hamiltonian": {"random": {"dim": 3, "seed": 5}},
+               "eps": 0.05, "n_copies": [4, 8, 16]}
+        assert len(run_scenario_obj(scn)["results"]["points"]) == 3
+        assert len(calls) == 1
+
 
 class TestCorrelationsScenario:
     def test_purified_state(self):
@@ -591,6 +611,22 @@ class TestCorrelationsScenario:
         res = run_scenario_obj(scn)["results"]
         assert res["delta"] == pytest.approx(0.0, abs=1e-10)
         assert res["global_work"] == pytest.approx(res["system_work"], abs=1e-10)
+
+    def test_one_branch_contraction(self, monkeypatch):
+        # delta_correlation and verify_lemma1 share the branch sum
+        calls = []
+        einsum = np.einsum
+
+        def counting(subscripts, *operands, **kwargs):
+            calls.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        scn = {"kind": "correlations", "beta": 1.0,
+               "state_sa": {"purify": {"random": {"dim": 3, "seed": 6}}},
+               "hamiltonian": {"random": {"dim": 3, "seed": 7}}}
+        run_scenario_obj(scn)
+        assert calls.count("ik,iajb,jk->kab") == 1
 
 
 class TestMain:
@@ -676,6 +712,20 @@ class TestEnergyScale:
         assert len(err) == 1
         assert err[0].startswith("NonFiniteError: ")
         assert "first law" in err[0]
+
+    def test_protocol_at_the_entry_bound_runs(self, tmp_path, capsys):
+        # the plan's commutator products would overflow at H0's scale
+        scn = {"kind": "protocol", "beta": 1e-150,
+               "hamiltonian": {"matrix": [[[1e150, 0], [1e150, 1e150]],
+                                          [[1e150, -1e150], [-1e150, 0]]]},
+               "state": {"random": {"dim": 2, "seed": 3}}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", write(tmp_path, scn)]) == EXIT_OK
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["w_opt"] == pytest.approx(5.003e146, rel=1e-3)
+        assert results["exact"]["totals"]["work"] == pytest.approx(
+            results["w_opt"], rel=1e-9)
 
     def test_first_law_violation_is_physics_error(self, tmp_path, monkeypatch, capsys):
         from coherework.protocol import LedgerEntry, WorkLedger

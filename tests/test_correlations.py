@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import coherework.correlations as correlations
 from coherework.correlations import (
     BipartiteState,
     delta_correlation,
@@ -11,7 +12,7 @@ from coherework.correlations import (
     verify_lemma1,
 )
 from coherework.errors import DimMismatchError, RankError
-from coherework.linalg import hs_norm, kron
+from coherework.linalg import hs_norm, kron, shannon
 from coherework.projection import (
     ProjectorSet,
     energy_projectors,
@@ -165,6 +166,48 @@ class TestDeltaCorrelation:
                           - von_neumann_entropy(state.marginal_s))
             assert global_gain == pytest.approx(
                 local_gain + delta_correlation(state, p), abs=1e-10)
+
+
+def conditional_entropy_searched(state, p):
+    """The branch sum with numpy's path search on every call, as first written."""
+    phi = p.basis_vectors()
+    r = state.rho_sa.mat.reshape(state.dim_s, state.dim_a, state.dim_s, state.dim_a)
+    blocks = np.einsum("ik,iajb,jk->kab", phi.conj(), r, phi, optimize=True)
+    weights = np.einsum("kaa->k", blocks).real
+    spectra = np.maximum(
+        np.linalg.eigvalsh((blocks + blocks.conj().transpose(0, 2, 1)) / 2.0), 0.0)
+    total = 0.0
+    for pk, w in zip(weights.tolist(), spectra):
+        if pk > correlations._BRANCH_TOL:
+            total += pk * shannon(w / pk)
+    return total
+
+
+class TestConditionalEntropy:
+    @pytest.mark.parametrize("ds, da", [(1, 1), (1, 3), (2, 1), (2, 2), (2, 3),
+                                        (3, 2), (3, 3), (4, 4)])
+    def test_cached_path_matches_searched_path(self, ds, da):
+        rng = np.random.default_rng(10 * ds + da)
+        for _ in range(10):
+            state = random_bipartite_state(ds, da, rng)
+            p = random_projector_set(ds, rng)
+            got = correlations._conditional_entropy(state, p)
+            assert got.hex() == conditional_entropy_searched(state, p).hex()
+
+    def test_memo_answers_only_the_same_family(self):
+        rng = np.random.default_rng(103)
+        state = random_bipartite_state(2, 3, rng)
+        p, q = random_projector_set(2, rng), random_projector_set(2, rng)
+
+        def fresh(family):
+            return delta_correlation(BipartiteState(state.rho_sa, 2, 3), family)
+
+        values = [delta_correlation(state, f) for f in (p, q, p)]
+        assert values == [fresh(p), fresh(q), fresh(p)]
+        assert values[0] != values[1]
+        lemma = verify_lemma1(state, p)
+        assert lemma.rhs == correlations._conditional_entropy(
+            BipartiteState(state.rho_sa, 2, 3), p)
 
 
 class TestGlobalOptimalWork:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,34 @@ class TestPlanRejections:
         with pytest.raises(NonFiniteError,
                            match=r"matrix of shape \(2, 2\) has NaN or infinite entries"):
             build_plan(rho, h, Temperature(beta))
+
+
+class TestCommutatorAtEntryBound:
+    # an H0 with entries of 1e150: its products H_i H_j would reach 1e300
+    H0 = 1e150 * np.array([[1.0, 1.0 + 1.0j], [1.0 - 1.0j, -1.0]])
+
+    def test_commuting_plan_builds_without_overflow(self):
+        h = Hamiltonian(self.H0)
+        t = Temperature(beta=1e-150)
+        rho = random_density_matrix(2, np.random.default_rng(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            plan = build_plan(rho, h, t)
+            total = exact_step_works(plan).totals.work
+            w_opt = optimal_projection_work(rho, h, energy_projectors(h), t).work
+        assert math.isfinite(total)
+        assert total == pytest.approx(w_opt, rel=1e-9)
+
+    def test_non_commuting_h0_still_rejected(self):
+        rho = random_density_matrix(2, np.random.default_rng(3))
+        plan = build_plan(rho, Hamiltonian(self.H0), Temperature(beta=1e-150))
+        swap = Hamiltonian(1e150 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(StateValidationError,
+                               match="H0 and H1 do not share eigenprojectors "
+                                     r"\(relative commutator norm"):
+                dataclasses.replace(plan, h0=swap)
 
 
 class TestExactStepWorks:

@@ -14,6 +14,9 @@ from coherework.errors import (
     NonFiniteError,
     StateValidationError,
 )
+from coherework.linalg import thermal
+from coherework.protocol import build_plan
+from coherework.sampling import random_density_matrix, random_hamiltonian
 from coherework.singleshot import (
     Distribution,
     consistency_work,
@@ -27,6 +30,7 @@ from coherework.states import (
     DensityMatrix,
     Hamiltonian,
     Temperature,
+    average_energy,
     gibbs_state,
 )
 
@@ -288,28 +292,54 @@ def linear_cap_rate(p, q, eps, n):
     return hi / math.log(2) / n
 
 
+def consistency_work_composed(rho, h, t, eps, n_copies, purity_clamp):
+    """consistency_work as first written, building its own plan from (rho, H, T)."""
+    plan = build_plan(rho, h, t, purity_clamp=purity_clamp)
+    beta = t.beta
+    gibbs = Distribution.normalized(thermal(plan.e0, beta))
+    populations = Distribution.normalized(plan.populations)
+    target = Distribution.normalized(plan.target_populations)
+    w_a = average_energy(plan.rho0, h) - float(plan.populations @ plan.e0)
+    rate_min = iid_rate(populations, gibbs, eps, n_copies).rate_min
+    rate_max = iid_rate(target, gibbs, eps, n_copies).rate_max
+    return w_a + (singleshot.LN2 / beta) * (rate_min - rate_max)
+
+
 class TestConsistencyWork:
+    @pytest.mark.parametrize("clamp", [0.0, 1e-9, 1e-3])
+    def test_matches_composition_with_its_own_plan(self, clamp):
+        rng = np.random.default_rng(808)
+        for d in (2, 3, 4):
+            rho = random_density_matrix(d, rng)
+            h = random_hamiltonian(d, rng)
+            t = Temperature(beta=0.5 + d / 4)
+            plan = build_plan(rho, h, t, purity_clamp=clamp)
+            for eps in (0.0, 0.05):
+                for n in (1, 8, 32):
+                    got = consistency_work(plan, eps, n)
+                    ref = consistency_work_composed(rho, h, t, eps, n, clamp)
+                    assert got.hex() == ref.hex()
+
     def test_thermal_state_exact_at_zero_eps(self):
         h = Hamiltonian(np.diag([-1.0, 1.0]).astype(complex))
         t = Temperature(beta=1.0)
-        tau = gibbs_state(h, t)
+        plan = build_plan(gibbs_state(h, t), h, t)
         for n in (1, 8, 32):
-            assert consistency_work(tau, h, t, 0.0, n) == pytest.approx(
-                0.0, abs=1e-9)
+            assert consistency_work(plan, 0.0, n) == pytest.approx(0.0, abs=1e-9)
 
     def test_thermal_state_smoothing_residue_shrinks(self):
         h = Hamiltonian(np.diag([-1.0, 1.0]).astype(complex))
         t = Temperature(beta=1.0)
-        tau = gibbs_state(h, t)
+        plan = build_plan(gibbs_state(h, t), h, t)
         eps = 0.05
-        values = [consistency_work(tau, h, t, eps, n) for n in (8, 16, 32, 64)]
+        values = [consistency_work(plan, eps, n) for n in (8, 16, 32, 64)]
         # only the fractional-test gain ln(1/(1-eps)) / n survives
         for n, v in zip((8, 16, 32, 64), values):
             assert v == pytest.approx(-math.log(1 - eps) / n, abs=1e-9)
 
     def test_worked_qubit_error_shrinks(self, canonical_qubit):
-        rho, h, t = canonical_qubit
-        errors = [abs(consistency_work(rho, h, t, 0.05, n) - W_OPT_CANONICAL)
+        plan = build_plan(*canonical_qubit)
+        errors = [abs(consistency_work(plan, 0.05, n) - W_OPT_CANONICAL)
                   for n in (8, 16, 32)]
         assert errors[2] < errors[1] < errors[0]
 
@@ -319,7 +349,8 @@ class TestConsistencyWork:
         h = Hamiltonian(np.diag([-1.0, 1.0]).astype(complex))
         t = Temperature(beta=1.0)
         rho = DensityMatrix(np.diag([0.35, 0.65]))
-        values = [abs(consistency_work(rho, h, t, 0.05, n))
+        plan = build_plan(rho, h, t)
+        values = [abs(consistency_work(plan, 0.05, n))
                   for n in (8, 16, 32, 64)]
         assert values[0] > values[1] > values[2] > values[3]
 
@@ -334,7 +365,7 @@ class TestConsistencyWork:
         w_a = -0.3 - (-0.6)  # tr[rho H] - tr[rho_1 H]
         expected = w_a + math.log(2) * (d_min_eps(populations, g, 0.0)
                                         - d_max_eps(target, g, 0.0))
-        assert consistency_work(rho, h, t, 0.0, 1) == pytest.approx(
+        assert consistency_work(build_plan(rho, h, t), 0.0, 1) == pytest.approx(
             expected, abs=1e-9)
 
 

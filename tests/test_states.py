@@ -275,7 +275,38 @@ class TestPartialTrace:
             partial_trace(rho, (2, 4), 0)
 
 
+def purify_by_kron(rho):
+    """purify summing one np.kron term per eigenpair, as it was first written."""
+    w = rho.spectrum()
+    v = rho.eigenvectors
+    d = rho.dim
+    psi = np.zeros(d * d, dtype=complex)
+    for l in range(d):
+        if w[l] > 0.0:
+            psi += math.sqrt(w[l]) * np.kron(v[:, l], np.eye(d)[:, l])
+    psi /= np.linalg.norm(psi)
+    return DensityMatrix(np.outer(psi, psi.conj()))
+
+
+def state_of_rank(d, rank, rng):
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
 class TestPurify:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_kron_loop_byte_for_byte(self, d):
+        # full rank and every deficient rank, where zero weights give -0.0
+        rng = np.random.default_rng(100 + d)
+        for rank in range(1, d + 1):
+            for _ in range(3):
+                rho = state_of_rank(d, rank, rng)
+                got, ref = purify(rho), purify_by_kron(rho)
+                assert got.mat.tobytes() == ref.mat.tobytes()
+                assert got._eigenvalues.tobytes() == ref._eigenvalues.tobytes()
+                assert got.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+
     def test_pure_input_gives_product(self):
         psi = np.array([1.0, 1.0]) / math.sqrt(2)
         rho = DensityMatrix(np.outer(psi, psi))
@@ -388,6 +419,19 @@ class TestHamiltonian:
         h = Hamiltonian(np.diag([2.0, 2.0 + 1e-12, 5.0]).astype(complex))
         assert len(energy_projectors(h)) == 2
         np.testing.assert_array_equal(h.degeneracies, [2, 1])
+
+    @pytest.mark.parametrize("diag", [
+        [-1.0, 1.0], [0.3, -2.5, 7.0, 1e-3], [0.0, -0.0, 4.0],
+        [2.0, 2.0 + 1e-12, 5.0], [0.0, 1.0, 1.0, 2.0], [1.0] * 4,
+        [-3.0, -3.0 + 1e-11, 0.5, 0.5 - 1e-12, 0.5 + 1e-12, 9.0],
+    ])
+    def test_energies_match_mean_of_every_level(self, diag):
+        # a one-eigenvalue level skips np.mean, which cannot move its value
+        u = random_unitary(len(diag), np.random.default_rng(len(diag)))
+        for h in (Hamiltonian(np.diag(diag).astype(complex)),
+                  Hamiltonian((u * np.array(diag)) @ u.conj().T)):
+            ref = np.array([float(np.mean(h.eigenvalues[idx])) for idx in h.clusters])
+            assert h.energies.tobytes() == ref.tobytes()
 
 
 class TestOneHermitianValidator:
