@@ -119,6 +119,15 @@ def _forms(**forms) -> list:
             for k, s in forms.items()]
 
 
+def _kind(name: str, required, **props) -> dict:
+    """The schema of scenario kind ``name``: ``kind``, then ``required`` in
+    order, must be present, and no field beyond ``props``. ``validate_schema``
+    reports the first failure in the order of ``required`` and ``props``."""
+    return {"type": "object", "required": ["kind", *required],
+            "properties": {"kind": {"type": "string", "enum": [name]}, **props},
+            "additionalProperties": False}
+
+
 _STATE_SCHEMA = {
     "type": "object",
     "oneOf": _forms(
@@ -153,100 +162,52 @@ _PROJECTORS_SCHEMA = {
 
 _BETA_SCHEMA = {"type": "number", "exclusiveMinimum": 0}
 
+# the fields the project, protocol and singleshot kinds share, in this order
+_SYSTEM = {"beta": _BETA_SCHEMA, "state": _STATE_SCHEMA, "hamiltonian": _HAMILTONIAN_SCHEMA}
+_PURITY_CLAMP = {"type": "number", "minimum": 0, "maximum": MAX_PURITY_CLAMP}
+
 KIND_SCHEMAS = {
-    "project": {
-        "type": "object",
-        "required": ["kind", "beta", "state", "hamiltonian"],
-        "properties": {
-            "kind": {"type": "string", "enum": ["project"]},
-            "beta": _BETA_SCHEMA,
-            "state": _STATE_SCHEMA,
-            "hamiltonian": _HAMILTONIAN_SCHEMA,
-            "projectors": _PROJECTORS_SCHEMA,
+    "project": _kind("project", _SYSTEM, **_SYSTEM, projectors=_PROJECTORS_SCHEMA),
+    "protocol": _kind(
+        "protocol", _SYSTEM, **_SYSTEM,
+        steps={"type": "array", "items": {"type": "integer", "minimum": 1, "maximum": MAX_STEPS},
+               "minItems": 1},
+        purity_clamp=_PURITY_CLAMP),
+    "bound_scan": _kind("bound_scan", ["a", "thetas"],
+                        a={"type": "number", "minimum": 0, "maximum": 1},
+                        thetas={"type": "array", "items": _NUMBER, "minItems": 1}),
+    "jarzynski": _kind(
+        "jarzynski", ["beta", "hamiltonian", "unitary"],
+        beta=_BETA_SCHEMA, hamiltonian=_HAMILTONIAN_SCHEMA, hamiltonian_final=_HAMILTONIAN_SCHEMA,
+        unitary=_UNITARY_SCHEMA,
+        n_samples={"type": "integer", "minimum": 1, "maximum": MAX_SAMPLES},
+        seed={"type": "integer", "minimum": 0}),
+    "singleshot": _kind(
+        "singleshot", [*_SYSTEM, "eps", "n_copies"], **_SYSTEM,
+        eps={"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+        n_copies={"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
+        purity_clamp=_PURITY_CLAMP),
+    "correlations": _kind(
+        "correlations", ["beta", "state_sa", "hamiltonian"],
+        beta=_BETA_SCHEMA,
+        state_sa={
+            "type": "object",
+            "oneOf": [
+                {"required": ["matrix", "dims"],
+                 "properties": {"matrix": _MATRIX,
+                                "dims": {"type": "array",
+                                         "items": {"type": "integer", "minimum": 1},
+                                         "minItems": 2, "maxItems": 2}},
+                 "additionalProperties": False},
+                *_forms(purify=_STATE_SCHEMA,
+                        product={"type": "object", "required": ["system", "ancilla"],
+                                 "properties": {"system": _STATE_SCHEMA,
+                                                "ancilla": _STATE_SCHEMA},
+                                 "additionalProperties": False}),
+            ],
         },
-        "additionalProperties": False,
-    },
-    "protocol": {
-        "type": "object",
-        "required": ["kind", "beta", "state", "hamiltonian"],
-        "properties": {
-            "kind": {"type": "string", "enum": ["protocol"]},
-            "beta": _BETA_SCHEMA,
-            "state": _STATE_SCHEMA,
-            "hamiltonian": _HAMILTONIAN_SCHEMA,
-            "steps": {"type": "array",
-                      "items": {"type": "integer", "minimum": 1, "maximum": MAX_STEPS},
-                      "minItems": 1},
-            "purity_clamp": {"type": "number", "minimum": 0, "maximum": MAX_PURITY_CLAMP},
-        },
-        "additionalProperties": False,
-    },
-    "bound_scan": {
-        "type": "object",
-        "required": ["kind", "a", "thetas"],
-        "properties": {
-            "kind": {"type": "string", "enum": ["bound_scan"]},
-            "a": {"type": "number", "minimum": 0, "maximum": 1},
-            "thetas": {"type": "array", "items": _NUMBER, "minItems": 1},
-        },
-        "additionalProperties": False,
-    },
-    "jarzynski": {
-        "type": "object",
-        "required": ["kind", "beta", "hamiltonian", "unitary"],
-        "properties": {
-            "kind": {"type": "string", "enum": ["jarzynski"]},
-            "beta": _BETA_SCHEMA,
-            "hamiltonian": _HAMILTONIAN_SCHEMA,
-            "hamiltonian_final": _HAMILTONIAN_SCHEMA,
-            "unitary": _UNITARY_SCHEMA,
-            "n_samples": {"type": "integer", "minimum": 1, "maximum": MAX_SAMPLES},
-            "seed": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "singleshot": {
-        "type": "object",
-        "required": ["kind", "beta", "state", "hamiltonian", "eps", "n_copies"],
-        "properties": {
-            "kind": {"type": "string", "enum": ["singleshot"]},
-            "beta": _BETA_SCHEMA,
-            "state": _STATE_SCHEMA,
-            "hamiltonian": _HAMILTONIAN_SCHEMA,
-            "eps": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-            "n_copies": {"type": "array", "items": {"type": "integer", "minimum": 1},
-                         "minItems": 1},
-            "purity_clamp": {"type": "number", "minimum": 0, "maximum": MAX_PURITY_CLAMP},
-        },
-        "additionalProperties": False,
-    },
-    "correlations": {
-        "type": "object",
-        "required": ["kind", "beta", "state_sa", "hamiltonian"],
-        "properties": {
-            "kind": {"type": "string", "enum": ["correlations"]},
-            "beta": _BETA_SCHEMA,
-            "state_sa": {
-                "type": "object",
-                "oneOf": [
-                    {"required": ["matrix", "dims"],
-                     "properties": {"matrix": _MATRIX,
-                                    "dims": {"type": "array",
-                                             "items": {"type": "integer", "minimum": 1},
-                                             "minItems": 2, "maxItems": 2}},
-                     "additionalProperties": False},
-                    *_forms(purify=_STATE_SCHEMA,
-                            product={"type": "object", "required": ["system", "ancilla"],
-                                     "properties": {"system": _STATE_SCHEMA,
-                                                    "ancilla": _STATE_SCHEMA},
-                                     "additionalProperties": False}),
-                ],
-            },
-            "hamiltonian": _HAMILTONIAN_SCHEMA,
-            "projectors": _PROJECTORS_SCHEMA,
-        },
-        "additionalProperties": False,
-    },
+        hamiltonian=_HAMILTONIAN_SCHEMA,
+        projectors=_PROJECTORS_SCHEMA),
 }
 
 SCENARIO_SCHEMA = {
@@ -553,13 +514,13 @@ def dumps_stable(obj) -> str:
 
 
 def _complex_matrix(node, path: str) -> np.ndarray:
+    """The complex matrix of a schema-valid list of rows of ``[re, im]`` pairs."""
     width = len(node[0])
-    rows = []
     for i, row in enumerate(node):
         if len(row) != width:
             raise ScenarioError(f"{path}[{i}]: ragged matrix row (expected {width} entries)")
-        rows.append([complex(ent[0], ent[1]) for ent in row])
-    return np.array(rows, dtype=complex)
+    # each [re, im] pair of doubles is one complex128 in memory
+    return np.array(node, dtype=float).view(complex)[..., 0]
 
 
 def _seeded_rng(node, path, ctx) -> np.random.Generator:
@@ -574,7 +535,7 @@ def _build_state(node, path, ctx, h: Hamiltonian | None, t: Temperature | None) 
         return DensityMatrix(_complex_matrix(node["matrix"], f"{path}.matrix"))
     if "pure" in node:
         # a 1 x d matrix, so as_matrix bounds the entries before the norm
-        vec = as_matrix([[complex(e[0], e[1]) for e in node["pure"]]])[0]
+        vec = as_matrix(_complex_matrix([node["pure"]], f"{path}.pure"))[0]
         norm = np.linalg.norm(vec)
         if norm <= 0.0:
             raise StateValidationError("pure state vector has zero norm")
@@ -593,7 +554,7 @@ def _build_hamiltonian(node, path, ctx) -> Hamiltonian:
     if "matrix" in node:
         return Hamiltonian(_complex_matrix(node["matrix"], f"{path}.matrix"))
     if "diag" in node:
-        return Hamiltonian(np.diag([float(x) for x in node["diag"]]).astype(complex))
+        return Hamiltonian(np.diag(np.array(node["diag"], dtype=float)).astype(complex))
     return random_hamiltonian(int(node["random"]["dim"]), _seeded_rng(node, path, ctx))
 
 
@@ -603,7 +564,7 @@ def _build_unitary(node, path, ctx) -> np.ndarray:
     return random_unitary(int(node["random"]["dim"]), _seeded_rng(node, path, ctx))
 
 
-def _build_projectors(node, path, ctx, h: Hamiltonian) -> ProjectorSet:
+def _build_projectors(node, path, h: Hamiltonian) -> ProjectorSet:
     if node == "energy" or node is None:
         return energy_projectors(h)
     return ProjectorSet.from_basis(_complex_matrix(node["basis"], f"{path}.basis"))
@@ -623,7 +584,7 @@ def _run_project(scn, ctx):
     t = Temperature(beta=float(scn["beta"]))
     h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", ctx)
     rho = _build_state(scn["state"], "$.state", ctx, h, t)
-    p = _build_projectors(scn.get("projectors"), "$.projectors", ctx, h)
+    p = _build_projectors(scn.get("projectors"), "$.projectors", h)
     rep = optimal_projection_work(rho, h, p, t)
     bound = entropy_change_bound(rho, p) if p.is_rank_one else None
     return {**vars(rep), "entropy_change_bound": bound}, []
@@ -755,7 +716,7 @@ def _run_correlations(scn, ctx):
     t = Temperature(beta=float(scn["beta"]))
     h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", ctx)
     state = _build_bipartite(scn["state_sa"], "$.state_sa", ctx, h, t)
-    p = _build_projectors(scn.get("projectors"), "$.projectors", ctx, h)
+    p = _build_projectors(scn.get("projectors"), "$.projectors", h)
     delta = delta_correlation(state, p)
     system = optimal_projection_work(state.marginal_s, h, p, t)
     joint = global_optimal_work(state, h, p, t)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatchError
-from .linalg import kron, shannon
+from .linalg import kron, require_same_dim, shannon
 from .projection import ProjectorSet, WorkReport, project
 from .states import (
     DensityMatrix,
@@ -66,11 +66,7 @@ def _lift(p: ProjectorSet, dim_a: int) -> ProjectorSet:
 
 def local_project(state: BipartiteState, p: ProjectorSet) -> BipartiteState:
     """Apply sum_k (P_k (x) 1) rho (P_k (x) 1); the A marginal is unchanged."""
-    if p.dim != state.dim_s:
-        raise DimMismatchError(
-            f"local_project: projector dimension {p.dim} != system dimension "
-            f"{state.dim_s}"
-        )
+    require_same_dim("local_project", system=state.dim_s, projectors=p.dim)
     p.require_rank_one()
     eta = project(state.rho_sa, _lift(p, state.dim_a))
     return BipartiteState(rho_sa=eta, dim_s=state.dim_s, dim_a=state.dim_a)
@@ -116,11 +112,7 @@ def delta_correlation(state: BipartiteState, p: ProjectorSet) -> float:
     are skipped (their contribution vanishes in the limit). No minimisation
     over bases is performed.
     """
-    if p.dim != state.dim_s:
-        raise DimMismatchError(
-            f"delta_correlation: projector dimension {p.dim} != system "
-            f"dimension {state.dim_s}"
-        )
+    require_same_dim("delta_correlation", system=state.dim_s, projectors=p.dim)
     return (von_neumann_entropy(state.marginal_s)
             - von_neumann_entropy(state.rho_sa) + _conditional_entropy(state, p))
 
@@ -134,11 +126,7 @@ def global_optimal_work(state: BipartiteState, h_s: Hamiltonian, p: ProjectorSet
     additive Hamiltonian cannot move since its marginal is fixed). Exceeds
     the system-only work by exactly delta(A:S) / beta.
     """
-    if h_s.dim != state.dim_s:
-        raise DimMismatchError(
-            f"global_optimal_work: Hamiltonian dimension {h_s.dim} != system "
-            f"dimension {state.dim_s}"
-        )
+    require_same_dim("global_optimal_work", system=state.dim_s, H=h_s.dim)
     eta = local_project(state, p)
     d_s = von_neumann_entropy(eta.rho_sa) - von_neumann_entropy(state.rho_sa)
     d_u = (average_energy(eta.marginal_s, h_s)
@@ -156,11 +144,7 @@ class Lemma1Result(NamedTuple):
 
 def verify_lemma1(state: BipartiteState, p: ProjectorSet) -> Lemma1Result:
     """Check S(rho_SA) >= sum_k p_k S(eta_A_k) for rank-1 projectors on S."""
-    if p.dim != state.dim_s:
-        raise DimMismatchError(
-            f"verify_lemma1: projector dimension {p.dim} != system dimension "
-            f"{state.dim_s}"
-        )
+    require_same_dim("verify_lemma1", system=state.dim_s, projectors=p.dim)
     lhs = von_neumann_entropy(state.rho_sa)
     rhs = _conditional_entropy(state, p)
     return Lemma1Result(lhs=lhs, rhs=rhs, holds=lhs >= rhs - 1e-10)

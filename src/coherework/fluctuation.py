@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, NonFiniteError, NotUnitaryError, StateValidationError
-from .linalg import as_matrix, is_unitary, log_partition, thermal
+from .errors import NonFiniteError, NotUnitaryError, StateValidationError
+from .linalg import as_matrix, is_unitary, log_partition, require_same_dim, thermal
 from .projection import energy_projectors, project
 from .states import (
     DensityMatrix,
@@ -55,17 +55,9 @@ class TransitionTable:
         if not (all(np.isfinite(a).all() for a in (probs, e0, etau, g0))
                 and math.isfinite(self.beta)):
             raise NonFiniteError("TransitionTable: NaN or infinite entry or beta")
-        if probs.shape != (etau.size, e0.size):
-            raise DimMismatchError(
-                f"TransitionTable: probs shape {probs.shape} != "
-                f"({etau.size}, {e0.size})"
-            )
+        require_same_dim("TransitionTable", probs=probs.shape, levels=(etau.size, e0.size))
         log_probs = np.asarray(self.log_probs, dtype=float)
-        if log_probs.shape != probs.shape:
-            raise DimMismatchError(
-                f"TransitionTable: log_probs shape {log_probs.shape} != "
-                f"probs shape {probs.shape}"
-            )
+        require_same_dim("TransitionTable", log_probs=log_probs.shape, probs=probs.shape)
         if not np.abs(np.exp(log_probs) - probs).max() <= 1e-12:
             raise StateValidationError(
                 "TransitionTable: log_probs disagree with probs"
@@ -110,11 +102,7 @@ def transition_table(h0: Hamiltonian, htau: Hamiltonian, v,
     nonnegativity is exact.
     """
     vm = as_matrix(v)
-    if h0.dim != htau.dim or vm.shape != (h0.dim, h0.dim):
-        raise DimMismatchError(
-            f"transition_table: dimensions differ "
-            f"(H0 {h0.dim}, Htau {htau.dim}, V {vm.shape})"
-        )
+    require_same_dim("transition_table", H0=h0.mat.shape, Htau=htau.mat.shape, V=vm.shape)
     if not is_unitary(vm):
         raise NotUnitaryError("transition_table: V is not unitary")
     beta = t.beta
@@ -161,11 +149,7 @@ def projection_heat(rho_tau: DensityMatrix, htau: Hamiltonian,
     top of the unitary work. Zero exactly when rho_tau commutes with htau; a
     plain decohering implementation realises zero instead.
     """
-    if rho_tau.dim != htau.dim:
-        raise DimMismatchError(
-            f"projection_heat: state dimension {rho_tau.dim} != "
-            f"Hamiltonian dimension {htau.dim}"
-        )
+    require_same_dim("projection_heat", state=rho_tau.dim, H=htau.dim)
     eta = project(rho_tau, energy_projectors(htau))
     return (von_neumann_entropy(eta) - von_neumann_entropy(rho_tau)) / t.beta
 

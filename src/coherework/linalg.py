@@ -11,14 +11,14 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteError, NonHermitianError, NonSquareError
+from .errors import DimMismatchError, NonFiniteError, NonHermitianError, NonSquareError
 
 # relative Hermiticity and unitarity tolerance of every check (DensityMatrix
 # also holds its trace to it); reports record it in provenance.tolerances
 DEFAULT_TOL = 1e-10
 
-# eigenvalues closer than this, relative to the largest |eigenvalue| (at
-# least 1), are treated as one degenerate cluster
+# eigenvalues closer than this, relative to the spread of the spectrum, are
+# treated as one degenerate cluster
 CLUSTER_GAP = 1e-8
 
 # the largest real or imaginary part a matrix entry may have: up to d = 64,
@@ -81,6 +81,14 @@ def log_partition(e, beta: float, g=None) -> float:
     return float(m + math.log(w.sum()))
 
 
+def require_same_dim(what: str, **dims):
+    """Raise ``DimMismatchError`` unless every ``name=dimension`` in ``dims``
+    (ints, or shape tuples) is equal; the message names ``what`` and each one."""
+    if len(set(dims.values())) > 1:
+        listed = ", ".join(f"{name} {dim}" for name, dim in dims.items())
+        raise DimMismatchError(f"{what}: dimensions differ ({listed})")
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product; output dimensions are the products of the inputs'."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -130,13 +138,17 @@ def eigenvalue_clusters(values: np.ndarray) -> list[np.ndarray]:
     """Group an ascending eigenvalue array into degenerate clusters.
 
     A new cluster starts whenever the jump to the next eigenvalue exceeds
-    ``CLUSTER_GAP * max(1, max|values|)``, so the grouping does not change
-    with the units of the spectrum. Returns index arrays into ``values``.
+    ``CLUSTER_GAP * (max(values) - min(values))``, so the grouping changes
+    neither with the units of the spectrum nor with its zero. Jumps within
+    ``64 * d * eps * max|values|`` (``eps`` the double's machine epsilon) are
+    ``eigh`` rounding and never split a level. Returns index arrays into
+    ``values``.
     """
     w = np.asarray(values).tolist()
     if not w:
         return []
-    tol = CLUSTER_GAP * max(1.0, abs(w[0]), abs(w[-1]))
+    tol = max(CLUSTER_GAP * (w[-1] - w[0]),
+              64 * len(w) * np.finfo(float).eps * max(abs(w[0]), abs(w[-1])))
     clusters = []
     start = 0
     for i in range(1, len(w)):

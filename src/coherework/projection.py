@@ -15,14 +15,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    EnergyOutOfRangeError,
-    NotUnitaryError,
-    RankError,
-    StateValidationError,
-)
-from .linalg import as_matrix, hs_norm, is_unitary, log_partition, thermal
+from .errors import EnergyOutOfRangeError, NotUnitaryError, RankError, StateValidationError
+from .linalg import as_matrix, hs_norm, is_unitary, log_partition, require_same_dim, thermal
 from .states import (
     DensityMatrix,
     Hamiltonian,
@@ -133,10 +127,7 @@ def project(rho: DensityMatrix, p: ProjectorSet) -> DensityMatrix:
     Computed in the family's basis as U (M o U^dag rho U) U^dag, where M is
     the same-cluster mask and o the entrywise product.
     """
-    if rho.dim != p.dim:
-        raise DimMismatchError(
-            f"project: state dimension {rho.dim} != projector dimension {p.dim}"
-        )
+    require_same_dim("project", state=rho.dim, projectors=p.dim)
     u = p.basis
     return DensityMatrix(u @ (p.mask * (u.conj().T @ rho.mat @ u)) @ u.conj().T)
 
@@ -150,11 +141,7 @@ def optimal_projection_work(rho: DensityMatrix, h: Hamiltonian, p: ProjectorSet,
     heat at dS / beta. When the projectors are the eigenprojectors of ``h``
     the energy term vanishes and W reduces to T dS.
     """
-    if rho.dim != h.dim or rho.dim != p.dim:
-        raise DimMismatchError(
-            f"optimal_projection_work: dimensions differ "
-            f"(state {rho.dim}, H {h.dim}, projectors {p.dim})"
-        )
+    require_same_dim("optimal_projection_work", state=rho.dim, H=h.dim, projectors=p.dim)
     eta = project(rho, p)
     d_s = von_neumann_entropy(eta) - von_neumann_entropy(rho)
     d_u = average_energy(eta, h) - average_energy(rho, h)
@@ -170,10 +157,7 @@ def overlap_matrix(rho: DensityMatrix, p: ProjectorSet) -> np.ndarray:
     deterministic ascending-eigenvalue order. For a
     degenerate rho the bound below depends on this basis choice.
     """
-    if rho.dim != p.dim:
-        raise DimMismatchError(
-            f"overlap_matrix: state dimension {rho.dim} != projector dimension {p.dim}"
-        )
+    require_same_dim("overlap_matrix", state=rho.dim, projectors=p.dim)
     phi = p.basis_vectors()
     return np.abs(phi.conj().T @ rho.eigenvectors) ** 2
 

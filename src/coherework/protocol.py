@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ClampRequiredError, NotUnitaryError, StateValidationError
-from .linalg import as_matrix, hs_norm, is_unitary, shannon, thermal
+from .linalg import as_matrix, hs_norm, is_unitary, require_same_dim, shannon, thermal
 from .states import (
     DensityMatrix,
     Hamiltonian,
@@ -172,10 +172,7 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
         raise ValueError(
             f"purity_clamp must lie in [0, {MAX_PURITY_CLAMP:g}], got {purity_clamp!r}"
         )
-    if rho.dim != h.dim:
-        raise StateValidationError(
-            f"build_plan: state dimension {rho.dim} != Hamiltonian dimension {h.dim}"
-        )
+    require_same_dim("build_plan", state=rho.dim, H=h.dim)
     d = rho.dim
     beta = t.beta
 

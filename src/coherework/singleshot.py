@@ -22,14 +22,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    AlphabetTooLargeError,
-    DimMismatchError,
-    NonFiniteError,
-    StateValidationError,
-    SupportError,
-)
-from .linalg import log_partition, thermal
+from .errors import AlphabetTooLargeError, NonFiniteError, StateValidationError, SupportError
+from .linalg import log_partition, require_same_dim, thermal
 from .protocol import ProtocolPlan
 from .states import average_energy
 
@@ -85,10 +79,7 @@ class RatePair(NamedTuple):
 
 
 def _check_pair(p: Distribution, q: Distribution):
-    if len(p) != len(q):
-        raise DimMismatchError(
-            f"distributions have different sizes ({len(p)} vs {len(q)})"
-        )
+    require_same_dim("distributions", p=len(p), q=len(q))
     if q.probs.min() <= 0.0:
         raise SupportError("q must have full support (it plays the thermal state)")
 

@@ -21,7 +21,8 @@ from .errors import (
     NonSquareError,
     StateValidationError,
 )
-from .linalg import DEFAULT_TOL, eigenvalue_clusters, hermitian_part, shannon, thermal
+from .linalg import (DEFAULT_TOL, eigenvalue_clusters, hermitian_part, require_same_dim,
+                     shannon, thermal)
 
 # eigenvalues in [EIGENVALUE_FLOOR, 0) are numerical noise and clamp to 0;
 # anything below the floor is a genuine validation failure
@@ -94,12 +95,14 @@ class Hamiltonian:
     """Hermitian observable with cached spectral data and energy levels.
 
     :attr:`eigenvalues` (ascending) and :attr:`eigenvectors` (columns) come
-    from one ``eigh``. Eigenvalues closer than ``CLUSTER_GAP * max(1, max|E|)``
-    are merged into one degenerate level, so the levels do not depend on the
-    energy unit: :attr:`clusters` holds the eigenvector column indices of each
-    level in ascending energy order, and :attr:`energies` the mean eigenvalue
-    of each cluster. Downstream code depends only on the spanned eigenspaces,
-    never on the basis chosen inside a degenerate cluster.
+    from one ``eigh``. Eigenvalues closer than ``CLUSTER_GAP`` times the spread
+    of the spectrum merge into one degenerate level (see
+    :func:`~coherework.linalg.eigenvalue_clusters`), so the levels depend
+    neither on the energy unit nor on the energy zero: :attr:`clusters` holds
+    the eigenvector column indices of each level in ascending energy order,
+    and :attr:`energies` the mean eigenvalue of each cluster. Downstream code
+    depends only on the spanned eigenspaces, never on the basis chosen inside
+    a degenerate cluster.
     """
 
     __slots__ = ("mat", "dim", "eigenvalues", "eigenvectors", "clusters", "energies")
@@ -145,13 +148,6 @@ def bloch_qubit(a: float, theta: float) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def _check_dims(rho: DensityMatrix, h: Hamiltonian):
-    if rho.dim != h.dim:
-        raise DimMismatchError(
-            f"state dimension {rho.dim} != Hamiltonian dimension {h.dim}"
-        )
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -tr[rho ln rho] in nats, with 0 ln 0 = 0.
 
@@ -172,7 +168,7 @@ def gibbs_state(h: Hamiltonian, t: Temperature) -> DensityMatrix:
 
 def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     """U = tr[rho H]."""
-    _check_dims(rho, h)
+    require_same_dim("average_energy", state=rho.dim, H=h.dim)
     val = complex(np.trace(rho.mat @ h.mat))
     # rounding leaves an imaginary part proportional to the energy scale
     if abs(val.imag) > 1e-10 * max(1.0, -h.energies[0], h.energies[-1]):
@@ -246,10 +242,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     (sigma-eigenvalues below 1e-12 count as outside; weight above 1e-10 on
     them triggers the sentinel).
     """
-    if rho.dim != sigma.dim:
-        raise DimMismatchError(
-            f"relative_entropy: dimensions differ ({rho.dim} vs {sigma.dim})"
-        )
+    require_same_dim("relative_entropy", rho=rho.dim, sigma=sigma.dim)
     p = rho.spectrum()
     q = sigma.spectrum()
     overlap = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2

@@ -215,6 +215,17 @@ class TestEigenvalueClusters:
         small = eigenvalue_clusters(np.array([-1.0, 0.0, 1e-6]))
         assert [list(c) for c in small] == [[0], [1], [2]]
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e9])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    def test_grouping_is_invariant_under_unit_and_zero(self, scale, offset):
+        w = np.array([0.0, 1.0, 1.0 + 1e-12, 2.0]) * scale + offset * scale
+        assert [c.tolist() for c in eigenvalue_clusters(w)] == [[0], [1, 2], [3]]
+
+    def test_rounding_never_splits_a_level(self):
+        # one level at a large offset: its eigenvalues differ by a few ulps only
+        w = np.array([1e6, 1e6 + 2 * math.ulp(1e6), 1e6 + 4 * math.ulp(1e6)])
+        assert [c.tolist() for c in eigenvalue_clusters(w)] == [[0, 1, 2]]
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 8))

@@ -1,0 +1,251 @@
+"""One definition per input rule: the scenario-kind schemas, the ``[re, im]``
+parser, the dimension check, and the energy-level rule they feed."""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from coherework.cli import EXIT_OK, EXIT_PHYSICS, EXIT_SCHEMA, ScenarioError, _complex_matrix, main
+from coherework.errors import DimMismatchError
+from coherework.linalg import require_same_dim
+
+PINNED = Path(__file__).parent / "golden" / "pinned"
+
+BLOCH = {"bloch": {"a": 0.8, "theta": 1.0}}
+# the projection work of BLOCH in the energy basis at beta = 1: T dS
+BLOCH_WORK = 0.13923656157578923
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run(tmp_path, scn):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scn))
+    return _main(["run", str(path)])
+
+
+def test_schema_bytes_are_pinned():
+    code, out, _ = _main(["schema"])
+    assert code == EXIT_OK
+    assert out.encode() == (PINNED / "schema.json").read_bytes()
+
+
+# per kind: a wrong value for every field, and a right one
+_FIELDS = {
+    "beta": (-1.0, 1.0),
+    "state": ("x", BLOCH),
+    "hamiltonian": ([], {"diag": [0.0, 1.0]}),
+    "projectors": (5, "energy"),
+    "steps": ([0], [10]),
+    "purity_clamp": (1.0, 1e-6),
+    "a": (2.0, 0.5),
+    "thetas": ([], [0.0]),
+    "hamiltonian_final": (1, {"diag": [0.0, 2.0]}),
+    "unitary": ({}, {"random": {"dim": 2, "seed": 0}}),
+    "n_samples": (0, 10),
+    "seed": (-1, 0),
+    "eps": (1.0, 0.1),
+    "n_copies": ([0], [2]),
+    "state_sa": ({}, {"purify": BLOCH}),
+}
+_REQUIRED = {
+    "project": ["beta", "state", "hamiltonian"],
+    "protocol": ["beta", "state", "hamiltonian"],
+    "bound_scan": ["a", "thetas"],
+    "jarzynski": ["beta", "hamiltonian", "unitary"],
+    "singleshot": ["beta", "state", "hamiltonian", "eps", "n_copies"],
+    "correlations": ["beta", "state_sa", "hamiltonian"],
+}
+_OPTIONAL = {
+    "project": ["projectors"],
+    "protocol": ["steps", "purity_clamp"],
+    "bound_scan": [],
+    "jarzynski": ["hamiltonian_final", "n_samples", "seed"],
+    "singleshot": ["purity_clamp"],
+    "correlations": ["projectors"],
+}
+
+# recorded before the kind schemas were built by one helper: the required
+# fields are reported missing in this order, then the wrong values in this one
+_ERRORS = {
+    "project": [
+        "$.beta: required field missing",
+        "$.state: required field missing",
+        "$.hamiltonian: required field missing",
+        "$.beta: must be > 0, got -1.0",
+        "$.state: expected object, got str",
+        "$.hamiltonian: expected object, got list",
+        "$.projectors: no schema alternative matched (closest errors: $.projectors: "
+        "expected string, got int | $.projectors: expected object, got int)",
+    ],
+    "protocol": [
+        "$.beta: required field missing",
+        "$.state: required field missing",
+        "$.hamiltonian: required field missing",
+        "$.beta: must be > 0, got -1.0",
+        "$.state: expected object, got str",
+        "$.hamiltonian: expected object, got list",
+        "$.steps[0]: must be >= 1, got 0",
+        "$.purity_clamp: must be <= 0.001, got 1.0",
+    ],
+    "bound_scan": [
+        "$.a: required field missing",
+        "$.thetas: required field missing",
+        "$.a: must be <= 1, got 2.0",
+        "$.thetas: needs at least 1 items, got 0",
+    ],
+    "jarzynski": [
+        "$.beta: required field missing",
+        "$.hamiltonian: required field missing",
+        "$.unitary: required field missing",
+        "$.beta: must be > 0, got -1.0",
+        "$.hamiltonian: expected object, got list",
+        "$.hamiltonian_final: expected object, got int",
+        "$.unitary: no schema alternative matched (closest errors: $.unitary.matrix: "
+        "required field missing | $.unitary.random: required field missing)",
+        "$.n_samples: must be >= 1, got 0",
+        "$.seed: must be >= 0, got -1",
+    ],
+    "singleshot": [
+        "$.beta: required field missing",
+        "$.state: required field missing",
+        "$.hamiltonian: required field missing",
+        "$.eps: required field missing",
+        "$.n_copies: required field missing",
+        "$.beta: must be > 0, got -1.0",
+        "$.state: expected object, got str",
+        "$.hamiltonian: expected object, got list",
+        "$.eps: must be < 1, got 1.0",
+        "$.n_copies[0]: must be >= 1, got 0",
+        "$.purity_clamp: must be <= 0.001, got 1.0",
+    ],
+    "correlations": [
+        "$.beta: required field missing",
+        "$.state_sa: required field missing",
+        "$.hamiltonian: required field missing",
+        "$.beta: must be > 0, got -1.0",
+        "$.state_sa: no schema alternative matched (closest errors: $.state_sa.matrix: "
+        "required field missing | $.state_sa.purify: required field missing | "
+        "$.state_sa.product: required field missing)",
+        "$.hamiltonian: expected object, got list",
+        "$.projectors: no schema alternative matched (closest errors: $.projectors: "
+        "expected string, got int | $.projectors: expected object, got int)",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ERRORS))
+def test_each_kind_reports_its_fields_in_order(kind, tmp_path):
+    # start with every optional field wrong and every required one missing;
+    # add each field reported missing (wrong), then mend each reported one
+    scn = {"kind": kind, **{f: _FIELDS[f][0] for f in _OPTIONAL[kind]}}
+    seen = []
+    while True:
+        code, _, err = _run(tmp_path, scn)
+        if code != EXIT_SCHEMA:
+            break
+        assert err.startswith("schema violation: ") and err.endswith("\n")
+        message = err[len("schema violation: "):-1]
+        seen.append(message)
+        field = message[2:].split(":")[0].split(".")[0].split("[")[0]
+        missing = message.endswith("required field missing")
+        scn[field] = _FIELDS[field][0 if missing else 1]
+        assert len(seen) <= len(_ERRORS[kind])
+    assert seen == _ERRORS[kind]
+    assert set(scn) == {"kind", *_REQUIRED[kind], *_OPTIONAL[kind]}
+
+
+def _per_entry(node):
+    """The reference parse: one complex(re, im) per entry."""
+    return np.array([[complex(e[0], e[1]) for e in row] for row in node], dtype=complex)
+
+
+_EDGE_VALUES = [0, 1, -7, 0.0, -0.0, 2**53 + 1, -(2**53 + 1), 2**70 + 1, 2**1000 + 12345,
+                1e150, -1e150, 5e-324, -5e-324, 2.2250738585072014e-308, 0.1, 1 / 3]
+
+
+def test_complex_matrix_equals_per_entry_complex_on_edge_values():
+    pairs = [[re, im] for re in _EDGE_VALUES for im in _EDGE_VALUES]
+    node = [pairs[i:i + 16] for i in range(0, len(pairs), 16)]
+    got = _complex_matrix(node, "$.m")
+    want = _per_entry(node)
+    assert got.shape == want.shape == (16, 16) and got.dtype == complex
+    assert got.tobytes() == want.tobytes()
+
+
+def test_complex_matrix_equals_per_entry_complex_on_random_64x64():
+    rng = np.random.default_rng(3)
+    node = rng.normal(scale=10.0, size=(64, 64, 2)).tolist()
+    assert _complex_matrix(node, "$.m").tobytes() == _per_entry(node).tobytes()
+
+
+def test_complex_matrix_reports_a_ragged_row():
+    message = r"^\$\.m\[1\]: ragged matrix row \(expected 2 entries\)$"
+    with pytest.raises(ScenarioError, match=message):
+        _complex_matrix([[[1, 0], [0, 0]], [[0, 0]]], "$.m")
+
+
+class TestRequireSameDim:
+    def test_equal_dimensions_pass(self):
+        require_same_dim("f", a=3)
+        require_same_dim("f", a=3, b=3, c=3)
+        require_same_dim("f", a=(2, 4), b=(2, 4))
+
+    @pytest.mark.parametrize("odd", range(3))
+    def test_any_one_different_raises_naming_every_operand(self, odd):
+        dims = {name: 2 if i == odd else 3 for i, name in enumerate(["state", "H", "projectors"])}
+        listed = ", ".join(f"{name} {d}" for name, d in dims.items())
+        with pytest.raises(DimMismatchError) as info:
+            require_same_dim("optimal_projection_work", **dims)
+        assert str(info.value) == f"optimal_projection_work: dimensions differ ({listed})"
+
+    def test_shapes_are_named_as_shapes(self):
+        message = r"^t: dimensions differ \(V \(2, 3\), H \(2, 2\)\)$"
+        with pytest.raises(DimMismatchError, match=message):
+            require_same_dim("t", V=(2, 3), H=(2, 2))
+
+
+@pytest.mark.parametrize("kind, extra", [("protocol", {}),
+                                         ("singleshot", {"eps": 0.05, "n_copies": [4]})])
+def test_state_and_hamiltonian_of_different_dimension_is_dim_mismatch(kind, extra, tmp_path):
+    scn = {"kind": kind, "beta": 1.0, "state": {"random": {"dim": 3, "seed": 1}},
+           "hamiltonian": {"diag": [0.0, 1.0]}, **extra}
+    code, _, err = _run(tmp_path, scn)
+    assert code == EXIT_PHYSICS
+    assert err.startswith("DimMismatchError: ") and "dimensions differ (state 3, H 2" in err
+
+
+class TestLevelsIgnoreUnitAndZero:
+    def test_small_energy_scale_keeps_its_two_levels(self, tmp_path):
+        scn = {"kind": "project", "beta": 1e9, "state": BLOCH,
+               "hamiltonian": {"diag": [0.0, 1e-9]}}
+        code, out, _ = _run(tmp_path, scn)
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["work"] == pytest.approx(BLOCH_WORK * 1e-9, rel=1e-9)
+
+    @pytest.mark.parametrize("offset", [1e5, 1e7])
+    def test_energy_offset_keeps_two_levels(self, offset, tmp_path):
+        scn = {"kind": "project", "beta": 1.0, "state": BLOCH,
+               "hamiltonian": {"diag": [offset, offset + 1e-3]}}
+        code, out, _ = _run(tmp_path, scn)
+        assert code == EXIT_OK
+        assert json.loads(out)["results"]["work"] == pytest.approx(BLOCH_WORK, rel=1e-9)
+
+    def test_protocol_at_an_offset_agrees_with_its_ledger(self, tmp_path):
+        scn = {"kind": "protocol", "beta": 1.0, "state": BLOCH, "steps": [10],
+               "hamiltonian": {"diag": [1e5, 1e5 + 1e-3]}}
+        code, out, _ = _run(tmp_path, scn)
+        assert code == EXIT_OK
+        results = json.loads(out)["results"]
+        assert results["w_opt"] == pytest.approx(BLOCH_WORK, rel=1e-9)
+        assert results["exact"]["totals"]["work"] == pytest.approx(BLOCH_WORK, rel=1e-9)
