@@ -2,7 +2,8 @@
 
 ``coherework run file.json`` parses a declarative scenario, dispatches to the
 computation modules, and emits a deterministic JSON report (stdout or
-``--out``). ``coherework self-test`` runs the built-in acceptance suite;
+``--out``). ``coherework self-test`` runs the built-in acceptance suite
+(``--verbose`` adds each criterion's detail and time against its budget);
 ``coherework schema`` prints the schema both scenarios and reports are
 validated against.
 
@@ -450,62 +451,65 @@ def _block_template(shape, level: int) -> str:
     return text
 
 
+def _emit(o, level: int, out: list) -> None:
+    """Append the ``dumps_stable`` text of ``o`` at nesting ``level`` to
+    ``out``. A module-level function rather than a closure over itself, so
+    a call leaves no reference cycle for the garbage collector."""
+    pad = " " * (_INDENT * (level + 1))
+    closing = " " * (_INDENT * level)
+    if o is None:
+        out.append("null")
+    elif isinstance(o, bool):
+        out.append("true" if o else "false")
+    elif isinstance(o, (int, np.integer)):
+        out.append(str(int(o)))
+    elif isinstance(o, (float, np.floating)):
+        out.append(_format_float(float(o)))
+    elif isinstance(o, str):
+        out.append(_quote(o))
+    elif isinstance(o, (list, tuple, np.ndarray)):
+        block = _float_block(o) if type(o) is list else None
+        if block is not None:
+            shape, leaves = block
+            # any inf or nan makes the sum non-finite (so may an overflow
+            # of finite floats: then the loop finds nothing to raise)
+            if not math.isfinite(sum(leaves)):
+                for x in leaves:
+                    _format_float(x)
+            out.append(_block_template(shape, level) % tuple(leaves))
+            return
+        items = list(o)
+        if not items:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(items):
+            out.append(pad)
+            _emit(item, level + 1, out)
+            out.append(",\n" if i + 1 < len(items) else "\n")
+        out.append(closing + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(o)
+        for i, key in enumerate(keys):
+            if not isinstance(key, str):
+                raise ValueError(f"non-string report key {key!r}")
+            out.append(pad + _quote(key) + ": ")
+            _emit(o[key], level + 1, out)
+            out.append(",\n" if i + 1 < len(keys) else "\n")
+        out.append(closing + "}")
+    else:
+        raise ValueError(f"cannot serialise {type(o).__name__} into a report")
+
+
 def dumps_stable(obj) -> str:
     """JSON text with sorted keys, 17-significant-digit floats and an indent
     of :data:`_INDENT` spaces per level."""
     out = []
-
-    def emit(o, level):
-        pad = " " * (_INDENT * (level + 1))
-        closing = " " * (_INDENT * level)
-        if o is None:
-            out.append("null")
-        elif isinstance(o, bool):
-            out.append("true" if o else "false")
-        elif isinstance(o, (int, np.integer)):
-            out.append(str(int(o)))
-        elif isinstance(o, (float, np.floating)):
-            out.append(_format_float(float(o)))
-        elif isinstance(o, str):
-            out.append(_quote(o))
-        elif isinstance(o, (list, tuple, np.ndarray)):
-            block = _float_block(o) if type(o) is list else None
-            if block is not None:
-                shape, leaves = block
-                # any inf or nan makes the sum non-finite (so may an overflow
-                # of finite floats: then the loop finds nothing to raise)
-                if not math.isfinite(sum(leaves)):
-                    for x in leaves:
-                        _format_float(x)
-                out.append(_block_template(shape, level) % tuple(leaves))
-                return
-            items = list(o)
-            if not items:
-                out.append("[]")
-                return
-            out.append("[\n")
-            for i, item in enumerate(items):
-                out.append(pad)
-                emit(item, level + 1)
-                out.append(",\n" if i + 1 < len(items) else "\n")
-            out.append(closing + "]")
-        elif isinstance(o, dict):
-            if not o:
-                out.append("{}")
-                return
-            out.append("{\n")
-            keys = sorted(o)
-            for i, key in enumerate(keys):
-                if not isinstance(key, str):
-                    raise ValueError(f"non-string report key {key!r}")
-                out.append(pad + _quote(key) + ": ")
-                emit(o[key], level + 1)
-                out.append(",\n" if i + 1 < len(keys) else "\n")
-            out.append(closing + "}")
-        else:
-            raise ValueError(f"cannot serialise {type(o).__name__} into a report")
-
-    emit(obj, 0)
+    _emit(obj, 0, out)
     return "".join(out)
 
 
@@ -808,7 +812,10 @@ def _parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a JSON scenario file")
     run_p.add_argument("file", help="scenario file path")
     run_p.add_argument("--out", help="write the report here instead of stdout")
-    sub.add_parser("self-test", help="run the embedded acceptance suite")
+    self_test_p = sub.add_parser("self-test", help="run the embedded acceptance suite")
+    self_test_p.add_argument(
+        "--verbose", action="store_true",
+        help="also print each criterion's detail and its time against its budget")
     sub.add_parser("schema", help="print the scenario and report schema")
     return parser
 
@@ -823,7 +830,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     from .acceptance import self_test
 
-    return EXIT_OK if self_test(echo=print) else EXIT_SELFTEST
+    return EXIT_OK if self_test(echo=print, verbose=args.verbose) else EXIT_SELFTEST
 
 
 if __name__ == "__main__":

@@ -209,10 +209,11 @@ def max_work_fixed_energy(rho: DensityMatrix, h: Hamiltonian,
 
     The optimal final state is the Gibbs state sigma_lambda matching U; the
     matching lambda* is found by bracketed bisection of tr[sigma_lambda H] - U
-    (monotone decreasing in lambda) down to |f| < 1e-12, and the work is
-    (lambda* U + ln Z(lambda*) - S(rho)) / beta. For qubits sigma_lambda*
-    coincides with the energy-basis projection of rho, so this equals the
-    optimal projection work; in higher dimensions it is generally larger.
+    (monotone decreasing in lambda) down to |f| < 1e-12 (E_max - E_min), and
+    the work is (lambda* U + ln Z(lambda*) - S(rho)) / beta. For qubits
+    sigma_lambda* coincides with the energy-basis projection of rho, so this
+    equals the optimal projection work; in higher dimensions it is generally
+    larger.
     """
     u = average_energy(rho, h)
     w = h.eigenvalues
@@ -225,8 +226,10 @@ def max_work_fixed_energy(rho: DensityMatrix, h: Hamiltonian,
     def f(lam: float) -> float:
         return float(thermal(w, lam) @ w) - u
 
-    scale = max(float(np.abs(w).max()), 1e-30)
-    lo, hi = -64.0 / scale, 64.0 / scale
+    # lambda is an inverse energy: bracket and stop on the spread of the
+    # spectrum, so rescaling or shifting H leaves the iterates in proportion
+    spread = float(w[-1] - w[0])
+    lo, hi = -64.0 / spread, 64.0 / spread
     # f is decreasing: f(-inf) = E_max - U > 0, f(+inf) = E_min - U < 0
     while f(lo) < 0.0:
         lo *= 2.0
@@ -237,7 +240,7 @@ def max_work_fixed_energy(rho: DensityMatrix, h: Hamiltonian,
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
-        if abs(f_mid) < 1e-12 or hi - lo < 1e-15 * max(1.0, abs(mid)):
+        if abs(f_mid) < 1e-12 * spread or hi - lo < 1e-15 * max(abs(mid), 1.0 / spread):
             break
         if f_mid > 0.0:
             lo = mid

@@ -15,7 +15,7 @@ corrupt it in one place.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -167,15 +167,37 @@ def _log_cap_threshold(log_p: np.ndarray, log_q: np.ndarray, eps: float) -> floa
 def _type_classes(n: int, m: int) -> np.ndarray:
     """Every count vector of m nonnegative integers summing to n, one per row.
 
-    Stars and bars: each choice of m - 1 bar positions among n + m - 1 slots
-    is one type class, and the counts are the gaps between consecutive bars.
-    Rows come in lexicographic order of the counts.
+    Built one part at a time: a partial row with r copies left splits into
+    r + 1 rows taking 0..r of them, in that order, and the last part takes
+    what is left. Rows come in lexicographic order of the counts.
     """
-    k = m - 1
-    rows = math.comb(n + k, k)
-    combos = itertools.combinations(range(n + k), k)
-    bars = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.intp, count=rows * k)
-    return np.diff(bars.reshape(rows, k), axis=1, prepend=-1, append=n + k) - 1
+    left = np.array([n])
+    columns = []
+    for _ in range(m - 1):
+        width = left + 1
+        parent = np.repeat(np.arange(left.size), width)
+        take = np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
+        columns = [c[parent] for c in columns] + [take]
+        left = left[parent] - take
+    return np.column_stack(columns + [left])
+
+
+@functools.lru_cache(maxsize=1)
+def _type_table(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The type classes of n copies over m outcomes as read-only float counts,
+    one row per class, and the log multinomial weight of each class.
+
+    One entry is kept: both :func:`iid_rate` calls of one
+    :func:`consistency_work` share (n, m), and a larger memo would hold up to
+    :data:`_MAX_TYPE_CLASSES` rows per entry.
+    """
+    counts = _type_classes(n, m)
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_mult = log_factorial[n] - log_factorial[counts].sum(axis=1)
+    ks = counts.astype(float)
+    ks.setflags(write=False)
+    log_mult.setflags(write=False)
+    return ks, log_mult
 
 
 def iid_rate(p: Distribution, q: Distribution, eps: float, n_copies: int) -> RatePair:
@@ -202,10 +224,7 @@ def iid_rate(p: Distribution, q: Distribution, eps: float, n_copies: int) -> Rat
             f"{n_classes} type classes for alphabet {m} at n = {n} "
             f"(cap {_MAX_TYPE_CLASSES})"
         )
-    counts = _type_classes(n, m)
-    log_factorial = np.array([math.lgamma(k + 1) for k in range(n + 1)])
-    log_mult = log_factorial[n] - log_factorial[counts].sum(axis=1)
-    ks = counts.astype(float)
+    ks, log_mult = _type_table(n, m)
     log_p = ks @ np.log(p.probs)
     log_q = ks @ np.log(q.probs)
     log_cp = log_mult + log_p
@@ -219,14 +238,14 @@ def iid_rate(p: Distribution, q: Distribution, eps: float, n_copies: int) -> Rat
     target = 1.0 - eps
     cum = np.cumsum(cls_p)
     boundary = int(np.searchsorted(cum, target - 1e-15))
-    terms = list(log_cls_q[:boundary])
+    terms = log_cls_q[:boundary]
     if boundary < len(cls_p):
         before = cum[boundary - 1] if boundary > 0 else 0.0
         needed = target - before
         if needed > 0.0 and cls_p[boundary] > 0.0:
             frac = min(needed / cls_p[boundary], 1.0)
-            terms.append(log_cls_q[boundary] + math.log(frac))
-    log_qa = log_partition(np.array(terms), -1.0) if terms else -math.inf
+            terms = np.append(terms, log_cls_q[boundary] + math.log(frac))
+    log_qa = log_partition(terms, -1.0) if terms.size else -math.inf
     rate_min = (-log_qa / LN2) / n
 
     # max-entropy: ratio cap over class masses

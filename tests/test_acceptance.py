@@ -6,11 +6,18 @@ suite runs twice per session, as two `self_test` calls whose `run_all`
 results also serve the per-criterion and aggregate tests.
 """
 
+import hashlib
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 import coherework.acceptance as acceptance
 import coherework.singleshot as singleshot
 from coherework.acceptance import criterion_names, run_criterion, self_test
+from coherework.cli import main
+
+PINNED_STDOUT = Path(__file__).parent / "golden" / "pinned" / "self_test_stdout.sha256"
 
 
 @pytest.fixture(scope="session")
@@ -66,3 +73,64 @@ def test_self_test_output_is_stable(self_test_runs):
     assert lines1 == lines2
     assert len(lines1) == 11  # ten criteria plus the summary line
     assert all(line.startswith("PASS") for line in lines1)
+
+
+def test_self_test_stdout_is_pinned(self_test_runs):
+    # the bytes `coherework self-test` prints: one echo call per line
+    stdout = "".join(line + "\n" for line in self_test_runs[0][1])
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_STDOUT.read_text().strip()
+
+
+def test_verbose_adds_detail_and_time_under_each_line(self_test_runs, monkeypatch, capsys):
+    _, lines, results = self_test_runs[0]
+    monkeypatch.setattr(acceptance, "run_all", lambda: results)
+    assert main(["self-test", "--verbose"]) == 0
+    verbose = capsys.readouterr().out.splitlines()
+    assert [line for line in verbose if not line.startswith(" ")] == lines
+    for r in results:
+        at = verbose.index(f"PASS  {r.name}")
+        assert verbose[at + 1] == f"      {r.detail}"
+        assert verbose[at + 2] == f"      {r.elapsed:.2f} s of a {r.budget:.0f} s budget"
+
+
+def test_block_lp_equals_separate_lps(monkeypatch):
+    # record criterion 07's block solves, then solve every fifth case alone
+    real = acceptance._dmax_linprog
+    solves = []
+
+    def recording(ps, qs, eps):
+        values = real(ps, qs, eps)
+        solves.append((ps, qs, eps, values))
+        return values
+
+    monkeypatch.setattr(acceptance, "_dmax_linprog", recording)
+    assert run_criterion("07_single_shot_consistency").passed
+    assert [len(ps) for ps, *_ in solves] == [25] * 12
+    for ps, qs, eps, values in solves:
+        for k in range(0, 25, 5):
+            alone = real(ps[k:k + 1], qs[k:k + 1], eps)[0]
+            assert abs(values[k] - alone) <= 1e-12
+            smoothed = singleshot.d_max_eps(singleshot.Distribution(ps[k]),
+                                            singleshot.Distribution(qs[k]), eps)
+            assert abs(values[k] - smoothed) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, eps, index", [(3, 0.1, 0), (4, 0.01, 12), (4, 0.3, 24)])
+def test_single_shot_detects_one_shifted_instance(monkeypatch, dim, eps, index):
+    # with dim 3 or 4 and eps > 0, criterion 07 calls d_max_eps only for its
+    # LP cases, 25 instances per (dim, eps), and no other oracle sees them
+    real = acceptance.d_max_eps
+    seen = []
+
+    def shifted(p, q, e):
+        value = real(p, q, e)
+        if len(p) == dim and e == eps:
+            seen.append(value)
+            if len(seen) == index + 1:
+                return value + 1e-6
+        return value
+
+    monkeypatch.setattr(acceptance, "d_max_eps", shifted)
+    result = run_criterion("07_single_shot_consistency")
+    assert len(seen) == 25
+    assert not result.passed, result.detail

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -68,6 +69,18 @@ class TestDumpsStable:
     def test_numpy_scalars_and_arrays(self):
         text = dumps_stable({"v": np.array([1.0, 2.0]), "n": np.int64(3)})
         assert json.loads(text) == {"v": [1.0, 2.0], "n": 3}
+
+    def test_leaves_no_garbage_cycle(self):
+        # a report's chunk list must be freed by reference counting alone
+        report = run_scenario_obj(canonical_project_scenario())
+        gc.collect()
+        gc.disable()
+        try:
+            texts = {dumps_stable(report) for _ in range(5)}
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(texts) == 1
 
 
 class TestValidator:
@@ -644,8 +657,10 @@ class TestMain:
     def test_self_test_exit_code(self, monkeypatch, passed, code):
         import coherework.acceptance
 
-        monkeypatch.setattr(coherework.acceptance, "self_test", lambda echo: passed)
+        monkeypatch.setattr(coherework.acceptance, "self_test",
+                            lambda echo, verbose: passed)
         assert main(["self-test"]) == code
+        assert main(["self-test", "--verbose"]) == code
 
     def test_out_flag(self, tmp_path):
         path = write(tmp_path, canonical_project_scenario())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherework.errors import (
     DimMismatchError,
@@ -364,3 +366,18 @@ class TestMaxWorkFixedEnergy:
         res = max_work_fixed_energy(rho, h, Temperature(beta=1.0))
         assert res.lambda_star < 0
         assert res.work == pytest.approx(0.0, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(2, 6), st.floats(-12.0, 9.0))
+def test_fixed_energy_work_rescales_with_units(seed, dim, log_s):
+    # (s H, beta / s) is the same physics in other units, so the bisection's
+    # stop must scale with H: W(sH, beta/s) = s W(H, beta)
+    rng = np.random.default_rng(seed)
+    rho = random_density_matrix(dim, rng)
+    hm = random_hamiltonian(dim, rng).mat
+    beta = float(np.exp(rng.uniform(math.log(0.2), math.log(5.0))))
+    s = 10.0 ** log_s
+    w = max_work_fixed_energy(rho, Hamiltonian(hm), Temperature(beta)).work
+    w_scaled = max_work_fixed_energy(rho, Hamiltonian(s * hm), Temperature(beta / s)).work
+    assert abs(w_scaled - s * w) <= 1e-9 * s * max(1.0, abs(w))
