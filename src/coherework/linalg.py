@@ -114,6 +114,8 @@ def hermitian_part(a) -> np.ndarray:
 
 
 def is_unitary(a) -> bool:
+    """True iff ``a`` is a d x d matrix with ||a^dag a - 1||_HS <= DEFAULT_TOL *
+    sqrt(d); False for a non-square input."""
     m = np.asarray(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False

@@ -90,7 +90,8 @@ class ProtocolPlan:
     Hamiltonians exist only as ``e1``/``e2``: H_k = basis diag(e_k) basis^dag.
 
     Construction checks that ``v`` and ``basis`` are unitary, that rho1 and
-    eta are the thermal states of H1 and H2, and that H0, H1 and H2 commute.
+    eta are the thermal states of H1 and H2, and that H0 commutes with H1 and
+    with H2 (H1 and H2 commute by construction), all in ``basis``.
     """
 
     rho0: DensityMatrix
@@ -112,38 +113,36 @@ class ProtocolPlan:
             raise NotUnitaryError("ProtocolPlan: step-1 rotation is not unitary")
         if not is_unitary(self.basis):
             raise NotUnitaryError("ProtocolPlan: shared eigenbasis is not unitary")
-        basis, basis_dag = self.basis, self.basis.conj().T
+        # the entry bound of H1 and H2; a vanishing beta's infinite gap raises here
+        as_matrix(np.diag(self.e1))
+        as_matrix(np.diag(self.e2))
+        basis_dag = self.basis.conj().T
         beta = self.temperature.beta
-        # an infinite gap (vanishing beta) raises NonFiniteError here; the
-        # inf * 0 products on the way would only add a RuntimeWarning
-        with np.errstate(invalid="ignore"):
-            h1 = as_matrix((basis * self.e1) @ basis_dag)
-            h2 = as_matrix((basis * self.e2) @ basis_dag)
-        rho1 = self.v @ self.rho0.mat @ self.v.conj().T
-        gap1 = hs_norm((basis * thermal(self.e1, beta)) @ basis_dag - rho1)
+        w = basis_dag @ self.v
+        dev = w @ self.rho0.mat @ w.conj().T
+        dev.flat[::len(dev) + 1] -= thermal(self.e1, beta)  # its diagonal
+        gap1 = hs_norm(dev)
         if gap1 > PLAN_TOL:
             raise StateValidationError(
                 f"ProtocolPlan: rotated state is not thermal for H1 "
                 f"(distance {gap1:.3e})"
             )
-        eta = (basis * self.target_populations) @ basis_dag
-        gap2 = hs_norm((basis * thermal(self.e2, beta)) @ basis_dag - eta)
+        gap2 = hs_norm(thermal(self.e2, beta) - self.target_populations)
         if gap2 > PLAN_TOL:
             raise StateValidationError(
                 f"ProtocolPlan: target state is not thermal for H2 "
                 f"(distance {gap2:.3e})"
             )
-        # products at unit scale: an H0 at the entry bound cannot overflow them
-        scale = max(hs_norm(self.h0.mat), hs_norm(h1), hs_norm(h2), 1e-30)
-        mats = (self.h0.mat / scale, h1 / scale, h2 / scale)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                comm = hs_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                if comm > PLAN_TOL:
-                    raise StateValidationError(
-                        f"ProtocolPlan: H{i} and H{j} do not share eigenprojectors "
-                        f"(relative commutator norm {comm:.3e})"
-                    )
+        # [K, diag(e)] = K o (e_j - e_i), K = B^dag H0 B, at unit scale: no overflow
+        scale = max(hs_norm(self.h0.mat), hs_norm(self.e1), hs_norm(self.e2), 1e-30)
+        k = basis_dag @ (self.h0.mat / scale) @ self.basis
+        for j, e in ((1, self.e1 / scale), (2, self.e2 / scale)):
+            comm = hs_norm(k * (e[None, :] - e[:, None]))
+            if comm > PLAN_TOL:
+                raise StateValidationError(
+                    f"ProtocolPlan: H0 and H{j} do not share eigenprojectors "
+                    f"(relative commutator norm {comm:.3e})"
+                )
 
 
 def _clamp_distribution(p: np.ndarray, clamp: float) -> np.ndarray:
@@ -189,17 +188,15 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
     # shared basis: within each energy eigenspace, diagonalise rho_c's block
     hv = h.eigenvectors
     f_cols = []
-    e0_list = []
     q_list = []
-    for idx, energy in zip(h.clusters, h.energies.tolist()):
+    for idx in h.clusters:
         cols = hv[:, idx]
         block = cols.conj().T @ rho_c.mat @ cols
         qk, gk = np.linalg.eigh((block + block.conj().T) / 2.0)
         f_cols.append(cols @ gk)
-        e0_list.extend([energy] * len(idx))
         q_list.extend(qk.tolist())
     basis = np.hstack(f_cols)
-    e0 = np.array(e0_list)
+    e0 = np.repeat(h.energies, h.degeneracies)
     q = np.maximum(np.array(q_list), 0.0)
     q = q / q.sum()
 

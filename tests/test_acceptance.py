@@ -2,8 +2,9 @@
 
 Also exercised through `coherework self-test`; the per-criterion checks and
 budgets live in coherework.acceptance so CLI and pytest agree exactly. The
-suite runs twice per session, as two `self_test` calls whose `run_all`
-results also serve the per-criterion and aggregate tests.
+suite runs once per session, as one `self_test` call whose `run_all` results
+also serve the per-criterion and aggregate tests; the repeatability test
+re-runs four of the cheaper criteria alone.
 """
 
 import hashlib
@@ -21,8 +22,8 @@ PINNED_STDOUT = Path(__file__).parent / "golden" / "pinned" / "self_test_stdout.
 
 
 @pytest.fixture(scope="session")
-def self_test_runs():
-    """``(passed, output lines, run_all results)`` of two self_test runs."""
+def self_test_run():
+    """``(passed, output lines, run_all results)`` of one self_test run."""
     recorded = []
     real_run_all = acceptance.run_all
 
@@ -31,19 +32,16 @@ def self_test_runs():
         recorded.append(results)
         return results
 
-    runs = []
+    lines = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(acceptance, "run_all", recording_run_all)
-        for _ in range(2):
-            lines = []
-            passed = self_test(echo=lines.append)
-            runs.append((passed, lines, recorded[-1]))
-    return runs
+        passed = self_test(echo=lines.append)
+    return passed, lines, recorded[-1]
 
 
 @pytest.mark.parametrize("name", criterion_names())
-def test_criterion(name, self_test_runs):
-    result = next(r for r in self_test_runs[0][2] if r.name == name)
+def test_criterion(name, self_test_run):
+    result = next(r for r in self_test_run[2] if r.name == name)
     print(f"{'PASS' if result.passed else 'FAIL'}  {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
     assert result.elapsed <= result.budget
@@ -55,8 +53,8 @@ def test_ln2_mutation_is_detected(monkeypatch):
     assert not result.passed
 
 
-def test_full_suite_aggregates_and_detects_mutation(self_test_runs):
-    results = self_test_runs[0][2]
+def test_full_suite_aggregates_and_detects_mutation(self_test_run):
+    results = self_test_run[2]
     names = [r.name for r in results]
     assert names[:-1] == list(criterion_names())
     assert names[-1] == "10_aggregate_and_mutation"
@@ -66,23 +64,27 @@ def test_full_suite_aggregates_and_detects_mutation(self_test_runs):
     assert sum(r.elapsed for r in results) < 180.0
 
 
-def test_self_test_output_is_stable(self_test_runs):
-    (passed1, lines1, _), (passed2, lines2, _) = self_test_runs
-    assert passed1
-    assert passed2
-    assert lines1 == lines2
-    assert len(lines1) == 11  # ten criteria plus the summary line
-    assert all(line.startswith("PASS") for line in lines1)
+def test_self_test_output_is_stable(self_test_run):
+    passed, lines, results = self_test_run
+    assert passed
+    assert len(lines) == 11  # ten criteria plus the summary line
+    assert all(line.startswith("PASS") for line in lines)
+    # a second run in the same process reaches the same verdict and detail
+    for name in ("03_quasistatic_convergence", "05_jarzynski_identity",
+                 "07_single_shot_consistency", "09_max_work_fixed_energy"):
+        first = next(r for r in results if r.name == name)
+        again = run_criterion(name)
+        assert (again.passed, again.detail) == (first.passed, first.detail)
 
 
-def test_self_test_stdout_is_pinned(self_test_runs):
+def test_self_test_stdout_is_pinned(self_test_run):
     # the bytes `coherework self-test` prints: one echo call per line
-    stdout = "".join(line + "\n" for line in self_test_runs[0][1])
+    stdout = "".join(line + "\n" for line in self_test_run[1])
     assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_STDOUT.read_text().strip()
 
 
-def test_verbose_adds_detail_and_time_under_each_line(self_test_runs, monkeypatch, capsys):
-    _, lines, results = self_test_runs[0]
+def test_verbose_adds_detail_and_time_under_each_line(self_test_run, monkeypatch, capsys):
+    _, lines, results = self_test_run
     monkeypatch.setattr(acceptance, "run_all", lambda: results)
     assert main(["self-test", "--verbose"]) == 0
     verbose = capsys.readouterr().out.splitlines()

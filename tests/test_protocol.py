@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -13,9 +14,17 @@ from coherework.errors import (
     NotUnitaryError,
     StateValidationError,
 )
-from coherework.linalg import hs_norm
+from coherework.linalg import (
+    DEFAULT_TOL,
+    MAX_ENTRY,
+    as_matrix,
+    hs_norm,
+    is_unitary,
+    thermal,
+)
 from coherework.projection import energy_projectors, optimal_projection_work, project
 from coherework.protocol import (
+    PLAN_TOL,
     LedgerEntry,
     WorkLedger,
     build_plan,
@@ -181,6 +190,162 @@ class TestCommutatorAtEntryBound:
                                match="H0 and H1 do not share eigenprojectors "
                                      r"\(relative commutator norm"):
                 dataclasses.replace(plan, h0=swap)
+
+
+def reference_commutators(h0, h1, h2):
+    """``{(i, j): ||[H_i, H_j]||}`` for i < j, all three matrices divided by
+    the largest of their norms, as the reference checks form them."""
+    scale = max(hs_norm(h0), hs_norm(h1), hs_norm(h2), 1e-30)
+    mats = (h0 / scale, h1 / scale, h2 / scale)
+    return {(i, j): hs_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
+            for i in range(3) for j in range(i + 1, 3)}
+
+
+def reference_plan_checks(**fields):
+    """The checks of ``ProtocolPlan`` on its ``fields``, formed in matrix
+    space: H1, H2, eta and both thermal states as d x d matrices, and all
+    three commutators, the [H1, H2] one included."""
+    p = types.SimpleNamespace(**fields)
+    if not is_unitary(p.v):
+        raise NotUnitaryError("ProtocolPlan: step-1 rotation is not unitary")
+    if not is_unitary(p.basis):
+        raise NotUnitaryError("ProtocolPlan: shared eigenbasis is not unitary")
+    basis, basis_dag = p.basis, p.basis.conj().T
+    beta = p.temperature.beta
+    with np.errstate(invalid="ignore"):
+        h1 = as_matrix((basis * p.e1) @ basis_dag)
+        h2 = as_matrix((basis * p.e2) @ basis_dag)
+    rho1 = p.v @ p.rho0.mat @ p.v.conj().T
+    gap1 = hs_norm((basis * thermal(p.e1, beta)) @ basis_dag - rho1)
+    if gap1 > PLAN_TOL:
+        raise StateValidationError(
+            f"ProtocolPlan: rotated state is not thermal for H1 (distance {gap1:.3e})")
+    eta = (basis * p.target_populations) @ basis_dag
+    gap2 = hs_norm((basis * thermal(p.e2, beta)) @ basis_dag - eta)
+    if gap2 > PLAN_TOL:
+        raise StateValidationError(
+            f"ProtocolPlan: target state is not thermal for H2 (distance {gap2:.3e})")
+    for (i, j), comm in reference_commutators(p.h0.mat, h1, h2).items():
+        if comm > PLAN_TOL:
+            raise StateValidationError(
+                f"ProtocolPlan: H{i} and H{j} do not share eigenprojectors "
+                f"(relative commutator norm {comm:.3e})")
+
+
+def _outcome(check, fields):
+    """None if ``check(**fields)`` accepts, else the error type and its
+    message without the last word (the measured distance or norm)."""
+    try:
+        check(**fields)
+    except (NotUnitaryError, NonFiniteError, StateValidationError) as err:
+        return type(err), str(err).rsplit(" ", 1)[0]
+    return None
+
+
+def _perturbed_fields(plan, rel, rng):
+    """``(field, value)`` pairs, each one field moved by ``rel`` of its size
+    (``v`` twice: off the unitaries, and by a unitary rotation)."""
+    d = len(plan.e1)
+
+    def unit(x):
+        return x / np.linalg.norm(x)
+
+    h0 = plan.h0.mat + rel * hs_norm(plan.h0.mat) * unit(random_hermitian(d, rng))
+    # shrink back within the entry bound (only the bound-sized H0 needs it)
+    h0 *= min(1.0, MAX_ENTRY / max(np.abs(h0.real).max(), np.abs(h0.imag).max()))
+    w, g = np.linalg.eigh(random_hermitian(d, rng))
+    rotation = (g * np.exp(1j * rel * w / np.abs(w).max())) @ g.conj().T
+    kick = unit(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return [
+        ("h0", Hamiltonian(h0)),
+        ("e1", plan.e1 + rel * hs_norm(plan.e1) * unit(rng.normal(size=d))),
+        ("e2", plan.e2 + rel * hs_norm(plan.e2) * unit(rng.normal(size=d))),
+        ("v", plan.v + rel * math.sqrt(d) * kick),
+        ("v", plan.v @ rotation),
+        ("target_populations", plan.target_populations + rel * unit(rng.normal(size=d))),
+    ]
+
+
+class TestChecksInOwnBasis:
+    """``ProtocolPlan`` decides as the matrix-space reference checks do."""
+
+    def test_same_decision_as_reference(self):
+        rng = np.random.default_rng(13)
+        plans = [build_plan(random_density_matrix(2, np.random.default_rng(3)),
+                            Hamiltonian(TestCommutatorAtEntryBound.H0),
+                            Temperature(beta=1e-150))]
+        for d in range(2, 9):
+            u = random_unitary(d, rng)
+            levels = np.repeat([0.0, 1.0, 2.5], [1, d // 2, d - 1 - d // 2])
+            for h in (random_hamiltonian(d, rng), Hamiltonian((u * levels) @ u.conj().T)):
+                t = Temperature(beta=float(rng.uniform(0.3, 3.0)))
+                plans.append(build_plan(random_density_matrix(d, rng), h, t))
+        seen = set()
+        for plan in plans:
+            fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+            for rel in (1e-12, 1e-4):
+                for name, value in _perturbed_fields(plan, rel, rng):
+                    changed = {**fields, name: value}
+                    new = _outcome(type(plan), changed)
+                    old = _outcome(reference_plan_checks, changed)
+                    assert new == old, (len(plan.e1), name, rel)
+                    seen.add(new and new[1])
+        assert seen >= {None, "ProtocolPlan: step-1 rotation is not",
+                        "ProtocolPlan: rotated state is not thermal for H1 (distance",
+                        "ProtocolPlan: target state is not thermal for H2 (distance",
+                        "ProtocolPlan: H0 and H1 do not share eigenprojectors "
+                        "(relative commutator norm"}
+
+    def test_same_decision_on_targeted_breaks(self):
+        # rho with a two-fold eigenvalue: e1 is two-fold on basis columns
+        # 1 and 2, where e2 is not, so an H0 that mixes only those two
+        # columns commutes with H1 but not with H2
+        rng = np.random.default_rng(5)
+        u = random_unitary(3, rng)
+        rho = DensityMatrix((u * [0.25, 0.25, 0.5]) @ u.conj().T)
+        plan = build_plan(rho, Hamiltonian(np.diag([0.0, 1.0, 2.0])), Temperature(1.0))
+        assert abs(plan.e1[1] - plan.e1[2]) < 1e-12 < abs(plan.e2[1] - plan.e2[2])
+        mix = np.outer(plan.basis[:, 1], plan.basis[:, 2].conj())
+        fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+        changes = [{"h0": Hamiltonian(plan.h0.mat + 1e-3 * (mix + mix.conj().T))}]
+        # an infinite or bound-breaking auxiliary eigenvalue
+        for name in ("e1", "e2"):
+            for value in (math.inf, 1e300):
+                e = fields[name].copy()
+                e[0] = value
+                changes.append({name: e})
+        outcomes = []
+        for change in changes:
+            changed = {**fields, **change}
+            new = _outcome(type(plan), changed)
+            assert new == _outcome(reference_plan_checks, changed), change
+            outcomes.append(new)
+        assert outcomes[0] == (StateValidationError,
+                               "ProtocolPlan: H0 and H2 do not share eigenprojectors "
+                               "(relative commutator norm")
+        assert [o[0] for o in outcomes[1:]] == [NonFiniteError] * 4
+
+    @pytest.mark.parametrize("d", [2, 8, 32, 64])
+    def test_h1_h2_commute_at_the_edge_of_the_unitarity_check(self, d):
+        # a basis as far from unitary as is_unitary lets pass cannot make
+        # the reference's [H1, H2] check fire, whatever the eigenvalue scales
+        rng = np.random.default_rng(d)
+        u = random_unitary(d, rng)
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x /= hs_norm(x)
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if is_unitary(u + mid * x) else (lo, mid)
+        basis = u + lo * x
+        assert is_unitary(basis) and not is_unitary(u + hi * x)
+        assert hs_norm(basis.conj().T @ basis - np.eye(d)) > 0.99 * DEFAULT_TOL * math.sqrt(d)
+        for s1 in (1e-3, 1.0, 1e3):
+            for s2 in (1e-3, 1.0, 1e3):
+                h1, h2 = ((basis * (s * rng.normal(size=d))) @ basis.conj().T
+                          for s in (s1, s2))
+                comm = reference_commutators(np.zeros((d, d)), h1, h2)[1, 2]
+                assert comm < PLAN_TOL, (s1, s2, comm)
 
 
 class TestExactStepWorks:
