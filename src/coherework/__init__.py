@@ -29,6 +29,7 @@ from .errors import (
     NonHermitianError,
     NonSquareError,
     NotUnitaryError,
+    ParameterRangeError,
     RankError,
     StateValidationError,
     SupportError,

@@ -27,6 +27,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -89,7 +90,7 @@ class ScenarioError(Exception):
 
 
 # a number leaf and an [re, im] pair: validate_schema checks a whole array of
-# either in one scan
+# pairs in one scan
 _NUMBER = {"type": "number"}
 _PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
 _VECTOR = {"type": "array", "items": _PAIR, "minItems": 1}
@@ -272,16 +273,6 @@ _TYPE_CHECKS = {
 _INT_LIMIT = 2**1024 - 2**970
 
 
-def _path_str(path) -> str:
-    """Render a lazy path: a root string, or a ``(parent, template, key)``
-    triple whose template formats the key as ``.key`` or ``[i]``."""
-    parts = []
-    while isinstance(path, tuple):
-        path, template, key = path
-        parts.append(template.format(key))
-    return path + "".join(reversed(parts))
-
-
 def _all_numbers(values) -> bool:
     """True when every entry of ``values`` passes :data:`_NUMBER`, in one scan.
 
@@ -296,28 +287,30 @@ def _all_numbers(values) -> bool:
 
 
 def _all_items_valid(values: list, item_schema: dict) -> bool:
-    """True when every entry passes ``item_schema``, decided in one scan for
-    number leaves and ``[re, im]`` pairs; False (look item by item) otherwise."""
-    if item_schema == _NUMBER:
-        return _all_numbers(values)
-    if item_schema == _PAIR:
-        return (set(map(type, values)) <= {list} and set(map(len, values)) <= {2}
-                and _all_numbers(list(itertools.chain.from_iterable(values))))
-    return False
+    """True when ``item_schema`` is :data:`_PAIR` and every entry passes it,
+    decided in one scan; False (look item by item) otherwise."""
+    return (item_schema == _PAIR and set(map(type, values)) <= {list}
+            and set(map(len, values)) <= {2}
+            and _all_numbers(list(itertools.chain.from_iterable(values))))
 
 
-def validate_schema(value, schema: dict, path="$"):
+# (keyword, failing comparison, wording) of each numeric bound and item count,
+# checked in this order
+_BOUNDS = (("minimum", operator.lt, ">="), ("maximum", operator.gt, "<="),
+           ("exclusiveMinimum", operator.le, ">"), ("exclusiveMaximum", operator.ge, "<"))
+_COUNTS = (("minItems", operator.lt, "at least"), ("maxItems", operator.gt, "at most"))
+
+
+def validate_schema(value, schema: dict, path: str = "$"):
     """Validate ``value`` against the subset of JSON Schema used here.
 
-    ``path`` names ``value`` in messages: a string, or the lazy triple the
-    recursion passes so that no path string is built unless one is raised.
-    Raises :class:`ScenarioError` naming the first offending field.
+    ``path`` names ``value`` in messages. Raises :class:`ScenarioError`
+    naming the first offending field.
     """
     # the type applies before any alternative: no oneOf branch names one
     typ = schema.get("type")
     if typ is not None and not _TYPE_CHECKS[typ](value):
-        raise ScenarioError(
-            f"{_path_str(path)}: expected {typ}, got {type(value).__name__}")
+        raise ScenarioError(f"{path}: expected {typ}, got {type(value).__name__}")
     if "oneOf" in schema:
         errors = []
         for branch in schema["oneOf"]:
@@ -332,57 +325,39 @@ def validate_schema(value, schema: dict, path="$"):
                 errors.append((not meant, str(exc)))
         errors.sort(key=lambda e: e[0])
         raise ScenarioError(
-            f"{_path_str(path)}: no schema alternative matched "
+            f"{path}: no schema alternative matched "
             f"(closest errors: {' | '.join(e for _, e in errors[:3])})"
         )
     if typ == "number" and isinstance(value, int) and not -_INT_LIMIT < value < _INT_LIMIT:
-        raise ScenarioError(f"{_path_str(path)}: integer too large for a double")
+        raise ScenarioError(f"{path}: integer too large for a double")
     if "enum" in schema and value not in schema["enum"]:
-        raise ScenarioError(
-            f"{_path_str(path)}: must be one of {schema['enum']}, got {value!r}")
+        raise ScenarioError(f"{path}: must be one of {schema['enum']}, got {value!r}")
     # keyword checks apply by the value's actual type, as in JSON Schema
     if _TYPE_CHECKS["number"](value):
-        if "minimum" in schema and value < schema["minimum"]:
-            raise ScenarioError(
-                f"{_path_str(path)}: must be >= {schema['minimum']}, got {value}")
-        if "maximum" in schema and value > schema["maximum"]:
-            raise ScenarioError(
-                f"{_path_str(path)}: must be <= {schema['maximum']}, got {value}")
-        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            raise ScenarioError(
-                f"{_path_str(path)}: must be > {schema['exclusiveMinimum']}, got {value}"
-            )
-        if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
-            raise ScenarioError(
-                f"{_path_str(path)}: must be < {schema['exclusiveMaximum']}, got {value}"
-            )
+        for keyword, fails, wording in _BOUNDS:
+            if keyword in schema and fails(value, schema[keyword]):
+                raise ScenarioError(f"{path}: must be {wording} {schema[keyword]}, got {value}")
     if isinstance(value, dict):
         for key in schema.get("required", ()):
             if key not in value:
-                raise ScenarioError(f"{_path_str(path)}.{key}: required field missing")
+                raise ScenarioError(f"{path}.{key}: required field missing")
         props = schema.get("properties", {})
         if schema.get("additionalProperties") is False:
             for key in value:
                 if key not in props:
-                    raise ScenarioError(f"{_path_str(path)}.{key}: unknown field")
+                    raise ScenarioError(f"{path}.{key}: unknown field")
         for key, sub in props.items():
             if key in value:
-                validate_schema(value[key], sub, (path, ".{}", key))
+                validate_schema(value[key], sub, f"{path}.{key}")
     if isinstance(value, list):
-        if "minItems" in schema and len(value) < schema["minItems"]:
-            raise ScenarioError(
-                f"{_path_str(path)}: needs at least {schema['minItems']} items, "
-                f"got {len(value)}"
-            )
-        if "maxItems" in schema and len(value) > schema["maxItems"]:
-            raise ScenarioError(
-                f"{_path_str(path)}: needs at most {schema['maxItems']} items, "
-                f"got {len(value)}"
-            )
+        for keyword, fails, wording in _COUNTS:
+            if keyword in schema and fails(len(value), schema[keyword]):
+                raise ScenarioError(
+                    f"{path}: needs {wording} {schema[keyword]} items, got {len(value)}")
         item_schema = schema.get("items")
         if item_schema is not None and not _all_items_valid(value, item_schema):
             for i, item in enumerate(value):
-                validate_schema(item, item_schema, (path, "[{}]", i))
+                validate_schema(item, item_schema, f"{path}[{i}]")
 
 
 def validate_scenario(obj):
@@ -700,6 +675,13 @@ def _run_singleshot(scn, ctx):
     return results, series
 
 
+def _check_joint_dim(path: str, ds: int, da: int) -> None:
+    """Refuse a joint state beyond :data:`MAX_DIM`, before it is built."""
+    if ds * da > MAX_DIM:
+        raise ScenarioError(
+            f"{path}: joint dimension {ds} x {da} = {ds * da} exceeds the cap {MAX_DIM}")
+
+
 def _build_bipartite(node, path, ctx, h: Hamiltonian, t: Temperature) -> BipartiteState:
     if "matrix" in node:
         ds, da = (int(d) for d in node["dims"])
@@ -707,11 +689,13 @@ def _build_bipartite(node, path, ctx, h: Hamiltonian, t: Temperature) -> Biparti
         return BipartiteState(rho_sa=rho, dim_s=ds, dim_a=da)
     if "purify" in node:
         rho_s = _build_state(node["purify"], f"{path}.purify", ctx, h, t)
+        _check_joint_dim(f"{path}.purify", rho_s.dim, rho_s.dim)
         return BipartiteState(rho_sa=purify(rho_s), dim_s=rho_s.dim, dim_a=rho_s.dim)
     spec = node["product"]
     rho_s = _build_state(spec["system"], f"{path}.product.system", ctx, h, t)
     # the ancilla has no Hamiltonian, so it has no gibbs state
     rho_a = _build_state(spec["ancilla"], f"{path}.product.ancilla", ctx, None, t)
+    _check_joint_dim(f"{path}.product", rho_s.dim, rho_a.dim)
     joint = DensityMatrix(kron(rho_s.mat, rho_a.mat))
     return BipartiteState(rho_sa=joint, dim_s=rho_s.dim, dim_a=rho_a.dim)
 

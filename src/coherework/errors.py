@@ -21,6 +21,14 @@ class NonFiniteError(CohereworkError, ValueError):
     """
 
 
+class ParameterRangeError(CohereworkError, ValueError):
+    """A numeric parameter (a probability, a count, a factor index) lies
+    outside its documented range.
+
+    Also a :class:`ValueError`, the type numeric code raises for a bad value.
+    """
+
+
 class NonHermitianError(CohereworkError):
     """Matrix is not Hermitian within the requested tolerance."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, NotUnitaryError, StateValidationError
+from .errors import NonFiniteError, NotUnitaryError, ParameterRangeError, StateValidationError
 from .linalg import as_matrix, is_unitary, log_partition, require_same_dim, thermal
 from .projection import energy_projectors, project
 from .states import (
@@ -188,7 +188,7 @@ def sample_trajectories(table: TransitionTable, n_samples: int,
     """
     n = int(n_samples)
     if n < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples!r}")
+        raise ParameterRangeError(f"n_samples must be >= 1, got {n_samples!r}")
     cdf = np.cumsum(table.probs.ravel())
     u = np.random.default_rng(seed).random(n)
     u.sort()

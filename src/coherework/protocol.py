@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClampRequiredError, NotUnitaryError, StateValidationError
+from .errors import ClampRequiredError, NotUnitaryError, ParameterRangeError, StateValidationError
 from .linalg import as_matrix, hs_norm, is_unitary, require_same_dim, shannon, thermal
 from .states import (
     DensityMatrix,
@@ -168,7 +168,7 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
     which reduces to the identity rotation when rho is already thermal.
     """
     if not 0.0 <= purity_clamp <= MAX_PURITY_CLAMP:
-        raise ValueError(
+        raise ParameterRangeError(
             f"purity_clamp must lie in [0, {MAX_PURITY_CLAMP:g}], got {purity_clamp!r}"
         )
     require_same_dim("build_plan", state=rho.dim, H=h.dim)
@@ -268,7 +268,7 @@ def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
     """
     n = int(quasi_static_steps)
     if n < 1:
-        raise ValueError(f"quasi_static_steps must be >= 1, got {quasi_static_steps!r}")
+        raise ParameterRangeError(f"quasi_static_steps must be >= 1, got {quasi_static_steps!r}")
     beta = plan.temperature.beta
     e1, e2 = plan.e1, plan.e2
 

@@ -22,7 +22,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AlphabetTooLargeError, NonFiniteError, StateValidationError, SupportError
+from .errors import (AlphabetTooLargeError, NonFiniteError, ParameterRangeError,
+                     StateValidationError, SupportError)
 from .linalg import log_partition, require_same_dim, thermal
 from .protocol import ProtocolPlan
 from .states import average_energy
@@ -32,7 +33,8 @@ LN2 = math.log(2.0)
 # subset enumeration is exact but exponential; beyond this use the i.i.d. path
 _MAX_ENUM_ALPHABET = 16
 
-# cap on the number of type classes enumerated by iid_rate
+# cap on the number of type classes enumerated by iid_rate, and on the n + 1
+# entries of its log-factorial table (the larger of the two when m = 1)
 _MAX_TYPE_CLASSES = 200_000
 
 
@@ -67,7 +69,10 @@ class Distribution:
         if not np.isfinite(p).all():
             raise NonFiniteError("Distribution: probabilities include NaN or infinity")
         p = np.maximum(p, 0.0)
-        return cls(p / p.sum())
+        total = p.sum()
+        if p.size and total == 0.0:
+            raise StateValidationError("Distribution: probabilities sum to 0, nothing to normalise")
+        return cls(p / total)
 
     def __len__(self):
         return self.probs.size
@@ -86,7 +91,7 @@ def _check_pair(p: Distribution, q: Distribution):
 
 def _check_eps(eps: float):
     if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps!r}")
+        raise ParameterRangeError(f"eps must lie in [0, 1), got {eps!r}")
 
 
 def kl_bits(p: Distribution, q: Distribution) -> float:
@@ -214,15 +219,15 @@ def iid_rate(p: Distribution, q: Distribution, eps: float, n_copies: int) -> Rat
     _check_eps(eps)
     n = int(n_copies)
     if n < 1:
-        raise ValueError(f"n_copies must be >= 1, got {n_copies!r}")
+        raise ParameterRangeError(f"n_copies must be >= 1, got {n_copies!r}")
     if p.probs.min() <= 0.0:
         raise SupportError("iid_rate requires p with full support (clamp the state first)")
     m = len(p)
     n_classes = math.comb(n + m - 1, m - 1)
-    if n_classes > _MAX_TYPE_CLASSES:
+    if max(n_classes, n + 1) > _MAX_TYPE_CLASSES:
         raise AlphabetTooLargeError(
-            f"{n_classes} type classes for alphabet {m} at n = {n} "
-            f"(cap {_MAX_TYPE_CLASSES})"
+            f"{n_classes} type classes and {n + 1} log-factorials for alphabet {m} "
+            f"at n = {n} (cap {_MAX_TYPE_CLASSES})"
         )
     ks, log_mult = _type_table(n, m)
     log_p = ks @ np.log(p.probs)

@@ -19,6 +19,7 @@ from .errors import (
     NonFiniteError,
     NonHermitianError,
     NonSquareError,
+    ParameterRangeError,
     StateValidationError,
 )
 from .linalg import (DEFAULT_TOL, eigenvalue_clusters, hermitian_part, require_same_dim,
@@ -109,6 +110,8 @@ class Hamiltonian:
 
     def __init__(self, mat):
         m = hermitian_part(mat)
+        if m.shape[0] == 0:
+            raise StateValidationError("Hamiltonian: needs at least one level, got a 0 x 0 matrix")
         w, v = np.linalg.eigh(m)
         for arr in (m, w, v):
             arr.setflags(write=False)
@@ -213,7 +216,7 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> Densi
             f"partial_trace: dims {dims} do not factor dimension {rho.dim}"
         )
     if keep not in (0, 1):
-        raise ValueError(f"partial_trace: keep must be 0 or 1, got {keep!r}")
+        raise ParameterRangeError(f"partial_trace: keep must be 0 or 1, got {keep!r}")
     r = rho.mat.reshape(d0, d1, d0, d1)
     if keep == 0:
         out = np.einsum("iaja->ij", r)

@@ -12,6 +12,7 @@ import pytest
 
 import coherework.cli as cli
 import coherework.protocol as protocol
+import coherework.singleshot as singleshot
 from coherework.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -543,6 +544,17 @@ class TestJarzynskiScenario:
 
 
 class TestSingleshotScenario:
+    def test_one_level_copy_number_beyond_the_table_cap_is_physics_error(
+            self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("type-class table built past the cap")
+
+        monkeypatch.setattr(singleshot, "_type_table", refuse)
+        scn = {"kind": "singleshot", "beta": 1.0, "state": {"gibbs": {}},
+               "hamiltonian": {"diag": [0.0]}, "eps": 0.05, "n_copies": [10**9]}
+        assert run_scenario(write(tmp_path, scn)) == EXIT_PHYSICS
+        assert capsys.readouterr().err.startswith("AlphabetTooLargeError: ")
+
     def test_errors_shrink_with_copies(self):
         scn = {
             "kind": "singleshot", "beta": 1.0,
@@ -577,6 +589,30 @@ class TestSingleshotScenario:
 
 
 class TestCorrelationsScenario:
+    @pytest.mark.parametrize("state_sa, where, dims", [
+        ({"purify": {"random": {"dim": 64, "seed": 1}}}, "$.state_sa.purify", "64 x 64 = 4096"),
+        ({"product": {"system": {"gibbs": {}}, "ancilla": {"random": {"dim": 2, "seed": 1}}}},
+         "$.state_sa.product", "64 x 2 = 128"),
+    ], ids=["purify", "product"])
+    def test_joint_dimension_beyond_the_cap_is_schema_error(self, state_sa, where, dims,
+                                                             tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("joint state built before the cap check")
+
+        monkeypatch.setattr(cli, "purify", refuse)
+        monkeypatch.setattr(cli, "kron", refuse)
+        scn = {"kind": "correlations", "beta": 1.0, "state_sa": state_sa,
+               "hamiltonian": {"random": {"dim": 64, "seed": 2}}}
+        assert run_scenario(write(tmp_path, scn)) == EXIT_SCHEMA
+        assert (f"{where}: joint dimension {dims} exceeds the cap 64"
+                in capsys.readouterr().err)
+
+    def test_joint_dimension_at_the_cap_runs(self, tmp_path):
+        scn = {"kind": "correlations", "beta": 1.0,
+               "state_sa": {"purify": {"random": {"dim": 8, "seed": 1}}},
+               "hamiltonian": {"random": {"dim": 8, "seed": 2}}}
+        assert run_scenario(write(tmp_path, scn), str(tmp_path / "out.json")) == EXIT_OK
+
     def test_purified_state(self):
         scn = {
             "kind": "correlations", "beta": 1.0,

@@ -2,11 +2,10 @@
 scenario fuzzer for the whole ``coherework run`` path.
 
 ``dumps_stable`` renders arrays of floats with one formatting pass and
-``validate_schema`` scans arrays of numbers and ``[re, im]`` pairs in bulk,
-building a path string only for the error it raises. Both must keep every
-byte of output and every error message of the plain recursive versions kept
-below as references: one recursive call per value, one path string per
-entry.
+``validate_schema`` scans arrays of ``[re, im]`` pairs in bulk. Both must
+keep every byte of output and every error message of the plain recursive
+versions kept below as references: one recursive call per value, one path
+string per entry.
 """
 
 import contextlib
@@ -399,7 +398,8 @@ def test_validate_schema_accepts_every_base_scenario():
                                                           2**1024 - 2**970 - 1])),
                 max_size=6))
 def test_number_array_scan_matches_item_loop(values):
-    # the one-scan path and the per-item loop give one verdict and message
+    # a schema the pair scan recognises and an equal one it does not give one
+    # verdict and message
     schema = {"type": "array", "items": {"type": "number"}}
     fast = _outcome(validate_schema, values, schema)
     slow = _outcome(validate_schema, values,

@@ -252,6 +252,14 @@ class TestIidRate:
         with pytest.raises(AlphabetTooLargeError):
             iid_rate(u, u, 0.0, 64)
 
+    def test_one_outcome_cap_bounds_the_log_factorial_table(self):
+        # one outcome has one type class at any n, but n + 1 log-factorials
+        one = Distribution(np.array([1.0]))
+        cap = singleshot._MAX_TYPE_CLASSES
+        assert all(map(math.isfinite, iid_rate(one, one, 0.05, cap - 1)))
+        with pytest.raises(AlphabetTooLargeError, match=f"{cap + 1} log-factorials"):
+            iid_rate(one, one, 0.05, cap)
+
     def test_requires_full_support_p(self):
         with pytest.raises(ValueError, match="full support"):
             iid_rate(dist(1.0, 0.0), dist(0.5, 0.5), 0.0, 4)

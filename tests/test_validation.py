@@ -1,5 +1,6 @@
 """One definition per input rule: the scenario-kind schemas, the ``[re, im]``
-parser, the dimension check, and the energy-level rule they feed."""
+parser, the dimension check, and the energy-level rule they feed, which keeps
+every report through ``main`` covariant under a change of energy unit."""
 
 import contextlib
 import io
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherework.cli import EXIT_OK, EXIT_PHYSICS, EXIT_SCHEMA, ScenarioError, _complex_matrix, main
 from coherework.errors import DimMismatchError
@@ -249,3 +252,98 @@ class TestLevelsIgnoreUnitAndZero:
         results = json.loads(out)["results"]
         assert results["w_opt"] == pytest.approx(BLOCH_WORK, rel=1e-9)
         assert results["exact"]["totals"]["work"] == pytest.approx(BLOCH_WORK, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# units through main: (sH, beta/s) is the same physics in units s times larger
+
+# result keys that hold an energy; every other number is dimensionless
+_ENERGY_KEYS = {"work", "heat_absorbed", "energy_change", "w_opt", "average_unitary_work",
+                "projection_heat", "projection_extra_work", "work_estimate",
+                "work_std_error", "system_work", "global_work"}
+# per series label: whether its x and its y hold energies
+_ENERGY_SERIES = {"abs_work_error_vs_steps": (False, True), "consistency_work": (False, True),
+                  "delta_e_histogram": (True, False)}
+
+
+def _hamiltonian(rng, d):
+    """A random explicit Hamiltonian node, ``diag`` or ``matrix``, as a
+    function of the factor its entries are scaled by."""
+    if rng.random() < 0.5:
+        e = rng.uniform(-1.0, 1.0, d)
+        return lambda f: {"diag": [f * x for x in e]}
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (a + a.conj().T) / 4.0  # exactly Hermitian
+    return lambda f: {"matrix": [[[f * z.real, f * z.imag] for z in row] for row in h]}
+
+
+def _unit_scenario(kind, rng, d):
+    """The scenario of ``kind`` in units scaled by a factor f: (fH, beta/f)."""
+    beta = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+    ham = _hamiltonian(rng, d)
+    seed = lambda: int(rng.integers(1000))
+    state = {"random": {"dim": d, "seed": seed()}} if rng.random() < 0.8 else {"gibbs": {}}
+    basis = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    projectors = ("energy" if rng.random() < 0.5 else
+                  {"basis": [[[z.real, z.imag] for z in row] for row in basis]})
+    if kind == "project":
+        extra = {"state": state, "projectors": projectors}
+    elif kind == "protocol":
+        extra = {"state": state, "steps": [10, 40]}
+    elif kind == "jarzynski":
+        extra = {"unitary": {"random": {"dim": d, "seed": seed()}},
+                 "n_samples": 200, "seed": seed()}
+        if rng.random() < 0.5:
+            extra["hamiltonian_final"] = _hamiltonian(rng, d)
+    elif kind == "singleshot":
+        extra = {"state": state, "eps": 0.05, "n_copies": [2, 8]}
+    else:
+        ancilla = {"random": {"dim": int(rng.integers(2, 4)), "seed": seed()}}
+        extra = {"projectors": projectors,
+                 "state_sa": ({"purify": state} if rng.random() < 0.5 else
+                              {"product": {"system": state, "ancilla": ancilla}})}
+    return lambda f: {"kind": kind, "beta": beta / f, "hamiltonian": ham(f),
+                      **{k: v(f) if callable(v) else v for k, v in extra.items()}}
+
+
+def _assert_rescaled(x, y, s, energy=False):
+    """``y`` is ``x`` in units s times larger: energies scale by s, to 1e-9
+    relative, and every other value stays."""
+    if isinstance(x, dict):
+        assert x.keys() == y.keys()
+        for key in x:
+            _assert_rescaled(x[key], y[key], s, key in _ENERGY_KEYS)
+    elif isinstance(x, list):
+        assert len(x) == len(y)
+        for a, b in zip(x, y):
+            _assert_rescaled(a, b, s, energy)
+    elif isinstance(x, (int, float)) and not isinstance(x, bool):
+        # a report prints 0.0 as 0, so the types of x and y may differ
+        want, unit = (s * x, s) if energy else (x, 1.0)
+        assert abs(y - want) <= 1e-9 * unit * max(1.0, abs(x)), (x, y, s)
+    else:
+        assert x == y
+
+
+@pytest.mark.parametrize("kind", ["project", "protocol", "jarzynski", "singleshot",
+                                  "correlations"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), d=st.integers(2, 4), log_s=st.floats(-12.0, 9.0))
+def test_units_of_energy_rescale_every_report_through_main(kind, seed, d, log_s,
+                                                           tmp_path_factory):
+    scenario = _unit_scenario(kind, np.random.default_rng(seed), d)
+    s = 10.0 ** log_s
+    path = tmp_path_factory.mktemp("units") / "scn.json"
+    reports = []
+    for f in (1.0, s):
+        path.write_text(json.dumps(scenario(f)))
+        code, out, err = _main(["run", str(path)])
+        assert code == EXIT_OK, err
+        reports.append(json.loads(out))
+    base, scaled = reports
+    _assert_rescaled(base["results"], scaled["results"], s)
+    assert [r["label"] for r in base["series"]] == [r["label"] for r in scaled["series"]]
+    for a, b in zip(base["series"], scaled["series"]):
+        x_energy, y_energy = _ENERGY_SERIES[a["label"]]
+        _assert_rescaled(a["x"], b["x"], s, x_energy)
+        _assert_rescaled(a["y"], b["y"], s, y_energy)
