@@ -16,7 +16,7 @@ converges to it at rate O(1/steps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,16 +56,17 @@ class WorkLedger:
     """Ordered per-step energy bookkeeping with summed totals.
 
     Every entry satisfies the first law (energy_change = heat_absorbed - work)
-    as :func:`check_first_law` checks it; isolated steps carry exactly zero
-    heat by construction.
+    as :func:`check_first_law` checks it at the energy ``scale`` of the
+    protocol; isolated steps carry exactly zero heat by construction.
     """
 
     entries: tuple[LedgerEntry, ...]
+    scale: float = 0.0
 
     def __post_init__(self):
         for e in self.entries:
             check_first_law(f"ledger entry {e.label!r}", e.work, e.heat_absorbed,
-                            e.energy_change)
+                            e.energy_change, self.scale)
 
     @property
     def totals(self) -> LedgerEntry:
@@ -82,16 +83,20 @@ class WorkLedger:
 class ProtocolPlan:
     """Fully specified three-step protocol.
 
-    ``basis`` holds the shared eigenbasis (columns) in which rho1, eta, and
-    all three Hamiltonians are diagonal; ``e0/e1/e2`` are their eigenvalues in
-    that basis, ``populations`` the spectrum of the rotated state, and
-    ``target_populations`` the spectrum of eta. ``rho0`` is the (possibly
-    clamped) initial state the plan actually drives. The auxiliary
-    Hamiltonians exist only as ``e1``/``e2``: H_k = basis diag(e_k) basis^dag.
+    ``basis`` holds the shared eigenbasis (columns) in which rho1, eta and all
+    three Hamiltonians are diagonal; ``populations`` is the spectrum of rho1
+    and ``target_populations`` that of eta. ``rho0`` is the (possibly clamped)
+    initial state the plan actually drives.
 
-    Construction checks that ``v`` and ``basis`` are unitary, that rho1 and
-    eta are the thermal states of H1 and H2, and that H0 commutes with H1 and
-    with H2 (H1 and H2 commute by construction), all in ``basis``.
+    The eigenvalues ``e0/e1/e2`` of the Hamiltonians in ``basis`` are derived
+    and read-only: e0 repeats the levels of ``h0``, e1 and e2 are the
+    traceless energies whose thermal states are the two spectra, and
+    H_k = basis diag(e_k) basis^dag.
+
+    Construction checks, in ``basis``, that ``v`` and ``basis`` are unitary,
+    that rho1 is diag(populations), that ``target_populations`` is the
+    diagonal of rho0, and that H0 commutes with H1 and with H2 (H1 and H2
+    commute by construction).
     """
 
     rho0: DensityMatrix
@@ -99,13 +104,23 @@ class ProtocolPlan:
     v: np.ndarray
     temperature: Temperature
     basis: np.ndarray
-    e0: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
     populations: np.ndarray
     target_populations: np.ndarray
+    e0: np.ndarray = field(init=False)
+    e1: np.ndarray = field(init=False)
+    e2: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        beta = self.temperature.beta
+        # a zero population or a vanishing beta overflows; the entry bound raises the typed error
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            e1 = -np.log(self.populations) / beta
+            e1 -= e1.mean()
+            e2 = -np.log(self.target_populations) / beta
+            e2 -= e2.mean()
+        e0 = np.repeat(self.h0.energies, self.h0.degeneracies)
+        for name, arr in (("e0", e0), ("e1", e1), ("e2", e2)):
+            object.__setattr__(self, name, arr)
         for arr in (self.v, self.basis, self.e0, self.e1, self.e2,
                     self.populations, self.target_populations):
             arr.setflags(write=False)
@@ -114,41 +129,35 @@ class ProtocolPlan:
         if not is_unitary(self.basis):
             raise NotUnitaryError("ProtocolPlan: shared eigenbasis is not unitary")
         # the entry bound of H1 and H2; a vanishing beta's infinite gap raises here
-        as_matrix(np.diag(self.e1))
-        as_matrix(np.diag(self.e2))
+        as_matrix(np.diag(e1))
+        as_matrix(np.diag(e2))
         basis_dag = self.basis.conj().T
-        beta = self.temperature.beta
         w = basis_dag @ self.v
         dev = w @ self.rho0.mat @ w.conj().T
-        dev.flat[::len(dev) + 1] -= thermal(self.e1, beta)  # its diagonal
+        dev.flat[::len(dev) + 1] -= self.populations  # its diagonal
         gap1 = hs_norm(dev)
         if gap1 > PLAN_TOL:
             raise StateValidationError(
                 f"ProtocolPlan: rotated state is not thermal for H1 "
                 f"(distance {gap1:.3e})"
             )
-        gap2 = hs_norm(thermal(self.e2, beta) - self.target_populations)
+        rho0_diag = np.einsum("ij,ji->i", basis_dag @ self.rho0.mat, self.basis).real
+        gap2 = hs_norm(rho0_diag - self.target_populations)
         if gap2 > PLAN_TOL:
             raise StateValidationError(
-                f"ProtocolPlan: target state is not thermal for H2 "
-                f"(distance {gap2:.3e})"
+                f"ProtocolPlan: target populations are not the diagonal of rho0 "
+                f"in the shared basis (distance {gap2:.3e})"
             )
         # [K, diag(e)] = K o (e_j - e_i), K = B^dag H0 B, at unit scale: no overflow
-        scale = max(hs_norm(self.h0.mat), hs_norm(self.e1), hs_norm(self.e2), 1e-30)
+        scale = max(hs_norm(self.h0.mat), hs_norm(e1), hs_norm(e2), 1e-30)
         k = basis_dag @ (self.h0.mat / scale) @ self.basis
-        for j, e in ((1, self.e1 / scale), (2, self.e2 / scale)):
+        for j, e in ((1, e1 / scale), (2, e2 / scale)):
             comm = hs_norm(k * (e[None, :] - e[:, None]))
             if comm > PLAN_TOL:
                 raise StateValidationError(
                     f"ProtocolPlan: H0 and H{j} do not share eigenprojectors "
                     f"(relative commutator norm {comm:.3e})"
                 )
-
-
-def _clamp_distribution(p: np.ndarray, clamp: float) -> np.ndarray:
-    if clamp > 0.0:
-        p = np.clip(p, clamp, 1.0 - clamp)
-    return p / p.sum()
 
 
 def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
@@ -173,15 +182,16 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
         )
     require_same_dim("build_plan", state=rho.dim, H=h.dim)
     d = rho.dim
-    beta = t.beta
 
-    a_raw = rho.spectrum()
-    if purity_clamp == 0.0 and a_raw.min() <= _ZERO_EIGENVALUE:
+    a = rho.spectrum()
+    if purity_clamp == 0.0 and a.min() <= _ZERO_EIGENVALUE:
         raise ClampRequiredError(
             "state has a zero eigenvalue; a positive purity_clamp is required "
             "to keep the step-1 energy gap finite"
         )
-    a = _clamp_distribution(a_raw, purity_clamp)
+    if purity_clamp > 0.0:
+        a = np.clip(a, purity_clamp, 1.0 - purity_clamp)
+    a = a / a.sum()
     w_vecs = rho.eigenvectors
     rho_c = DensityMatrix((w_vecs * a) @ w_vecs.conj().T)
 
@@ -196,27 +206,15 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
         f_cols.append(cols @ gk)
         q_list.extend(qk.tolist())
     basis = np.hstack(f_cols)
-    e0 = np.repeat(h.energies, h.degeneracies)
     q = np.maximum(np.array(q_list), 0.0)
     q = q / q.sum()
 
     # rho-eigenvector l (ascending eigenvalue) goes to basis slot d - 1 - l
     rev = np.arange(d - 1, -1, -1)
-    pop = a[rev]
     v = basis[:, rev] @ w_vecs.conj().T
 
-    # a vanishing beta overflows here; the plan's checks raise the typed error
-    with np.errstate(over="ignore", invalid="ignore"):
-        e1 = -np.log(pop) / beta
-        e1 -= e1.mean()
-        e2 = -np.log(q) / beta
-        e2 -= e2.mean()
-
-    return ProtocolPlan(
-        rho0=rho_c, h0=h, v=v, temperature=t,
-        basis=basis, e0=e0, e1=e1, e2=e2,
-        populations=pop, target_populations=q,
-    )
+    return ProtocolPlan(rho0=rho_c, h0=h, v=v, temperature=t, basis=basis,
+                        populations=a[rev], target_populations=q)
 
 
 def _isolated_steps(plan: ProtocolPlan, u1: float, isotherm: LedgerEntry,
@@ -229,7 +227,8 @@ def _isolated_steps(plan: ProtocolPlan, u1: float, isotherm: LedgerEntry,
                          energy_change=u1 - u_rho, entropy_change=0.0)
     quench = LedgerEntry("quench", work=u2 - u3, heat_absorbed=0.0,
                          energy_change=u3 - u2, entropy_change=0.0)
-    return WorkLedger((rotate, isotherm, quench))
+    scale = max(float(np.abs(e).max()) for e in (plan.e0, plan.e1, plan.e2))
+    return WorkLedger((rotate, isotherm, quench), scale)
 
 
 def exact_step_works(plan: ProtocolPlan) -> WorkLedger:

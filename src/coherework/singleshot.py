@@ -69,7 +69,11 @@ class Distribution:
         if not np.isfinite(p).all():
             raise NonFiniteError("Distribution: probabilities include NaN or infinity")
         p = np.maximum(p, 0.0)
-        total = p.sum()
+        with np.errstate(over="ignore"):
+            total = p.sum()
+        if not math.isfinite(total):  # finite weights whose sum overflows
+            p = p / p.max()
+            total = p.sum()
         if p.size and total == 0.0:
             raise StateValidationError("Distribution: probabilities sum to 0, nothing to normalise")
         return cls(p / total)

@@ -174,7 +174,7 @@ def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     require_same_dim("average_energy", state=rho.dim, H=h.dim)
     val = complex(np.trace(rho.mat @ h.mat))
     # rounding leaves an imaginary part proportional to the energy scale
-    if abs(val.imag) > 1e-10 * max(1.0, -h.energies[0], h.energies[-1]):
+    if abs(val.imag) > 1e-10 * max(-h.energies[0], h.energies[-1]):
         raise StateValidationError(
             f"average_energy: nonreal trace, imaginary part {val.imag:.3e}"
         )
@@ -182,11 +182,13 @@ def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
 
 
 def check_first_law(what: str, work: float, heat_absorbed: float,
-                    energy_change: float):
+                    energy_change: float, scale: float = 0.0):
     """Raise ``ConsistencyError`` unless energy_change = heat_absorbed - work.
 
-    The tolerance, 1e-10 * max(1, |work|, |heat|, |energy change|), follows
-    the energy scale, so changing the units of H and T together trips nothing.
+    The tolerance, 1e-10 * max(scale, |work|, |heat|, |energy change|),
+    follows the energy scale, so changing the units of H and T together trips
+    nothing. ``scale`` is the size of the energies the terms are differences
+    of: terms that cancel to rounding noise of those energies still pass.
     A NaN or infinite term raises ``NonFiniteError`` naming the term: the
     balance cannot be checked, which is not the same as being broken.
     """
@@ -195,7 +197,7 @@ def check_first_law(what: str, work: float, heat_absorbed: float,
         if not math.isfinite(value):
             raise NonFiniteError(f"{what} cannot check the first law: {name} is {value!r}")
     gap = abs(energy_change - (heat_absorbed - work))
-    if not gap <= 1e-10 * max(1.0, abs(work), abs(heat_absorbed), abs(energy_change)):
+    if not gap <= 1e-10 * max(scale, abs(work), abs(heat_absorbed), abs(energy_change)):
         raise ConsistencyError(f"{what} violates the first law by {gap:.3e}")
 
 

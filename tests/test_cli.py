@@ -307,6 +307,13 @@ class TestRunScenarioFile:
         points = json.loads(capsys.readouterr().out)["results"]["points"]
         assert all(math.isfinite(pt["work"]) for pt in points)
 
+    def test_thermal_state_at_large_energies_runs(self, tmp_path, capsys):
+        # the isotherm is a null step whose terms are rounding noise of
+        # energies of 1e7; the first law is checked at that scale
+        scn = {"kind": "protocol", "beta": 1e-7, "state": {"gibbs": {}},
+               "hamiltonian": {"matrix": [[[0, 0], [3e6, 0]], [[3e6, 0], [1e7, 0]]]}}
+        assert main(["run", write(tmp_path, scn)]) == EXIT_OK, capsys.readouterr().err
+
     def test_unhashable_kind_is_schema_error(self, tmp_path, capsys):
         assert main(["run", write(tmp_path, {"kind": ["project"]})]) == EXIT_SCHEMA
         assert "$.kind: must be one of" in capsys.readouterr().err

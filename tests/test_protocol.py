@@ -145,15 +145,35 @@ class TestPlanRejections:
         (lambda p: {"v": 2.0 * p.v}, NotUnitaryError, "step-1 rotation is not unitary"),
         (lambda p: {"basis": 2.0 * p.basis}, NotUnitaryError,
          "shared eigenbasis is not unitary"),
-        (lambda p: {"e1": p.e1[::-1]}, StateValidationError, "not thermal for H1"),
-        (lambda p: {"e2": p.e2[::-1]}, StateValidationError, "not thermal for H2"),
+        # uniform populations make H1 zero, whose thermal state is not rho1
+        (lambda p: {"populations": np.array([0.5, 0.5])}, StateValidationError,
+         "not thermal for H1"),
+        (lambda p: {"target_populations": p.target_populations[::-1]},
+         StateValidationError, "target populations are not the diagonal of rho0"),
         (lambda p: {"h0": Hamiltonian(np.array([[0.0, 1.0], [1.0, 0.0]]))},
          StateValidationError, "H0 and H1 do not share eigenprojectors"),
-    ], ids=["v", "basis", "e1", "e2", "h0"])
+    ], ids=["v", "basis", "populations", "target_populations", "h0"])
     def test_broken_plan_is_rejected(self, canonical_qubit, change, error, message):
         plan = build_plan(*canonical_qubit)
         with pytest.raises(error, match=message):
             dataclasses.replace(plan, **change(plan))
+
+    @pytest.mark.parametrize("name", ["e0", "e1", "e2"])
+    def test_derived_energies_are_not_fields(self, canonical_qubit, name):
+        plan = build_plan(*canonical_qubit)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(plan, **{name: getattr(plan, name)})
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(plan, name)[0] = 0.0
+
+    @pytest.mark.parametrize("s", [1e-6, 3.0, 1e6])
+    def test_rescaled_h0_moves_the_ledger(self, canonical_qubit, s):
+        # e0 follows h0, so the plan with s H swapped in is the plan of s H
+        rho, h, t = canonical_qubit
+        hs = Hamiltonian(s * h.mat)
+        total = exact_step_works(dataclasses.replace(build_plan(rho, h, t), h0=hs)).totals
+        want = exact_step_works(build_plan(rho, hs, t)).totals
+        assert abs(total.work - want.work) <= 1e-12 * max(1.0, s)
 
     @pytest.mark.parametrize("beta", [1e-310, 5e-324])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -203,8 +223,9 @@ def reference_commutators(h0, h1, h2):
 
 def reference_plan_checks(**fields):
     """The checks of ``ProtocolPlan`` on its ``fields``, formed in matrix
-    space: H1, H2, eta and both thermal states as d x d matrices, and all
-    three commutators, the [H1, H2] one included."""
+    space: H1 and H2 from the eigenvalues the plan derives, rho1, its thermal
+    state, eta and the dephased rho0 as d x d matrices, and all three
+    commutators, the [H1, H2] one included."""
     p = types.SimpleNamespace(**fields)
     if not is_unitary(p.v):
         raise NotUnitaryError("ProtocolPlan: step-1 rotation is not unitary")
@@ -212,19 +233,25 @@ def reference_plan_checks(**fields):
         raise NotUnitaryError("ProtocolPlan: shared eigenbasis is not unitary")
     basis, basis_dag = p.basis, p.basis.conj().T
     beta = p.temperature.beta
-    with np.errstate(invalid="ignore"):
-        h1 = as_matrix((basis * p.e1) @ basis_dag)
-        h2 = as_matrix((basis * p.e2) @ basis_dag)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e1, e2 = (-np.log(x) / beta for x in (p.populations, p.target_populations))
+        e1, e2 = e1 - e1.mean(), e2 - e2.mean()
+        h1 = as_matrix((basis * e1) @ basis_dag)
+        h2 = as_matrix((basis * e2) @ basis_dag)
     rho1 = p.v @ p.rho0.mat @ p.v.conj().T
-    gap1 = hs_norm((basis * thermal(p.e1, beta)) @ basis_dag - rho1)
+    gap1 = hs_norm((basis * thermal(e1, beta)) @ basis_dag - rho1)
     if gap1 > PLAN_TOL:
         raise StateValidationError(
             f"ProtocolPlan: rotated state is not thermal for H1 (distance {gap1:.3e})")
+    # eta against rho0 with every coherence between basis vectors removed
     eta = (basis * p.target_populations) @ basis_dag
-    gap2 = hs_norm((basis * thermal(p.e2, beta)) @ basis_dag - eta)
+    dephased = sum(np.outer(b, b.conj()) @ p.rho0.mat @ np.outer(b, b.conj())
+                   for b in basis.T)
+    gap2 = hs_norm(eta - dephased)
     if gap2 > PLAN_TOL:
         raise StateValidationError(
-            f"ProtocolPlan: target state is not thermal for H2 (distance {gap2:.3e})")
+            "ProtocolPlan: target populations are not the diagonal of rho0 in the "
+            f"shared basis (distance {gap2:.3e})")
     for (i, j), comm in reference_commutators(p.h0.mat, h1, h2).items():
         if comm > PLAN_TOL:
             raise StateValidationError(
@@ -242,10 +269,15 @@ def _outcome(check, fields):
     return None
 
 
+def _init_fields(plan):
+    """The fields ``ProtocolPlan`` is constructed from, by name."""
+    return {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan) if f.init}
+
+
 def _perturbed_fields(plan, rel, rng):
     """``(field, value)`` pairs, each one field moved by ``rel`` of its size
     (``v`` twice: off the unitaries, and by a unitary rotation)."""
-    d = len(plan.e1)
+    d = len(plan.populations)
 
     def unit(x):
         return x / np.linalg.norm(x)
@@ -258,8 +290,7 @@ def _perturbed_fields(plan, rel, rng):
     kick = unit(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return [
         ("h0", Hamiltonian(h0)),
-        ("e1", plan.e1 + rel * hs_norm(plan.e1) * unit(rng.normal(size=d))),
-        ("e2", plan.e2 + rel * hs_norm(plan.e2) * unit(rng.normal(size=d))),
+        ("populations", plan.populations + rel * unit(rng.normal(size=d))),
         ("v", plan.v + rel * math.sqrt(d) * kick),
         ("v", plan.v @ rotation),
         ("target_populations", plan.target_populations + rel * unit(rng.normal(size=d))),
@@ -282,17 +313,18 @@ class TestChecksInOwnBasis:
                 plans.append(build_plan(random_density_matrix(d, rng), h, t))
         seen = set()
         for plan in plans:
-            fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+            fields = _init_fields(plan)
             for rel in (1e-12, 1e-4):
                 for name, value in _perturbed_fields(plan, rel, rng):
                     changed = {**fields, name: value}
                     new = _outcome(type(plan), changed)
                     old = _outcome(reference_plan_checks, changed)
-                    assert new == old, (len(plan.e1), name, rel)
+                    assert new == old, (len(plan.populations), name, rel)
                     seen.add(new and new[1])
         assert seen >= {None, "ProtocolPlan: step-1 rotation is not",
                         "ProtocolPlan: rotated state is not thermal for H1 (distance",
-                        "ProtocolPlan: target state is not thermal for H2 (distance",
+                        "ProtocolPlan: target populations are not the diagonal of rho0 "
+                        "in the shared basis (distance",
                         "ProtocolPlan: H0 and H1 do not share eigenprojectors "
                         "(relative commutator norm"}
 
@@ -306,14 +338,16 @@ class TestChecksInOwnBasis:
         plan = build_plan(rho, Hamiltonian(np.diag([0.0, 1.0, 2.0])), Temperature(1.0))
         assert abs(plan.e1[1] - plan.e1[2]) < 1e-12 < abs(plan.e2[1] - plan.e2[2])
         mix = np.outer(plan.basis[:, 1], plan.basis[:, 2].conj())
-        fields = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
+        fields = _init_fields(plan)
         changes = [{"h0": Hamiltonian(plan.h0.mat + 1e-3 * (mix + mix.conj().T))}]
-        # an infinite or bound-breaking auxiliary eigenvalue
-        for name in ("e1", "e2"):
-            for value in (math.inf, 1e300):
-                e = fields[name].copy()
-                e[0] = value
-                changes.append({name: e})
+        # a population that makes an auxiliary eigenvalue infinite or NaN
+        for name in ("populations", "target_populations"):
+            for value in (0.0, math.inf, -1.0):
+                x = fields[name].copy()
+                x[0] = value
+                changes.append({name: x})
+        # a temperature that puts both beyond the entry bound
+        changes.append({"temperature": Temperature(1e-300)})
         outcomes = []
         for change in changes:
             changed = {**fields, **change}
@@ -323,7 +357,8 @@ class TestChecksInOwnBasis:
         assert outcomes[0] == (StateValidationError,
                                "ProtocolPlan: H0 and H2 do not share eigenprojectors "
                                "(relative commutator norm")
-        assert [o[0] for o in outcomes[1:]] == [NonFiniteError] * 4
+        assert [o[0] for o in outcomes[1:]] == [NonFiniteError] * 7
+        assert outcomes[-1][1] == "matrix of shape (3, 3) has an entry beyond 1e+150 in"
 
     @pytest.mark.parametrize("d", [2, 8, 32, 64])
     def test_h1_h2_commute_at_the_edge_of_the_unitarity_check(self, d):
@@ -491,6 +526,21 @@ class TestWorkLedger:
                           energy_change=1.0, entropy_change=0.0)
         with pytest.raises(ValueError, match="first law"):
             WorkLedger((bad,))
+
+    def test_scale_sets_the_tolerance(self):
+        # terms that are rounding noise of energies of 1e7 pass at that scale
+        noise = LedgerEntry("isotherm", work=1.9e-9, heat_absorbed=0.0,
+                            energy_change=-1.9e-9 + 1.6e-10, entropy_change=0.0)
+        with pytest.raises(ValueError, match="first law"):
+            WorkLedger((noise,))
+        WorkLedger((noise,), scale=1e7)
+
+    def test_gap_beyond_small_terms_is_caught(self):
+        # no absolute floor: a gap 50 times the work fails at any scale
+        bad = LedgerEntry("x", work=1e-12, heat_absorbed=0.0,
+                          energy_change=5e-11, entropy_change=0.0)
+        with pytest.raises(ValueError, match="first law"):
+            WorkLedger((bad,), scale=1e-11)
 
 
 def _works(rho, hm, beta):

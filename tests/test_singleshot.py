@@ -81,6 +81,13 @@ class TestDistribution:
             with pytest.raises(NonFiniteError, match="NaN or infinity"):
                 Distribution.normalized([bad, 1.0])
 
+    def test_normalized_bounds_an_overflowing_sum(self):
+        # finite weights whose sum overflows are scaled by the largest first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d = Distribution.normalized([1e308, 1e308])
+        np.testing.assert_array_equal(d.probs, [0.5, 0.5])
+
     def test_normalized_constructor(self):
         d = Distribution.normalized([0.5, 0.5 - 1e-15, -1e-18])
         assert d.probs.sum() == pytest.approx(1.0, abs=1e-15)
