@@ -628,7 +628,7 @@ def _run_jarzynski(scn, ctx):
     rho0 = gibbs_state(h0, t)
     f0 = free_energy(rho0, h0, t)
     ftau = free_energy(gibbs_state(htau, t), htau, t)
-    rho_tau = DensityMatrix(v @ rho0.mat @ v.conj().T)
+    rho_tau = DensityMatrix._trusted(v @ rho0.mat @ v.conj().T)
     heat = projection_heat(rho_tau, htau, t)
     # an optimal final measurement pays all of its heat out as extra work
     results = {
@@ -696,7 +696,7 @@ def _build_bipartite(node, path, ctx, h: Hamiltonian, t: Temperature) -> Biparti
     # the ancilla has no Hamiltonian, so it has no gibbs state
     rho_a = _build_state(spec["ancilla"], f"{path}.product.ancilla", ctx, None, t)
     _check_joint_dim(f"{path}.product", rho_s.dim, rho_a.dim)
-    joint = DensityMatrix(kron(rho_s.mat, rho_a.mat))
+    joint = DensityMatrix._trusted(kron(rho_s.mat, rho_a.mat))
     return BipartiteState(rho_sa=joint, dim_s=rho_s.dim, dim_a=rho_a.dim)
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatchError
-from .linalg import kron, require_same_dim, shannon
+from .linalg import require_same_dim, shannon
 from .projection import ProjectorSet, WorkReport, project
 from .states import (
     DensityMatrix,
@@ -60,8 +60,8 @@ class BipartiteState:
 def _lift(p: ProjectorSet, dim_a: int) -> ProjectorSet:
     """The family {P_k (x) 1_A}: basis U (x) 1_A, cluster k = c_k * dim_a + a."""
     cols = np.arange(dim_a)
-    return ProjectorSet(kron(p.basis, np.eye(dim_a)),
-                        [(c[:, None] * dim_a + cols).ravel() for c in p.clusters])
+    return ProjectorSet._trusted(np.kron(p.basis, np.eye(dim_a)),
+                                 tuple((c[:, None] * dim_a + cols).ravel() for c in p.clusters))
 
 
 def local_project(state: BipartiteState, p: ProjectorSet) -> BipartiteState:

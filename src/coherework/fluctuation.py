@@ -154,6 +154,26 @@ def projection_heat(rho_tau: DensityMatrix, htau: Hamiltonian,
     return (von_neumann_entropy(eta) - von_neumann_entropy(rho_tau)) / t.beta
 
 
+# uniforms are drawn and sorted this many at a time: PCG64 yields the same
+# stream in chunks as in one call, and per-chunk counts add up, so the counts
+# are those of the whole array without holding n_samples doubles at once
+_SAMPLE_CHUNK = 65536
+
+
+def _cell_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
+    """Draws of ``n`` sorted PCG64 uniforms for ``seed`` landing in each cell
+    of the distribution ``probs``, by inverse CDF."""
+    cdf = np.cumsum(probs)
+    rng = np.random.default_rng(seed)
+    # below[k]: draws u_i < cdf[k]; draw i lands in cell >= k iff cdf[k-1] <= u_i
+    below = np.zeros(cdf.size - 1, dtype=np.intp)
+    for start in range(0, n, _SAMPLE_CHUNK):
+        u = rng.random(min(_SAMPLE_CHUNK, n - start))
+        u.sort()
+        below += np.searchsorted(u, cdf[:-1], side="left")
+    return np.diff(below, prepend=0, append=n)
+
+
 @dataclass(frozen=True)
 class TrajectoryStats:
     """Empirical statistics of sampled two-point-measurement trajectories."""
@@ -179,22 +199,18 @@ def sample_trajectories(table: TransitionTable, n_samples: int,
     Sampling is inverse-CDF over the flattened table: draw i lands in the
     first cell whose cumulative probability exceeds its uniform u_i (the last
     cell also takes any u_i at or above the final cumulative sum). The
-    uniforms come from numpy's PCG64 stream for ``seed`` and are sorted, so
-    one binary search per cell boundary gives the exact count of draws in
-    every cell; no per-sample array beyond the uniforms is built. The same
-    (table, n_samples, seed) gives the same counts and bit-identical
-    statistics on the same build. Means and standard errors (sample standard
-    deviation, ddof=1) are count-weighted sums over the occupied cells.
+    uniforms come from numpy's PCG64 stream for ``seed`` and are sorted in
+    chunks of 65,536, so one binary search per cell boundary and chunk gives
+    the exact count of draws in every cell; no per-sample array beyond one
+    chunk of uniforms is built. The same (table, n_samples, seed) gives the
+    same counts and bit-identical statistics on the same build. Means and
+    standard errors (sample standard deviation, ddof=1) are count-weighted
+    sums over the occupied cells.
     """
     n = int(n_samples)
     if n < 1:
         raise ParameterRangeError(f"n_samples must be >= 1, got {n_samples!r}")
-    cdf = np.cumsum(table.probs.ravel())
-    u = np.random.default_rng(seed).random(n)
-    u.sort()
-    # draw i lands in cell >= k iff cdf[k-1] <= u_i
-    counts = np.diff(np.searchsorted(u, cdf[:-1], side="left"), prepend=0, append=n)
-
+    counts = _cell_counts(table.probs.ravel(), n, seed)
     de_cells = table.delta_e.ravel()
     hit = counts > 0  # empty cells may hold an overflowing e^(beta W)
     c = counts[hit].astype(float)

@@ -53,18 +53,32 @@ class ProjectorSet:
                 f"ProjectorSet: clusters must partition the columns 0..{d - 1} "
                 f"into nonempty groups, got {[c.tolist() for c in cl]}"
             )
+        self._fill(u.copy(), cl)
+
+    @classmethod
+    def _trusted(cls, basis: np.ndarray, clusters: tuple[np.ndarray, ...]) -> "ProjectorSet":
+        """Family from a complex unitary the library built and 1-d integer
+        index arrays that partition its columns, both taken over unchecked
+        and made read-only."""
+        self = cls.__new__(cls)
+        self._fill(basis, clusters)
+        return self
+
+    def _fill(self, basis: np.ndarray, clusters: tuple[np.ndarray, ...]):
+        """Store ``basis`` and ``clusters`` read-only with the same-projector mask."""
+        d = basis.shape[0]
         owner = np.empty(d, dtype=np.intp)
-        for k, c in enumerate(cl):
+        for k, c in enumerate(clusters):
             c.setflags(write=False)
             owner[c] = k
         # mask[i, j] is True when columns i and j belong to the same projector
         self.mask = owner[:, None] == owner[None, :]
         self.mask.setflags(write=False)
-        self.basis = u.copy()
-        self.basis.setflags(write=False)
-        self.clusters = cl
+        basis.setflags(write=False)
+        self.basis = basis
+        self.clusters = clusters
         self.dim = d
-        self.ranks = tuple(c.size for c in cl)
+        self.ranks = tuple(c.size for c in clusters)
 
     @classmethod
     def from_basis(cls, basis) -> "ProjectorSet":
@@ -99,7 +113,7 @@ class ProjectorSet:
 
 def energy_projectors(h: Hamiltonian) -> ProjectorSet:
     """Eigenprojector family of a Hamiltonian, one member per clustered level."""
-    return ProjectorSet(h.eigenvectors, h.clusters)
+    return ProjectorSet._trusted(h.eigenvectors, h.clusters)
 
 
 @dataclass(frozen=True)
@@ -129,7 +143,7 @@ def project(rho: DensityMatrix, p: ProjectorSet) -> DensityMatrix:
     """
     require_same_dim("project", state=rho.dim, projectors=p.dim)
     u = p.basis
-    return DensityMatrix(u @ (p.mask * (u.conj().T @ rho.mat @ u)) @ u.conj().T)
+    return DensityMatrix._trusted(u @ (p.mask * (u.conj().T @ rho.mat @ u)) @ u.conj().T)
 
 
 def optimal_projection_work(rho: DensityMatrix, h: Hamiltonian, p: ProjectorSet,

@@ -39,6 +39,11 @@ MAX_PURITY_CLAMP = 1e-3
 # an eigenvalue at or below this is "zero" for clamping purposes
 _ZERO_EIGENVALUE = 1e-14
 
+# the type each ProtocolPlan field must have
+_FIELD_TYPES = (("rho0", DensityMatrix), ("h0", Hamiltonian), ("v", np.ndarray),
+                ("temperature", Temperature), ("basis", np.ndarray),
+                ("populations", np.ndarray), ("target_populations", np.ndarray))
+
 
 @dataclass(frozen=True)
 class LedgerEntry:
@@ -93,10 +98,12 @@ class ProtocolPlan:
     traceless energies whose thermal states are the two spectra, and
     H_k = basis diag(e_k) basis^dag.
 
-    Construction checks, in ``basis``, that ``v`` and ``basis`` are unitary,
-    that rho1 is diag(populations), that ``target_populations`` is the
-    diagonal of rho0, and that H0 commutes with H1 and with H2 (H1 and H2
-    commute by construction).
+    Construction checks the type of every field and then, in ``basis``,
+    that ``v`` and ``basis`` are unitary, that rho1 is diag(populations),
+    that ``target_populations`` is the diagonal of rho0, that H0 commutes
+    with H1 and with H2 (H1 and H2 commute by construction), and that the
+    basis columns hold the levels of ``h0`` in the ascending order e0 lists
+    them in.
     """
 
     rho0: DensityMatrix
@@ -111,6 +118,13 @@ class ProtocolPlan:
     e2: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        for name, kind in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise StateValidationError(
+                    f"ProtocolPlan: {name} must be a {kind.__module__}.{kind.__name__}, "
+                    f"got {type(value).__name__}"
+                )
         beta = self.temperature.beta
         # a zero population or a vanishing beta overflows; the entry bound raises the typed error
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -158,6 +172,17 @@ class ProtocolPlan:
                     f"ProtocolPlan: H0 and H{j} do not share eigenprojectors "
                     f"(relative commutator norm {comm:.3e})"
                 )
+        # e0 lists h0's levels in ascending order, so the basis columns must
+        # hold them in that order: diag K is e0 within the in-level spread
+        # that eigenvalue_clusters allows
+        w0 = self.h0.eigenvalues
+        spread = max(w0[c[-1]] - w0[c[0]] for c in self.h0.clusters)
+        gap0 = float(np.abs(k.diagonal().real - e0 / scale).max())
+        if gap0 > PLAN_TOL + spread / scale:
+            raise StateValidationError(
+                f"ProtocolPlan: the levels of h0 are not in the order of the "
+                f"basis columns (distance {gap0:.3e})"
+            )
 
 
 def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
@@ -193,7 +218,7 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
         a = np.clip(a, purity_clamp, 1.0 - purity_clamp)
     a = a / a.sum()
     w_vecs = rho.eigenvectors
-    rho_c = DensityMatrix((w_vecs * a) @ w_vecs.conj().T)
+    rho_c = DensityMatrix._trusted((w_vecs * a) @ w_vecs.conj().T)
 
     # shared basis: within each energy eigenspace, diagonalise rho_c's block
     hv = h.eigenvectors

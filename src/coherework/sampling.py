@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .correlations import BipartiteState
-from .linalg import hermitian_eig
+from .errors import StateValidationError
 from .projection import ProjectorSet
 from .states import DensityMatrix, Hamiltonian
 
@@ -16,24 +16,26 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_hamiltonian(dim: int, rng: np.random.Generator) -> Hamiltonian:
-    return Hamiltonian(random_hermitian(dim, rng))
+    return Hamiltonian._trusted(random_hermitian(dim, rng))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Unitary from the eigenbasis of a random Hermitian generator."""
-    return hermitian_eig(random_hermitian(dim, rng))[1]
+    return np.linalg.eigh(random_hermitian(dim, rng))[1]
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Full-rank state from a complex Ginibre factor."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return DensityMatrix._trusted(m / np.trace(m).real)
 
 
 def random_projector_set(dim: int, rng: np.random.Generator) -> ProjectorSet:
     """Complete rank-1 family from a random unitary's columns."""
-    return ProjectorSet.from_basis(random_unitary(dim, rng))
+    if dim < 1:
+        raise StateValidationError(f"random_projector_set: needs at least one column, got {dim!r}")
+    return ProjectorSet._trusted(random_unitary(dim, rng), tuple(np.arange(dim)[:, None]))
 
 
 def random_bipartite_state(dim_s: int, dim_a: int, rng: np.random.Generator) -> BipartiteState:

@@ -66,15 +66,35 @@ class DensityMatrix:
             m = hermitian_part(mat)
         except (NonSquareError, NonHermitianError) as exc:
             raise StateValidationError(f"DensityMatrix: {exc}") from None
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > DEFAULT_TOL:
+        self._fill(m)
+
+    @classmethod
+    def _trusted(cls, mat: np.ndarray) -> "DensityMatrix":
+        """State from a square complex matrix the library built from validated
+        parts, Hermitian up to rounding: symmetrised and factorised like a
+        public one, with the trace and eigenvalue-floor checks but no entry,
+        shape or Hermiticity checks."""
+        self = cls.__new__(cls)
+        self._fill((mat + mat.conj().T) / 2.0)
+        return self
+
+    def _fill(self, m: np.ndarray):
+        """Check the trace and eigenvalue floor of the Hermitian ``m`` and store
+        it with its eigen-data; a NaN fails a check rather than passing it."""
+        tr = float(m.trace().real)
+        if not abs(tr - 1.0) <= DEFAULT_TOL:
             raise StateValidationError(
                 f"DensityMatrix: trace must be 1 within {DEFAULT_TOL:g}, got {tr!r}"
             )
-        w, v = np.linalg.eigh(m)
-        if w[0] < EIGENVALUE_FLOOR:
+        try:
+            w, v = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise StateValidationError(f"DensityMatrix: eigendecomposition failed: {exc}") from None
+        # the minimum rather than w[0]: eigh may leave a NaN anywhere
+        w_min = w.min()
+        if not w_min >= EIGENVALUE_FLOOR:
             raise StateValidationError(
-                f"DensityMatrix: negative eigenvalue {w[0]:.3e} below floor "
+                f"DensityMatrix: negative eigenvalue {w_min:.3e} below floor "
                 f"{EIGENVALUE_FLOOR:g}"
             )
         for arr in (m, w, v):
@@ -109,7 +129,19 @@ class Hamiltonian:
     __slots__ = ("mat", "dim", "eigenvalues", "eigenvectors", "clusters", "energies")
 
     def __init__(self, mat):
-        m = hermitian_part(mat)
+        self._fill(hermitian_part(mat))
+
+    @classmethod
+    def _trusted(cls, mat: np.ndarray) -> "Hamiltonian":
+        """Hamiltonian from a square complex matrix the library built Hermitian
+        with finite entries: symmetrised and factorised like a public one, with
+        no entry, shape or Hermiticity checks."""
+        self = cls.__new__(cls)
+        self._fill((mat + mat.conj().T) / 2.0)
+        return self
+
+    def _fill(self, m: np.ndarray):
+        """Store the Hermitian ``m`` with its eigen-data and clustered levels."""
         if m.shape[0] == 0:
             raise StateValidationError("Hamiltonian: needs at least one level, got a 0 x 0 matrix")
         w, v = np.linalg.eigh(m)
@@ -144,11 +176,13 @@ def bloch_qubit(a: float, theta: float) -> DensityMatrix:
     """
     if not 0.0 <= a <= 1.0:
         raise StateValidationError(f"bloch_qubit: a must lie in [0, 1], got {a!r}")
+    if not math.isfinite(theta):
+        raise NonFiniteError(f"bloch_qubit: theta must be finite, got {theta!r}")
     r = 2.0 * a - 1.0
     sz = r * math.cos(theta)
     sx = r * math.sin(theta)
     m = 0.5 * np.array([[1.0 + sz, sx], [sx, 1.0 - sz]], dtype=complex)
-    return DensityMatrix(m)
+    return DensityMatrix._trusted(m)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -166,7 +200,7 @@ def gibbs_state(h: Hamiltonian, t: Temperature) -> DensityMatrix:
     """Thermal state e^(-beta H) / Z, computed in the eigenbasis."""
     p = thermal(h.eigenvalues, t.beta)
     v = h.eigenvectors
-    return DensityMatrix((v * p) @ v.conj().T)
+    return DensityMatrix._trusted((v * p) @ v.conj().T)
 
 
 def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
@@ -224,7 +258,7 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> Densi
         out = np.einsum("iaja->ij", r)
     else:
         out = np.einsum("iaib->ab", r)
-    return DensityMatrix(out)
+    return DensityMatrix._trusted(out)
 
 
 def purify(rho: DensityMatrix) -> DensityMatrix:
@@ -237,7 +271,7 @@ def purify(rho: DensityMatrix) -> DensityMatrix:
     # entry (i, l) of v sqrt(a) is component i*d + l; + 0.0 makes -0.0 zeros +0.0
     psi = (rho.eigenvectors * np.sqrt(rho.spectrum())).reshape(-1) + 0.0
     psi /= np.linalg.norm(psi)
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    return DensityMatrix._trusted(np.outer(psi, psi.conj()))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -11,6 +11,7 @@ from coherework.errors import (
 )
 from coherework.fluctuation import (
     TransitionTable,
+    _cell_counts,
     average_unitary_work,
     jarzynski_average,
     projection_heat,
@@ -369,6 +370,23 @@ class TestSampleTrajectoriesOracle:
             # the standard error's rounding scales with the mean it is taken about
             assert got[0] == pytest.approx(mean, rel=1e-14, abs=1e-300)
             assert got[1] == pytest.approx(se, rel=1e-14, abs=1e-14 * abs(mean))
+
+    @pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 10**6])
+    def test_chunked_counts_match_whole_array(self, n):
+        # the whole-array reduction: every uniform drawn and sorted at once
+        rng = np.random.default_rng(8)
+        wide = rng.random(4096) * (rng.random(4096) < 0.7)
+        tables = [t.probs.ravel() for t in ORACLE_TABLES.values()] + [wide / wide.sum()]
+        for probs in tables:
+            cdf = np.cumsum(probs)
+            for seed in (0, 5, 123):
+                u = np.random.default_rng(seed).random(n)
+                u.sort()
+                whole = np.diff(np.searchsorted(u, cdf[:-1], side="left"),
+                                prepend=0, append=n)
+                got = _cell_counts(probs, n, seed)
+                assert got.dtype == whole.dtype
+                assert np.array_equal(got, whole), (probs.size, seed)
 
     def test_unreachable_cell_with_overflowing_weight(self):
         # e^(beta W) overflows on a cell the table gives probability 0; no

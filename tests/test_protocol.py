@@ -158,6 +158,38 @@ class TestPlanRejections:
         with pytest.raises(error, match=message):
             dataclasses.replace(plan, **change(plan))
 
+    def test_h0_levels_out_of_basis_order(self, canonical_qubit):
+        # -H commutes with H1 and H2, but its ascending levels run against the
+        # basis columns; accepted, it gave a ledger total of 0.747, not 0.147
+        rho, h, t = canonical_qubit
+        plan = build_plan(rho, h, t)
+        with pytest.raises(StateValidationError,
+                           match="levels of h0 are not in the order of the basis columns"):
+            dataclasses.replace(plan, h0=Hamiltonian(-h.mat))
+
+    def test_in_level_spread_is_accepted(self):
+        # one level of six eigenvalues 1.9e-8 apart (spread 2): a basis column
+        # on its edge is 4.75e-8 from the level's mean, beyond PLAN_TOL at unit scale
+        step = 1.9e-8
+        h = Hamiltonian(np.diag([0.0, *(1.0 + step * np.arange(6)), 2.0]).astype(complex))
+        assert [len(c) for c in h.clusters] == [1, 6, 1]
+        p = np.array([0.3, 0.2, 0.15, 0.1, 0.09, 0.08, 0.05, 0.03])
+        plan = build_plan(DensityMatrix(np.diag(p).astype(complex)), h, Temperature(10.0))
+        k = plan.basis.conj().T @ h.mat @ plan.basis
+        scale = max(hs_norm(h.mat), hs_norm(plan.e1), hs_norm(plan.e2))
+        assert np.abs(k.diagonal().real - plan.e0).max() / scale > PLAN_TOL
+
+    @pytest.mark.parametrize("name, value", [
+        ("rho0", lambda p: p.rho0.mat), ("h0", lambda p: p.h0.mat),
+        ("temperature", lambda p: p.temperature.beta), ("v", lambda p: p.v.tolist()),
+        ("basis", lambda p: p.basis.tolist()), ("populations", lambda p: p.populations.tolist()),
+        ("target_populations", lambda p: p.target_populations.tolist()),
+    ])
+    def test_fields_of_the_wrong_type_are_rejected(self, canonical_qubit, name, value):
+        plan = build_plan(*canonical_qubit)
+        with pytest.raises(StateValidationError, match=f"{name} must be a "):
+            dataclasses.replace(plan, **{name: value(plan)})
+
     @pytest.mark.parametrize("name", ["e0", "e1", "e2"])
     def test_derived_energies_are_not_fields(self, canonical_qubit, name):
         plan = build_plan(*canonical_qubit)

@@ -398,6 +398,11 @@ class TestBlochQubit:
         with pytest.raises(StateValidationError):
             bloch_qubit(1.2, 0.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta(self, theta):
+        with pytest.raises(NonFiniteError, match="theta must be finite"):
+            bloch_qubit(0.8, theta)
+
 
 class TestHamiltonian:
     def test_eigenprojectors_complete_and_orthogonal(self):
