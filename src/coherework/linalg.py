@@ -54,14 +54,22 @@ def shannon(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def thermal(e, beta: float, g=None) -> np.ndarray:
+def thermal(e, beta: float, g=None, out=None) -> np.ndarray:
     """Boltzmann weights g_k e^(-beta e_k) / Z along the last axis of ``e``.
 
     The exponents are shifted by their largest value, so neither a negative
     beta nor a large beta * spread can overflow. A 2-d ``e`` gives one
     distribution per row; ``g`` (default all ones) holds the degeneracies.
+    The weights go into a new array, or into ``out``, a float array of
+    ``e``'s shape, by the same operations, so they have the same bits either
+    way; ``protocol.simulate`` writes them into its workspace this way,
+    which holds at most three 65,537 x d float arrays per call and at most
+    16 MiB kept per thread.
     """
-    p = -beta * np.asarray(e, dtype=float)  # a new array: updated in place below
+    if out is None:
+        p = -beta * np.asarray(e, dtype=float)  # a new array: updated in place below
+    else:
+        p = np.multiply(-beta, e, out=out)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     if g is not None:

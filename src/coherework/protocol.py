@@ -16,6 +16,7 @@ converges to it at rate O(1/steps).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,14 @@ MAX_PURITY_CLAMP = 1e-3
 
 # an eigenvalue at or below this is "zero" for clamping purposes
 _ZERO_EIGENVALUE = 1e-14
+
+# simulate runs its isotherm in chunks of this many steps, and keeps at most
+# this many bytes of workspace per thread between calls
+_CHUNK = 65536
+_MAX_KEPT_BYTES = 16 * 2**20
+
+# the kept workspace of simulate, one ``buf`` attribute per thread
+_workspace = threading.local()
 
 # the type each ProtocolPlan field must have
 _FIELD_TYPES = (("rho0", DensityMatrix), ("h0", Hamiltonian), ("v", np.ndarray),
@@ -103,7 +112,8 @@ class ProtocolPlan:
     that ``target_populations`` is the diagonal of rho0, that H0 commutes
     with H1 and with H2 (H1 and H2 commute by construction), and that the
     basis columns hold the levels of ``h0`` in the ascending order e0 lists
-    them in.
+    them in. A plan from :func:`build_plan` skips only the two unitarity
+    checks: its ``v`` and ``basis`` are products of ``eigh`` eigenvectors.
     """
 
     rho0: DensityMatrix
@@ -118,6 +128,20 @@ class ProtocolPlan:
     e2: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self._fill(check_unitary=True)
+
+    @classmethod
+    def _trusted(cls, **fields) -> "ProtocolPlan":
+        """Plan from the seven fields :func:`build_plan` computed, with every
+        check of a public plan except that ``v`` and ``basis`` are unitary."""
+        self = cls.__new__(cls)
+        for name, _ in _FIELD_TYPES:
+            object.__setattr__(self, name, fields[name])
+        self._fill(check_unitary=False)
+        return self
+
+    def _fill(self, check_unitary: bool):
+        """Check the fields, derive e0, e1 and e2, and make the arrays read-only."""
         for name, kind in _FIELD_TYPES:
             value = getattr(self, name)
             if not isinstance(value, kind):
@@ -138,9 +162,9 @@ class ProtocolPlan:
         for arr in (self.v, self.basis, self.e0, self.e1, self.e2,
                     self.populations, self.target_populations):
             arr.setflags(write=False)
-        if not is_unitary(self.v):
+        if check_unitary and not is_unitary(self.v):
             raise NotUnitaryError("ProtocolPlan: step-1 rotation is not unitary")
-        if not is_unitary(self.basis):
+        if check_unitary and not is_unitary(self.basis):
             raise NotUnitaryError("ProtocolPlan: shared eigenbasis is not unitary")
         # the entry bound of H1 and H2; a vanishing beta's infinite gap raises here
         as_matrix(np.diag(e1))
@@ -227,6 +251,11 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
     for idx in h.clusters:
         cols = hv[:, idx]
         block = cols.conj().T @ rho_c.mat @ cols
+        if len(idx) == 1:
+            # what eigh returns for a 1 x 1 block: its real entry and the unit vector
+            f_cols.append(cols)
+            q_list.append(block[0, 0].real)
+            continue
         qk, gk = np.linalg.eigh((block + block.conj().T) / 2.0)
         f_cols.append(cols @ gk)
         q_list.extend(qk.tolist())
@@ -238,8 +267,8 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
     rev = np.arange(d - 1, -1, -1)
     v = basis[:, rev] @ w_vecs.conj().T
 
-    return ProtocolPlan(rho0=rho_c, h0=h, v=v, temperature=t, basis=basis,
-                        populations=a[rev], target_populations=q)
+    return ProtocolPlan._trusted(rho0=rho_c, h0=h, v=v, temperature=t, basis=basis,
+                                 populations=a[rev], target_populations=q)
 
 
 def _isolated_steps(plan: ProtocolPlan, u1: float, isotherm: LedgerEntry,
@@ -282,6 +311,55 @@ def exact_step_works(plan: ProtocolPlan) -> WorkLedger:
     return _isolated_steps(plan, u1, isotherm, u2)
 
 
+def _workspace_buffer(size: int) -> np.ndarray:
+    """A flat float64 array of at least ``size`` entries: this thread's kept
+    workspace, grown when it is smaller, or a new array that nothing keeps
+    when ``size`` doubles exceed :data:`_MAX_KEPT_BYTES`."""
+    if size * 8 > _MAX_KEPT_BYTES:
+        return np.empty(size)
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < size:
+        _workspace.buf = None  # release the old buffer before the new one is allocated
+        buf = _workspace.buf = np.empty(size)
+    return buf
+
+
+def _isotherm(e1: np.ndarray, e2: np.ndarray, beta: float,
+              n: int) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Work and heat of the n-step staircase from the energies e1 to e2, with
+    copies of its last energies and thermal weights.
+
+    Each chunk of up to :data:`_CHUNK` steps fills three row-major views of
+    one workspace buffer in place: the energy schedule, its thermal weights
+    and one scratch product that serves the work sum and then the heat sum.
+    Each sum stays one reduction over the chunk's whole product, whose
+    pairwise grouping fixes the digits of every report.
+    """
+    d = len(e1)
+    rows = min(n, _CHUNK)
+    m = (rows + 1) * d
+    buf = _workspace_buffer(2 * m + rows * d)
+    s = np.linspace(0.0, 1.0, n + 1)
+    de = e2 - e1
+    work = 0.0
+    heat = 0.0
+    for start in range(0, n, _CHUNK):
+        # schedule rows start..stop inclusive: chunk steps, each chunk sharing
+        # its first row with the previous one
+        stop = min(start + _CHUNK, n)
+        r = stop - start
+        ee = buf[:(r + 1) * d].reshape(r + 1, d)
+        pp = buf[m:m + (r + 1) * d].reshape(r + 1, d)
+        step = buf[2 * m:2 * m + r * d].reshape(r, d)
+        np.add(e1, np.multiply(s[start:stop + 1, None], de, out=ee), out=ee)
+        thermal(ee, beta, out=pp)
+        np.subtract(ee[:-1], ee[1:], out=step)
+        work += float(np.multiply(step, pp[:-1], out=step).sum())
+        np.subtract(pp[1:], pp[:-1], out=step)
+        heat += float(np.multiply(step, ee[1:], out=step).sum())
+    return work, heat, ee[-1].copy(), pp[-1].copy()
+
+
 def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
     """Run the protocol with a discretised isotherm.
 
@@ -289,30 +367,20 @@ def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
     thermalisation) pairs along a linear eigenvalue schedule from H1 to H2;
     the state is exactly thermal after every sub-step. Its work approaches
     the free-energy difference with error O(1/steps).
+
+    Memory: the staircase runs in chunks of 65,536 steps through at most
+    three 65,537 x d float arrays per call. They are views of one buffer
+    that each thread keeps between calls, so a repeated call allocates
+    nothing, as long as it holds at most 16 MiB; a call that needs more
+    allocates its own and keeps nothing. The ledger holds floats only.
     """
     n = int(quasi_static_steps)
     if n < 1:
         raise ParameterRangeError(f"quasi_static_steps must be >= 1, got {quasi_static_steps!r}")
     beta = plan.temperature.beta
-    e1, e2 = plan.e1, plan.e2
-
-    work = 0.0
-    heat = 0.0
-    s = np.linspace(0.0, 1.0, n + 1)
-    chunk = 65536
-    for start in range(0, n, chunk):
-        # schedule rows start..stop inclusive: chunk steps, each chunk sharing
-        # its first row with the previous one
-        stop = min(start + chunk, n)
-        ee = e1[None, :] + s[start:stop + 1, None] * (e2 - e1)[None, :]
-        pp = thermal(ee, beta)
-        # each sum forms its terms in place in one chunk-sized scratch array
-        step = ee[:-1] - ee[1:]
-        work += float(np.multiply(step, pp[:-1], out=step).sum())
-        step = pp[1:] - pp[:-1]
-        heat += float(np.multiply(step, ee[1:], out=step).sum())
+    e1 = plan.e1
+    work, heat, last_e, last_p = _isotherm(e1, plan.e2, beta, n)
     first_p = thermal(e1, beta)
-    last_e, last_p = ee[-1], pp[-1]
 
     u1 = float(first_p @ e1)
     u2 = float(last_p @ last_e)

@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import math
+import sys
+import threading
 import types
 import warnings
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from coherework import protocol
 from coherework.errors import (
     ClampRequiredError,
     NonFiniteError,
@@ -20,12 +24,15 @@ from coherework.linalg import (
     as_matrix,
     hs_norm,
     is_unitary,
+    shannon,
     thermal,
 )
 from coherework.projection import energy_projectors, optimal_projection_work, project
 from coherework.protocol import (
+    DEFAULT_PURITY_CLAMP,
     PLAN_TOL,
     LedgerEntry,
+    ProtocolPlan,
     WorkLedger,
     build_plan,
     exact_step_works,
@@ -611,3 +618,220 @@ def test_first_law_rejects_nan(field):
     values[field] = math.nan
     with pytest.raises(ValueError, match="first law"):
         WorkLedger((LedgerEntry("x", entropy_change=0.0, **values),))
+
+
+class TestTrustedPlan:
+    """``build_plan`` skips only the unitarity checks a public plan runs."""
+
+    def test_public_plan_with_non_unitary_v_is_rejected(self, canonical_qubit):
+        fields = _init_fields(build_plan(*canonical_qubit))
+        fields["v"] = 2.0 * fields["v"]
+        with pytest.raises(NotUnitaryError, match="step-1 rotation is not unitary"):
+            ProtocolPlan(**fields)
+
+    def test_build_plan_makes_no_unitarity_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(protocol, "is_unitary", lambda a: calls.append(a) or is_unitary(a))
+        rng = np.random.default_rng(5)
+        for d in (1, 2, 8):
+            build_plan(random_density_matrix(d, rng), random_hamiltonian(d, rng),
+                       Temperature(1.0))
+        assert calls == []
+        plan = build_plan(random_density_matrix(3, rng), random_hamiltonian(3, rng),
+                          Temperature(1.0))
+        dataclasses.replace(plan)
+        assert len(calls) == 2
+
+    def test_trusted_plan_keeps_the_other_checks(self, canonical_qubit):
+        fields = _init_fields(build_plan(*canonical_qubit))
+        fields["populations"] = np.array([0.5, 0.5])
+        with pytest.raises(StateValidationError, match="not thermal for H1"):
+            ProtocolPlan._trusted(**fields)
+
+
+def reference_isotherm(e1, e2, beta, n):
+    """The isotherm kernel simulate ran before it kept a workspace: five new
+    chunk-sized arrays per chunk, with thermal's operations written out."""
+    work = 0.0
+    heat = 0.0
+    s = np.linspace(0.0, 1.0, n + 1)
+    chunk = 65536
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        ee = e1[None, :] + s[start:stop + 1, None] * (e2 - e1)[None, :]
+        pp = -beta * ee
+        pp -= pp.max(axis=-1, keepdims=True)
+        np.exp(pp, out=pp)
+        pp /= pp.sum(axis=-1, keepdims=True)
+        step = ee[:-1] - ee[1:]
+        work += float(np.multiply(step, pp[:-1], out=step).sum())
+        step = pp[1:] - pp[:-1]
+        heat += float(np.multiply(step, ee[1:], out=step).sum())
+    return work, heat, ee[-1], pp[-1]
+
+
+def reference_simulate(plan, n):
+    """simulate's ledger from :func:`reference_isotherm`."""
+    beta = plan.temperature.beta
+    work, heat, last_e, last_p = reference_isotherm(plan.e1, plan.e2, beta, n)
+    first_p = thermal(plan.e1, beta)
+    u1 = float(first_p @ plan.e1)
+    u2 = float(last_p @ last_e)
+    isotherm = LedgerEntry("isotherm", work=work, heat_absorbed=heat,
+                           energy_change=u2 - u1,
+                           entropy_change=shannon(last_p) - shannon(first_p))
+    return protocol._isolated_steps(plan, u1, isotherm, u2)
+
+
+def _scaled_plan(d, seed, log_s):
+    """A random d-level plan with H scaled by 10^log_s and beta by its inverse."""
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** log_s
+    return build_plan(random_density_matrix(d, rng), Hamiltonian(s * random_hermitian(d, rng)),
+                      Temperature(float(rng.uniform(0.2, 5.0)) / s))
+
+
+def _kept_buffer():
+    return getattr(protocol._workspace, "buf", None)
+
+
+def assert_simulate_bit_identical(plan, n):
+    """The kernel's sums and end points and every ledger field are ``==``
+    the reference's, and nothing returned shares the kept workspace."""
+    beta = plan.temperature.beta
+    work, heat, last_e, last_p = protocol._isotherm(plan.e1, plan.e2, beta, n)
+    ref_work, ref_heat, ref_e, ref_p = reference_isotherm(plan.e1, plan.e2, beta, n)
+    assert (work, heat) == (ref_work, ref_heat)
+    assert np.array_equal(last_e, ref_e) and np.array_equal(last_p, ref_p)
+    kept = _kept_buffer()
+    if kept is not None:
+        assert not np.shares_memory(last_e, kept) and not np.shares_memory(last_p, kept)
+    assert simulate(plan, n) == reference_simulate(plan, n)
+
+
+CHUNK_EDGES = [1, 2, 65535, 65536, 65537, 131073]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 3, 32, 64]), st.sampled_from(CHUNK_EDGES),
+       st.integers(0, 10_000), st.floats(-12.0, 9.0))
+def test_simulate_bit_identity(d, n, seed, log_s):
+    assert_simulate_bit_identical(_scaled_plan(d, seed, log_s), n)
+
+
+def _run_in_thread(target):
+    """Run ``target`` in a new thread (which starts with no kept workspace)
+    and return its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(target()))
+    thread.start()
+    thread.join()
+    return out[0]
+
+
+def test_simulate_bit_identity_as_the_workspace_is_reused_grown_and_bypassed():
+    plans = {d: _scaled_plan(d, 100 + d, 0.0) for d in (1, 2, 3, 11, 32, 64)}
+    # (d, n, what the kept buffer does): dense64's largest call (64, 10000)
+    # needs 15.4 MB, (32, 65535) and (11, 65536) more than the 16 MiB cap
+    sequence = [(2, 65537, "new"), (32, 100, "same"), (64, 10000, "grown"),
+                (3, 2, "same"), (64, 10001, "grown"), (1, 131073, "same"),
+                (32, 65535, "same"), (11, 65536, "same"), (2, 1, "same")]
+
+    def run():
+        seen = []
+        for d, n, _ in sequence:
+            before = _kept_buffer()
+            assert_simulate_bit_identical(plans[d], n)
+            after = _kept_buffer()
+            assert after.nbytes <= protocol._MAX_KEPT_BYTES
+            seen.append("new" if before is None else "same" if after is before else "grown")
+        return seen
+
+    assert _run_in_thread(run) == [what for _, _, what in sequence]
+
+
+def test_simulate_above_the_cap_keeps_no_buffer():
+    plan = _scaled_plan(11, 7, 0.0)
+
+    def run():
+        assert_simulate_bit_identical(plan, 65536)
+        return _kept_buffer()
+
+    assert _run_in_thread(run) is None
+
+
+def test_simulate_bit_identity_in_threads_at_once():
+    # more threads than the two cores CI gives, switching often; each grows
+    # its own buffer at its own time, so a shared one would mix their rows
+    calls = [[(_scaled_plan(64, 1, 3.0), 10000), (_scaled_plan(2, 2, -6.0), 65537)],
+             [(_scaled_plan(32, 3, 0.0), 1000), (_scaled_plan(3, 4, 8.0), 131073)],
+             [(_scaled_plan(8, 5, -2.0), 65536), (_scaled_plan(64, 6, 1.0), 5000)],
+             [(_scaled_plan(1, 7, 0.0), 2), (_scaled_plan(32, 8, 5.0), 20000)]]
+    serial = [[simulate(plan, n) for plan, n in mine] * 2 for mine in calls]
+    barrier = threading.Barrier(len(calls), timeout=60)
+    results, buffers = {}, {}
+
+    def run(k):
+        barrier.wait()
+        results[k] = [simulate(plan, n) for plan, n in calls[k] * 2]
+        buffers[k] = _kept_buffer()
+        barrier.wait()  # every thread's buffer is alive here
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [results.get(k) for k in range(len(calls))] == serial
+    for a, b in itertools.combinations(buffers.values(), 2):
+        assert not np.shares_memory(a, b)
+
+
+def reference_plan_arrays(rho, h):
+    """basis, v, populations and target_populations of build_plan with one
+    eigh per energy level, one-dimensional levels included."""
+    d = rho.dim
+    a = np.clip(rho.spectrum(), DEFAULT_PURITY_CLAMP, 1.0 - DEFAULT_PURITY_CLAMP)
+    a = a / a.sum()
+    w_vecs = rho.eigenvectors
+    rho_c = DensityMatrix._trusted((w_vecs * a) @ w_vecs.conj().T)
+    hv = h.eigenvectors
+    f_cols = []
+    q_list = []
+    for idx in h.clusters:
+        cols = hv[:, idx]
+        block = cols.conj().T @ rho_c.mat @ cols
+        qk, gk = np.linalg.eigh((block + block.conj().T) / 2.0)
+        f_cols.append(cols @ gk)
+        q_list.extend(qk.tolist())
+    basis = np.hstack(f_cols)
+    q = np.maximum(np.array(q_list), 0.0)
+    q = q / q.sum()
+    rev = np.arange(d - 1, -1, -1)
+    return basis, basis[:, rev] @ w_vecs.conj().T, a[rev], q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 6, 8, 32]), st.sampled_from(["distinct", "identity", "mixed"]),
+       st.booleans(), st.integers(0, 10_000), st.floats(-12.0, 9.0))
+def test_build_plan_bit_identity(d, levels, rotate, seed, log_s):
+    rng = np.random.default_rng(seed)
+    e = {"distinct": np.sort(rng.normal(size=d)), "identity": np.ones(d),
+         # one- and two-dimensional levels side by side
+         "mixed": np.repeat(np.arange(d), 2)[:d].astype(float)}[levels]
+    hm = np.diag(10.0 ** log_s * e).astype(complex)
+    if rotate:
+        u = random_unitary(d, rng)
+        hm = (u * np.diag(hm)) @ u.conj().T
+    h = Hamiltonian(hm)
+    rho = random_density_matrix(d, rng)
+    plan = build_plan(rho, h, Temperature(10.0 ** -log_s))
+    for got, want in zip((plan.basis, plan.v, plan.populations, plan.target_populations),
+                         reference_plan_arrays(rho, h)):
+        assert got.shape == want.shape and np.array_equal(got, want)
