@@ -89,19 +89,21 @@ class ScenarioError(Exception):
 # schema document and mini-validator
 
 
+# size caps, checked before anything is built: the documented working range
+# of dense matrices, the length of every list a scenario sweeps over, and
+# bounds on the work and memory a scenario may ask for
+MAX_DIM = 64
+MAX_SWEEP = 16  # entries of protocol steps and singleshot n_copies
+MAX_THETAS = 1024
+MAX_STEPS = 10**6
+MAX_SAMPLES = 10**7
+
 # a number leaf and an [re, im] pair: validate_schema checks a whole array of
 # pairs in one scan
 _NUMBER = {"type": "number"}
 _PAIR = {"type": "array", "items": _NUMBER, "minItems": 2, "maxItems": 2}
-_VECTOR = {"type": "array", "items": _PAIR, "minItems": 1}
-_MATRIX = {"type": "array", "items": _VECTOR, "minItems": 1}
-
-
-# size caps, checked before anything is built: the documented working range
-# of dense matrices, and bounds on the work and memory a scenario may ask for
-MAX_DIM = 64
-MAX_STEPS = 10**6
-MAX_SAMPLES = 10**7
+_VECTOR = {"type": "array", "items": _PAIR, "minItems": 1, "maxItems": MAX_DIM}
+_MATRIX = {"type": "array", "items": _VECTOR, "minItems": 1, "maxItems": MAX_DIM}
 
 _RANDOM_SCHEMA = {
     "type": "object",
@@ -147,7 +149,8 @@ _STATE_SCHEMA = {
 _HAMILTONIAN_SCHEMA = {
     "type": "object",
     "oneOf": _forms(matrix=_MATRIX,
-                    diag={"type": "array", "items": _NUMBER, "minItems": 1},
+                    diag={"type": "array", "items": _NUMBER, "minItems": 1,
+                          "maxItems": MAX_DIM},
                     random=_RANDOM_SCHEMA),
 }
 
@@ -173,11 +176,12 @@ KIND_SCHEMAS = {
     "protocol": _kind(
         "protocol", _SYSTEM, **_SYSTEM,
         steps={"type": "array", "items": {"type": "integer", "minimum": 1, "maximum": MAX_STEPS},
-               "minItems": 1},
+               "minItems": 1, "maxItems": MAX_SWEEP},
         purity_clamp=_PURITY_CLAMP),
     "bound_scan": _kind("bound_scan", ["a", "thetas"],
                         a={"type": "number", "minimum": 0, "maximum": 1},
-                        thetas={"type": "array", "items": _NUMBER, "minItems": 1}),
+                        thetas={"type": "array", "items": _NUMBER, "minItems": 1,
+                                "maxItems": MAX_THETAS}),
     "jarzynski": _kind(
         "jarzynski", ["beta", "hamiltonian", "unitary"],
         beta=_BETA_SCHEMA, hamiltonian=_HAMILTONIAN_SCHEMA, hamiltonian_final=_HAMILTONIAN_SCHEMA,
@@ -187,7 +191,8 @@ KIND_SCHEMAS = {
     "singleshot": _kind(
         "singleshot", [*_SYSTEM, "eps", "n_copies"], **_SYSTEM,
         eps={"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        n_copies={"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
+        n_copies={"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1,
+                  "maxItems": MAX_SWEEP},
         purity_clamp=_PURITY_CLAMP),
     "correlations": _kind(
         "correlations", ["beta", "state_sa", "hamiltonian"],

@@ -58,17 +58,14 @@ class TransitionTable:
         require_same_dim("TransitionTable", probs=probs.shape, levels=(etau.size, e0.size))
         log_probs = np.asarray(self.log_probs, dtype=float)
         require_same_dim("TransitionTable", log_probs=log_probs.shape, probs=probs.shape)
+        # exp >= 0, so this also rejects every entry below -1e-12
         if not np.abs(np.exp(log_probs) - probs).max() <= 1e-12:
             raise StateValidationError(
                 "TransitionTable: log_probs disagree with probs"
             )
-        if probs.min() < -1e-12:
-            raise StateValidationError(
-                f"TransitionTable: negative probability {probs.min()!r}"
-            )
         if abs(probs.sum() - 1.0) > 1e-10:
             raise StateValidationError(
-                f"TransitionTable: probabilities sum to {probs.sum()!r}"
+                f"TransitionTable: probabilities sum to {float(probs.sum())!r}"
             )
         gap = float(np.abs(probs.sum(axis=0) - thermal(e0, self.beta, g0)).max())
         if gap > 1e-10:

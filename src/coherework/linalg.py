@@ -62,14 +62,9 @@ def thermal(e, beta: float, g=None, out=None) -> np.ndarray:
     distribution per row; ``g`` (default all ones) holds the degeneracies.
     The weights go into a new array, or into ``out``, a float array of
     ``e``'s shape, by the same operations, so they have the same bits either
-    way; ``protocol.simulate`` writes them into its workspace this way,
-    which holds at most three 65,537 x d float arrays per call and at most
-    16 MiB kept per thread.
+    way; ``protocol.simulate`` writes them into its workspace this way.
     """
-    if out is None:
-        p = -beta * np.asarray(e, dtype=float)  # a new array: updated in place below
-    else:
-        p = np.multiply(-beta, e, out=out)
+    p = np.multiply(-beta, e, out=out)  # a new array when out is None
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     if g is not None:

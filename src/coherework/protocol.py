@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClampRequiredError, NotUnitaryError, ParameterRangeError, StateValidationError
-from .linalg import as_matrix, hs_norm, is_unitary, require_same_dim, shannon, thermal
+from .errors import ClampRequiredError, ParameterRangeError, StateValidationError
+from .linalg import as_matrix, require_same_dim, shannon, thermal
 from .states import (
     DensityMatrix,
     Hamiltonian,
@@ -31,6 +31,7 @@ from .states import (
     check_first_law,
 )
 
+# recorded under provenance.tolerances.plan, a v1 report field; no check reads it
 PLAN_TOL = 1e-8
 
 # the purity clamp build_plan applies by default, and the largest it accepts
@@ -47,12 +48,6 @@ _MAX_KEPT_BYTES = 16 * 2**20
 
 # the kept workspace of simulate, one ``buf`` attribute per thread
 _workspace = threading.local()
-
-# the type each ProtocolPlan field must have
-_FIELD_TYPES = (("rho0", DensityMatrix), ("h0", Hamiltonian), ("v", np.ndarray),
-                ("temperature", Temperature), ("basis", np.ndarray),
-                ("populations", np.ndarray), ("target_populations", np.ndarray))
-
 
 @dataclass(frozen=True)
 class LedgerEntry:
@@ -95,180 +90,120 @@ class WorkLedger:
 
 @dataclass(frozen=True)
 class ProtocolPlan:
-    """Fully specified three-step protocol.
-
-    ``basis`` holds the shared eigenbasis (columns) in which rho1, eta and all
-    three Hamiltonians are diagonal; ``populations`` is the spectrum of rho1
-    and ``target_populations`` that of eta. ``rho0`` is the (possibly clamped)
-    initial state the plan actually drives.
-
-    The eigenvalues ``e0/e1/e2`` of the Hamiltonians in ``basis`` are derived
-    and read-only: e0 repeats the levels of ``h0``, e1 and e2 are the
-    traceless energies whose thermal states are the two spectra, and
-    H_k = basis diag(e_k) basis^dag.
-
-    Construction checks the type of every field and then, in ``basis``,
-    that ``v`` and ``basis`` are unitary, that rho1 is diag(populations),
-    that ``target_populations`` is the diagonal of rho0, that H0 commutes
-    with H1 and with H2 (H1 and H2 commute by construction), and that the
-    basis columns hold the levels of ``h0`` in the ascending order e0 lists
-    them in. A plan from :func:`build_plan` skips only the two unitarity
-    checks: its ``v`` and ``basis`` are products of ``eigh`` eigenvectors.
-    """
-
-    rho0: DensityMatrix
-    h0: Hamiltonian
-    v: np.ndarray
-    temperature: Temperature
-    basis: np.ndarray
-    populations: np.ndarray
-    target_populations: np.ndarray
-    e0: np.ndarray = field(init=False)
-    e1: np.ndarray = field(init=False)
-    e2: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self._fill(check_unitary=True)
-
-    @classmethod
-    def _trusted(cls, **fields) -> "ProtocolPlan":
-        """Plan from the seven fields :func:`build_plan` computed, with every
-        check of a public plan except that ``v`` and ``basis`` are unitary."""
-        self = cls.__new__(cls)
-        for name, _ in _FIELD_TYPES:
-            object.__setattr__(self, name, fields[name])
-        self._fill(check_unitary=False)
-        return self
-
-    def _fill(self, check_unitary: bool):
-        """Check the fields, derive e0, e1 and e2, and make the arrays read-only."""
-        for name, kind in _FIELD_TYPES:
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise StateValidationError(
-                    f"ProtocolPlan: {name} must be a {kind.__module__}.{kind.__name__}, "
-                    f"got {type(value).__name__}"
-                )
-        beta = self.temperature.beta
-        # a zero population or a vanishing beta overflows; the entry bound raises the typed error
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            e1 = -np.log(self.populations) / beta
-            e1 -= e1.mean()
-            e2 = -np.log(self.target_populations) / beta
-            e2 -= e2.mean()
-        e0 = np.repeat(self.h0.energies, self.h0.degeneracies)
-        for name, arr in (("e0", e0), ("e1", e1), ("e2", e2)):
-            object.__setattr__(self, name, arr)
-        for arr in (self.v, self.basis, self.e0, self.e1, self.e2,
-                    self.populations, self.target_populations):
-            arr.setflags(write=False)
-        if check_unitary and not is_unitary(self.v):
-            raise NotUnitaryError("ProtocolPlan: step-1 rotation is not unitary")
-        if check_unitary and not is_unitary(self.basis):
-            raise NotUnitaryError("ProtocolPlan: shared eigenbasis is not unitary")
-        # the entry bound of H1 and H2; a vanishing beta's infinite gap raises here
-        as_matrix(np.diag(e1))
-        as_matrix(np.diag(e2))
-        basis_dag = self.basis.conj().T
-        w = basis_dag @ self.v
-        dev = w @ self.rho0.mat @ w.conj().T
-        dev.flat[::len(dev) + 1] -= self.populations  # its diagonal
-        gap1 = hs_norm(dev)
-        if gap1 > PLAN_TOL:
-            raise StateValidationError(
-                f"ProtocolPlan: rotated state is not thermal for H1 "
-                f"(distance {gap1:.3e})"
-            )
-        rho0_diag = np.einsum("ij,ji->i", basis_dag @ self.rho0.mat, self.basis).real
-        gap2 = hs_norm(rho0_diag - self.target_populations)
-        if gap2 > PLAN_TOL:
-            raise StateValidationError(
-                f"ProtocolPlan: target populations are not the diagonal of rho0 "
-                f"in the shared basis (distance {gap2:.3e})"
-            )
-        # [K, diag(e)] = K o (e_j - e_i), K = B^dag H0 B, at unit scale: no overflow
-        scale = max(hs_norm(self.h0.mat), hs_norm(e1), hs_norm(e2), 1e-30)
-        k = basis_dag @ (self.h0.mat / scale) @ self.basis
-        for j, e in ((1, e1 / scale), (2, e2 / scale)):
-            comm = hs_norm(k * (e[None, :] - e[:, None]))
-            if comm > PLAN_TOL:
-                raise StateValidationError(
-                    f"ProtocolPlan: H0 and H{j} do not share eigenprojectors "
-                    f"(relative commutator norm {comm:.3e})"
-                )
-        # e0 lists h0's levels in ascending order, so the basis columns must
-        # hold them in that order: diag K is e0 within the in-level spread
-        # that eigenvalue_clusters allows
-        w0 = self.h0.eigenvalues
-        spread = max(w0[c[-1]] - w0[c[0]] for c in self.h0.clusters)
-        gap0 = float(np.abs(k.diagonal().real - e0 / scale).max())
-        if gap0 > PLAN_TOL + spread / scale:
-            raise StateValidationError(
-                f"ProtocolPlan: the levels of h0 are not in the order of the "
-                f"basis columns (distance {gap0:.3e})"
-            )
-
-
-def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
-               purity_clamp: float = DEFAULT_PURITY_CLAMP) -> ProtocolPlan:
-    """Construct the three-step plan for projecting rho onto h's eigenbasis.
+    """The three-step protocol that projects ``rho`` onto ``h0``'s eigenbasis
+    at ``temperature``, derived in full from those inputs and ``purity_clamp``.
 
     The spectrum of rho is clamped into [purity_clamp, 1 - purity_clamp] and
     renormalised before taking logarithms; a pure state with no clamp would
     need an infinite energy gap, so ``purity_clamp = 0`` raises
     ``ClampRequiredError`` whenever rho has a zero eigenvalue. The clamp
     shifts the achievable total work by at most
-    ``2 * d * purity_clamp * ln(1/purity_clamp)``.
+    ``2 * d * purity_clamp * ln(1/purity_clamp)``. ``rho0`` is the clamped
+    state the plan drives.
 
-    Degenerate Hamiltonians are handled by diagonalising rho's block within
-    each eigenspace, so the isotherm's endpoint is exactly the block-projected
-    state. The rotation pairs descending populations with ascending energies,
-    which reduces to the identity rotation when rho is already thermal.
+    Degenerate Hamiltonians are handled by diagonalising rho0's block within
+    each eigenspace: ``basis`` holds the resulting shared eigenbasis
+    (columns) in which rho1, eta and all three Hamiltonians are diagonal, so
+    the isotherm's endpoint is exactly the block-projected state.
+    ``populations`` is the spectrum of rho1 and ``target_populations`` that
+    of eta. The rotation ``v`` pairs descending populations with ascending
+    energies, which reduces to the identity rotation when rho is already
+    thermal. ``e0`` repeats the levels of ``h0``, ``e1`` and ``e2`` are the
+    traceless energies whose thermal states are the two spectra, and
+    H_k = basis diag(e_k) basis^dag.
+
+    Every field after ``purity_clamp`` is derived and read-only, so a plan
+    cannot disagree with its inputs and needs no consistency check: only the
+    entry bound of H1 and H2, which a vanishing beta's infinite gap exceeds.
     """
-    if not 0.0 <= purity_clamp <= MAX_PURITY_CLAMP:
-        raise ParameterRangeError(
-            f"purity_clamp must lie in [0, {MAX_PURITY_CLAMP:g}], got {purity_clamp!r}"
-        )
-    require_same_dim("build_plan", state=rho.dim, H=h.dim)
-    d = rho.dim
 
-    a = rho.spectrum()
-    if purity_clamp == 0.0 and a.min() <= _ZERO_EIGENVALUE:
-        raise ClampRequiredError(
-            "state has a zero eigenvalue; a positive purity_clamp is required "
-            "to keep the step-1 energy gap finite"
-        )
-    if purity_clamp > 0.0:
-        a = np.clip(a, purity_clamp, 1.0 - purity_clamp)
-    a = a / a.sum()
-    w_vecs = rho.eigenvectors
-    rho_c = DensityMatrix._trusted((w_vecs * a) @ w_vecs.conj().T)
+    rho: DensityMatrix
+    h0: Hamiltonian
+    temperature: Temperature
+    purity_clamp: float = DEFAULT_PURITY_CLAMP
+    rho0: DensityMatrix = field(init=False)
+    v: np.ndarray = field(init=False)
+    basis: np.ndarray = field(init=False)
+    populations: np.ndarray = field(init=False)
+    target_populations: np.ndarray = field(init=False)
+    e0: np.ndarray = field(init=False)
+    e1: np.ndarray = field(init=False)
+    e2: np.ndarray = field(init=False)
 
-    # shared basis: within each energy eigenspace, diagonalise rho_c's block
-    hv = h.eigenvectors
-    f_cols = []
-    q_list = []
-    for idx in h.clusters:
-        cols = hv[:, idx]
-        block = cols.conj().T @ rho_c.mat @ cols
-        if len(idx) == 1:
-            # what eigh returns for a 1 x 1 block: its real entry and the unit vector
-            f_cols.append(cols)
-            q_list.append(block[0, 0].real)
-            continue
-        qk, gk = np.linalg.eigh((block + block.conj().T) / 2.0)
-        f_cols.append(cols @ gk)
-        q_list.extend(qk.tolist())
-    basis = np.hstack(f_cols)
-    q = np.maximum(np.array(q_list), 0.0)
-    q = q / q.sum()
+    def __post_init__(self):
+        for name, kind in (("rho", DensityMatrix), ("h0", Hamiltonian),
+                           ("temperature", Temperature)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise StateValidationError(
+                    f"ProtocolPlan: {name} must be a {kind.__module__}.{kind.__name__}, "
+                    f"got {type(value).__name__}"
+                )
+        rho, h, clamp = self.rho, self.h0, self.purity_clamp
+        if not 0.0 <= clamp <= MAX_PURITY_CLAMP:
+            raise ParameterRangeError(
+                f"purity_clamp must lie in [0, {MAX_PURITY_CLAMP:g}], got {clamp!r}"
+            )
+        require_same_dim("build_plan", state=rho.dim, H=h.dim)
+        d = rho.dim
 
-    # rho-eigenvector l (ascending eigenvalue) goes to basis slot d - 1 - l
-    rev = np.arange(d - 1, -1, -1)
-    v = basis[:, rev] @ w_vecs.conj().T
+        a = rho.spectrum()
+        if clamp == 0.0 and a.min() <= _ZERO_EIGENVALUE:
+            raise ClampRequiredError(
+                "state has a zero eigenvalue; a positive purity_clamp is required "
+                "to keep the step-1 energy gap finite"
+            )
+        if clamp > 0.0:
+            a = np.clip(a, clamp, 1.0 - clamp)
+        a = a / a.sum()
+        w_vecs = rho.eigenvectors
+        rho0 = DensityMatrix._trusted((w_vecs * a) @ w_vecs.conj().T)
 
-    return ProtocolPlan._trusted(rho0=rho_c, h0=h, v=v, temperature=t, basis=basis,
-                                 populations=a[rev], target_populations=q)
+        # shared basis: within each energy eigenspace, diagonalise rho0's block
+        hv = h.eigenvectors
+        f_cols = []
+        q_list = []
+        for idx in h.clusters:
+            cols = hv[:, idx]
+            block = cols.conj().T @ rho0.mat @ cols
+            if len(idx) == 1:
+                # what eigh returns for a 1 x 1 block: its real entry and the unit vector
+                f_cols.append(cols)
+                q_list.append(block[0, 0].real)
+                continue
+            qk, gk = np.linalg.eigh((block + block.conj().T) / 2.0)
+            f_cols.append(cols @ gk)
+            q_list.extend(qk.tolist())
+        basis = np.hstack(f_cols)
+        q = np.maximum(np.array(q_list), 0.0)
+        q = q / q.sum()
+
+        # rho-eigenvector l (ascending eigenvalue) goes to basis slot d - 1 - l
+        rev = np.arange(d - 1, -1, -1)
+        populations = a[rev]
+        beta = self.temperature.beta
+        # a zero population or a vanishing beta overflows; the entry bound raises the typed error
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            e1 = -np.log(populations) / beta
+            e1 -= e1.mean()
+            e2 = -np.log(q) / beta
+            e2 -= e2.mean()
+        object.__setattr__(self, "rho0", rho0)
+        for name, arr in (("v", basis[:, rev] @ w_vecs.conj().T), ("basis", basis),
+                          ("populations", populations), ("target_populations", q),
+                          ("e0", np.repeat(h.energies, h.degeneracies)), ("e1", e1), ("e2", e2)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        # the entry bound of H1 and H2; a vanishing beta's infinite gap raises here
+        as_matrix(np.diag(e1))
+        as_matrix(np.diag(e2))
+
+
+def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
+               purity_clamp: float = DEFAULT_PURITY_CLAMP) -> ProtocolPlan:
+    """The three-step plan for projecting rho onto h's eigenbasis at t; see
+    :class:`ProtocolPlan` for the clamp and the derived fields."""
+    return ProtocolPlan(rho, h, t, purity_clamp)
 
 
 def _isolated_steps(plan: ProtocolPlan, u1: float, isotherm: LedgerEntry,

@@ -274,10 +274,11 @@ def consistency_work(plan: ProtocolPlan, eps: float, n_copies: int) -> float:
     The unitary rotation contributes its average work tr[(rho - rho_1) H];
     the two diagonal legs through the thermal state contribute
     (ln 2 / beta) * [Dmin_eps(spec rho_1 || thermal) - Dmax_eps(spec eta ||
-    thermal)] per copy, evaluated on n_copies via :func:`iid_rate` for the
-    :func:`~coherework.protocol.build_plan` plan of (rho, H, T), which does not
-    depend on n. As n grows (and eps shrinks) this approaches the optimal
-    projection work.
+    thermal)] per copy, evaluated on n_copies via :func:`iid_rate`. ``plan``
+    is the :func:`~coherework.protocol.build_plan` plan of (rho, H, T) and the
+    purity clamp, which derives every array read here from those inputs and
+    does not depend on n, so a sweep over n builds one plan. As n grows (and
+    eps shrinks) this approaches the optimal projection work.
     """
     beta = plan.temperature.beta
     gibbs = Distribution.normalized(thermal(plan.e0, beta))

@@ -148,48 +148,85 @@ class TestValidator:
         assert set(SCHEMA_DOCUMENT) >= {"scenario", "report"}
 
 
-def _over_cap(field):
-    """A scenario one above the cap on ``field``, and the path the error names."""
+def _eye(n, scale=1.0):
+    """The n x n matrix ``scale`` * 1 in the scenario's [re, im] form."""
+    return [[[scale if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+
+def _sized(field, n):
+    """A scenario whose capped ``field`` has the value or length ``n``, and
+    the path that an error over the cap names."""
+    project = canonical_project_scenario()
+    # the Hamiltonian next to an over-cap state or basis stays at the cap
+    at_most = {"diag": [float(k) for k in range(min(n, cli.MAX_DIM))]}
     if field == "dim":
-        return {**canonical_project_scenario(),
-                "state": {"random": {"dim": cli.MAX_DIM + 1, "seed": 1}}}, "$.state.random.dim"
+        return {**project, "state": {"random": {"dim": n, "seed": 1}}}, "$.state.random.dim"
     if field == "steps":
-        return {**canonical_project_scenario(), "kind": "protocol",
-                "steps": [10, cli.MAX_STEPS + 1]}, "$.steps[1]"
-    return {"kind": "jarzynski", "beta": 1.0, "hamiltonian": {"diag": [0.0, 1.0]},
-            "unitary": {"random": {"dim": 2, "seed": 1}},
-            "n_samples": cli.MAX_SAMPLES + 1}, "$.n_samples"
+        return {**project, "kind": "protocol", "steps": [10, n]}, "$.steps[1]"
+    if field == "n_samples":
+        return {"kind": "jarzynski", "beta": 1.0, "hamiltonian": {"diag": [0.0, 1.0]},
+                "unitary": {"random": {"dim": 2, "seed": 1}}, "n_samples": n}, "$.n_samples"
+    if field == "diag":
+        return ({**project, "state": {"gibbs": {}}, "hamiltonian": {"diag": [float(k) for k in range(n)]}},
+                "$.hamiltonian.diag")
+    if field == "matrix":
+        return ({**project, "state": {"gibbs": {}}, "hamiltonian": {"matrix": _eye(n)}},
+                "$.hamiltonian.matrix")
+    if field == "pure":
+        return ({**project, "state": {"pure": [[1.0, 0.0]] * n},
+                 "hamiltonian": at_most}, "$.state.pure")
+    if field == "basis":
+        return ({**project, "state": {"gibbs": {}}, "hamiltonian": at_most,
+                 "projectors": {"basis": _eye(n)}}, "$.projectors.basis")
+    if field == "state_sa":
+        return ({"kind": "correlations", "beta": 1.0,
+                 "state_sa": {"matrix": _eye(n, 1.0 / n), "dims": [n // 2, 2]},
+                 "hamiltonian": {"diag": at_most["diag"][:n // 2]}}, "$.state_sa.matrix")
+    if field == "steps_count":
+        return {**project, "kind": "protocol", "steps": [10] * n}, "$.steps"
+    if field == "n_copies":
+        return ({**project, "kind": "singleshot", "eps": 0.05,
+                 "n_copies": list(range(1, n + 1))}, "$.n_copies")
+    return {"kind": "bound_scan", "a": 0.9, "thetas": [0.001 * k for k in range(n)]}, "$.thetas"
+
+
+# the cap on each field's value (the first three) or length
+_CAPS = {"dim": cli.MAX_DIM, "steps": cli.MAX_STEPS, "n_samples": cli.MAX_SAMPLES,
+         "diag": cli.MAX_DIM, "matrix": cli.MAX_DIM, "pure": cli.MAX_DIM, "basis": cli.MAX_DIM,
+         "state_sa": cli.MAX_DIM, "steps_count": cli.MAX_SWEEP, "n_copies": cli.MAX_SWEEP,
+         "thetas": cli.MAX_THETAS}
 
 
 class TestSizeCaps:
     def test_cap_values(self):
         assert (cli.MAX_DIM, cli.MAX_STEPS, cli.MAX_SAMPLES) == (64, 10**6, 10**7)
+        assert (cli.MAX_SWEEP, cli.MAX_THETAS) == (16, 1024)
 
-    @pytest.mark.parametrize("field", ["dim", "steps", "n_samples"])
+    @pytest.mark.parametrize("field", list(_CAPS))
     def test_cap_plus_one_is_schema_error_before_building(self, field, tmp_path,
                                                           capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("built before validation")
 
         for name in ("random_density_matrix", "random_hamiltonian", "random_unitary",
-                     "Hamiltonian", "build_plan", "transition_table",
+                     "Hamiltonian", "DensityMatrix", "build_plan", "transition_table",
                      "sample_trajectories"):
             monkeypatch.setattr(cli, name, refuse)
-        scn, where = _over_cap(field)
+        scn, where = _sized(field, _CAPS[field] + 1)
         assert run_scenario(write(tmp_path, scn)) == EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert where in err and "must be <=" in err
+        wording = "must be <=" if field in ("dim", "steps", "n_samples") else "needs at most"
+        assert f"{where}: {wording} {_CAPS[field]}" in err
 
     @pytest.mark.parametrize("field", ["dim", "steps", "n_samples"])
     def test_cap_itself_validates(self, field):
-        scn, _ = _over_cap(field)
-        if field == "dim":
-            scn["state"]["random"]["dim"] = cli.MAX_DIM
-        elif field == "steps":
-            scn["steps"][1] = cli.MAX_STEPS
-        else:
-            scn["n_samples"] = cli.MAX_SAMPLES
-        validate_scenario(scn)
+        validate_scenario(_sized(field, _CAPS[field])[0])
+
+    @pytest.mark.parametrize("field", list(_CAPS)[3:])
+    def test_list_at_its_cap_runs(self, field, tmp_path, capsys):
+        scn, _ = _sized(field, _CAPS[field])
+        assert run_scenario(write(tmp_path, scn)) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["scenario"] == scn
 
 
 class TestProjectScenario:

@@ -130,6 +130,37 @@ class TestTransitionTable:
                             e0=np.array([-1.0, 1.0]), etau=np.array([-1.0, 1.0]),
                             beta=1.0, g0=np.array([1.0, 1.0]))
 
+    def test_negative_entry_disagrees_with_its_log(self):
+        # exp(log p) >= 0, so a negative entry fails the log/probs agreement
+        probs = np.array([[0.5 + 1e-9, 0.0], [0.0, 0.5 - 1e-9]])
+        with np.errstate(divide="ignore"):
+            log_probs = np.log(probs)
+        probs[0, 1] = -1e-9
+        with pytest.raises(StateValidationError,
+                           match="^TransitionTable: log_probs disagree with probs$"):
+            TransitionTable(probs=probs, log_probs=log_probs, e0=np.zeros(2),
+                            etau=np.zeros(2), beta=1.0, g0=np.ones(2))
+
+    def test_rejects_probabilities_off_unit_sum(self):
+        probs = np.array([[0.5, 0.0], [0.0, 0.4]])
+        with np.errstate(divide="ignore"):
+            log_probs = np.log(probs)
+        with pytest.raises(StateValidationError,
+                           match=r"^TransitionTable: probabilities sum to 0\.9"):
+            TransitionTable(probs=probs, log_probs=log_probs, e0=np.zeros(2),
+                            etau=np.zeros(2), beta=1.0, g0=np.ones(2))
+
+    @pytest.mark.xfail(strict=True, raises=StateValidationError,
+                       reason="log_partition rounds m + log S at the magnitude beta max|E|: "
+                              "about 2e-11 at an offset of 1e5, beyond the 1e-12 log/probs "
+                              "agreement; the fix moves jarzynski_lhs bits (schema v2)")
+    def test_energy_offset_keeps_log_probs_in_agreement(self):
+        s = 1.0 / math.sqrt(2.0)
+        hadamard = np.array([[s, s], [s, -s]], dtype=complex)
+        h = Hamiltonian(np.diag([1e5, 1e5 + 1.0]).astype(complex))
+        table = transition_table(h, h, hadamard, BETA1)
+        assert jarzynski_average(table) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("field", ["probs", "e0", "etau", "beta"])
     def test_rejects_nan(self, field):
         v = random_unitary(2, np.random.default_rng(65))

@@ -353,6 +353,23 @@ class TestMaxWorkFixedEnergy:
         eta_pops = np.real(np.diag(rho.mat))
         assert np.abs(np.sort(sigma) - np.sort(eta_pops)).max() > 1e-3
 
+    @pytest.mark.parametrize("p, e, lam", [([1.0, 1e-29], [0.0, 1.0], 32.0),
+                                           ([1e-29, 1.0], [-1.0, 0.0], -32.0)],
+                             ids=["hi_doubles", "lo_doubles"])
+    def test_root_outside_the_first_bracket(self, p, e, lam):
+        # U lies 1e-29 inside the spectrum, so the root is beyond the first
+        # bracket [-64, 64]; after one doubling the first midpoint meets the
+        # stop rule |f| < 1e-12 (E_max - E_min), since f(+-32) is about e^-32
+        rho = DensityMatrix(np.diag(p).astype(complex))
+        h = Hamiltonian(np.diag(e).astype(complex))
+        w = h.eigenvalues
+        u = float(np.real(np.trace(rho.mat @ h.mat)))
+        first = np.exp(-np.sign(lam) * 64.0 * w)
+        assert np.sign(lam) * (first @ w / first.sum() - u) > 0.0
+        res = max_work_fixed_energy(rho, h, Temperature(beta=1.0))
+        assert res.lambda_star == lam
+        assert res.work == pytest.approx(1.27e-14, rel=0.01)
+
     def test_energy_out_of_range(self):
         h = Hamiltonian(np.diag([-1.0, 1.0]).astype(complex))
         ground = DensityMatrix(np.diag([1.0, 0.0]))

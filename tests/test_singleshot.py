@@ -61,6 +61,13 @@ class TestDistribution:
         with pytest.raises(StateValidationError, match="negative"):
             dist(1.2, -0.2)
 
+    @pytest.mark.parametrize("probs", [np.full((2, 2), 0.25), np.array([])],
+                             ids=["2-d", "empty"])
+    def test_rejects_a_shape_other_than_nonempty_1d(self, probs):
+        with pytest.raises(StateValidationError,
+                           match="^Distribution: needs a nonempty 1-d array$"):
+            Distribution(probs)
+
     def test_rejects_unnormalised(self):
         with pytest.raises(StateValidationError, match="sum"):
             dist(0.5, 0.4)
