@@ -190,12 +190,15 @@ class TestPlanRejections:
         want = exact_step_works(build_plan(rho, hs, t)).totals
         assert abs(total.work - want.work) <= 1e-12 * max(1.0, s)
 
-    @pytest.mark.parametrize("beta", [1e-310, 5e-324])
+    @pytest.mark.parametrize("beta, message", [
+        (1e-310, "has NaN or infinite entries"), (5e-324, "has NaN or infinite entries"),
+        # a finite gap of about 1e300, beyond the entry bound
+        (1e-300, r"has an entry beyond 1e\+150"),
+    ], ids=["1e-310", "5e-324", "1e-300"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_vanishing_beta_is_non_finite(self, canonical_qubit, beta):
+    def test_vanishing_beta_is_non_finite(self, canonical_qubit, beta, message):
         rho, h, _ = canonical_qubit
-        with pytest.raises(NonFiniteError,
-                           match=r"matrix of shape \(2, 2\) has NaN or infinite entries"):
+        with pytest.raises(NonFiniteError, match=r"matrix of shape \(2, 2\) " + message):
             build_plan(rho, h, Temperature(beta))
 
 
