@@ -43,7 +43,7 @@ from .fluctuation import (
     sample_trajectories,
     transition_table,
 )
-from .linalg import hermitian_eig, hs_norm, is_unitary, kron, shannon
+from .linalg import hs_norm, is_unitary, shannon
 from .projection import (
     MaxWorkResult,
     ProjectorSet,
@@ -55,10 +55,8 @@ from .projection import (
     overlap_matrix,
     project,
     projection_angle_factor,
-    qubit_overlap_matrix,
 )
 from .protocol import (
-    LedgerEntry,
     ProtocolPlan,
     WorkLedger,
     build_plan,
@@ -85,7 +83,6 @@ from .states import (
     gibbs_state,
     partial_trace,
     purify,
-    relative_entropy,
     von_neumann_entropy,
 )
 

@@ -42,7 +42,7 @@ from .fluctuation import (
     sample_trajectories,
     transition_table,
 )
-from .linalg import CLUSTER_GAP, DEFAULT_TOL, as_matrix, kron
+from .linalg import CLUSTER_GAP, DEFAULT_TOL, as_matrix
 from .projection import (
     ProjectorSet,
     energy_projectors,
@@ -555,9 +555,9 @@ def _build_projectors(node, path, h: Hamiltonian) -> ProjectorSet:
 
 
 def _ledger_dict(ledger) -> dict:
-    # every LedgerEntry field, copied: vars() is the instance's own dict
-    return {"entries": [dict(vars(e)) for e in ledger.entries],
-            "totals": dict(vars(ledger.totals))}
+    # every WorkReport field with its step label; vars() holds the four fields, not the scale
+    return {"entries": [{"label": k, **vars(e)} for k, e in ledger.entries.items()],
+            "totals": {"label": "total", **vars(ledger.totals)}}
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +635,18 @@ def _run_jarzynski(scn, ctx):
     ftau = free_energy(gibbs_state(htau, t), htau, t)
     rho_tau = DensityMatrix._trusted(v @ rho0.mat @ v.conj().T)
     heat = projection_heat(rho_tau, htau, t)
+    lhs = jarzynski_average(table)
+    exponent = -t.beta * (ftau - f0)
+    try:
+        rhs = math.exp(exponent)
+    except OverflowError:
+        raise NonFiniteError(
+            f"jarzynski: the right side e^(-beta dF) = e^{exponent:.6g} overflows a double"
+        ) from None
     # an optimal final measurement pays all of its heat out as extra work
     results = {
-        "jarzynski_lhs": jarzynski_average(table),
-        "jarzynski_rhs": math.exp(-t.beta * (ftau - f0)),
+        "jarzynski_lhs": lhs,
+        "jarzynski_rhs": rhs,
         "average_unitary_work": average_unitary_work(table),
         "projection_heat": heat,
         "projection_extra_work": heat,
@@ -701,7 +709,7 @@ def _build_bipartite(node, path, ctx, h: Hamiltonian, t: Temperature) -> Biparti
     # the ancilla has no Hamiltonian, so it has no gibbs state
     rho_a = _build_state(spec["ancilla"], f"{path}.product.ancilla", ctx, None, t)
     _check_joint_dim(f"{path}.product", rho_s.dim, rho_a.dim)
-    joint = DensityMatrix._trusted(kron(rho_s.mat, rho_a.mat))
+    joint = DensityMatrix._trusted(np.kron(rho_s.mat, rho_a.mat))
     return BipartiteState(rho_sa=joint, dim_s=rho_s.dim, dim_a=rho_a.dim)
 
 

@@ -126,9 +126,14 @@ def jarzynski_average(table: TransitionTable) -> float:
     difference of the two Hamiltonians, for every unitary. Each term is
     exp(ln p - beta dE), so a jump whose probability underflows still
     counts, no e^(-beta dE) overflows against a zero probability, and an
-    impossible jump (ln p = -inf) adds exactly 0.
+    impossible jump (ln p = -inf) adds exactly 0. A sum beyond the largest
+    double raises ``NonFiniteError``.
     """
-    return float(np.exp(table.log_probs - table.beta * table.delta_e).sum())
+    with np.errstate(over="ignore"):
+        total = float(np.exp(table.log_probs - table.beta * table.delta_e).sum())
+    if not math.isfinite(total):
+        raise NonFiniteError("jarzynski_average: the left side <e^(beta W)> overflows a double")
+    return total
 
 
 def average_unitary_work(table: TransitionTable) -> float:

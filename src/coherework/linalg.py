@@ -92,11 +92,6 @@ def require_same_dim(what: str, **dims):
         raise DimMismatchError(f"{what}: dimensions differ ({listed})")
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; output dimensions are the products of the inputs'."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def hermitian_part(a) -> np.ndarray:
     """(A + A^dag)/2 of a square matrix A that is Hermitian within DEFAULT_TOL.
 
@@ -118,9 +113,14 @@ def hermitian_part(a) -> np.ndarray:
 
 def is_unitary(a) -> bool:
     """True iff ``a`` is a d x d matrix with ||a^dag a - 1||_HS <= DEFAULT_TOL *
-    sqrt(d); False for a non-square input."""
+    sqrt(d); False for a non-square input.
+
+    An entry of modulus above 2 (or a NaN) gives False before a^dag a is
+    formed: its column has squared norm above 4, so ||a^dag a - 1|| > 3, and
+    a product of entries near ``MAX_ENTRY`` would overflow.
+    """
     m = np.asarray(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.abs(m).max(initial=0.0) <= 2.0:
         return False
     d = m.shape[0]
     return hs_norm(m.conj().T @ m - np.eye(d)) <= DEFAULT_TOL * math.sqrt(d)

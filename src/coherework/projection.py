@@ -10,21 +10,21 @@ at fixed average energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EnergyOutOfRangeError, NotUnitaryError, RankError, StateValidationError
-from .linalg import as_matrix, hs_norm, is_unitary, log_partition, require_same_dim, thermal
-from .states import (
-    DensityMatrix,
-    Hamiltonian,
-    Temperature,
-    average_energy,
-    check_first_law,
-    von_neumann_entropy,
+from .errors import (
+    ConsistencyError,
+    EnergyOutOfRangeError,
+    NonFiniteError,
+    NotUnitaryError,
+    RankError,
+    StateValidationError,
 )
+from .linalg import as_matrix, hs_norm, is_unitary, log_partition, require_same_dim, thermal
+from .states import DensityMatrix, Hamiltonian, Temperature, average_energy, von_neumann_entropy
 
 
 class ProjectorSet:
@@ -118,21 +118,34 @@ def energy_projectors(h: Hamiltonian) -> ProjectorSet:
 
 @dataclass(frozen=True)
 class WorkReport:
-    """Average energy bookkeeping of one process.
+    """Average energy bookkeeping of one process or protocol step.
 
     Sign convention: positive ``work`` is drawn out of the system into the
     controlled energy sources; ``heat_absorbed`` flows from the bath into the
     system. The constructor enforces the first law energy_change =
-    heat_absorbed - work through :func:`check_first_law`.
+    heat_absorbed - work to 1e-10 * max(scale, |work|, |heat|, |energy
+    change|), so changing the units of H and T together trips nothing.
+    ``scale``, not stored, is the size of the energies the terms are
+    differences of: terms that cancel to rounding noise of those energies
+    still pass. A NaN or infinite term raises ``NonFiniteError`` naming the
+    term: the balance cannot be checked, which is not the same as being
+    broken.
     """
 
     work: float
     entropy_change: float
     energy_change: float
     heat_absorbed: float
+    scale: InitVar[float] = 0.0
 
-    def __post_init__(self):
-        check_first_law("WorkReport", self.work, self.heat_absorbed, self.energy_change)
+    def __post_init__(self, scale: float):
+        work, heat, d_u = self.work, self.heat_absorbed, self.energy_change
+        for name, value in (("work", work), ("heat_absorbed", heat), ("energy_change", d_u)):
+            if not math.isfinite(value):
+                raise NonFiniteError(f"WorkReport cannot check the first law: {name} is {value!r}")
+        gap = abs(d_u - (heat - work))
+        if not gap <= 1e-10 * max(scale, abs(work), abs(heat), abs(d_u)):
+            raise ConsistencyError(f"WorkReport violates the first law by {gap:.3e}")
 
 
 def project(rho: DensityMatrix, p: ProjectorSet) -> DensityMatrix:
@@ -204,12 +217,6 @@ def entropy_change_bound(rho: DensityMatrix, p: ProjectorSet) -> float:
     m = overlap_matrix(rho, p)
     purity = hs_norm(rho.mat - np.eye(rho.dim) / rho.dim) ** 2
     return 0.5 * purity * projection_angle_factor(m)
-
-
-def qubit_overlap_matrix(theta: float) -> np.ndarray:
-    """Closed-form qubit overlap matrix for bases at angle theta."""
-    c = math.cos(theta)
-    return 0.5 * np.array([[1.0 + c, 1.0 - c], [1.0 - c, 1.0 + c]])
 
 
 class MaxWorkResult(NamedTuple):

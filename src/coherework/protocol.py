@@ -16,6 +16,7 @@ converges to it at rate O(1/steps).
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass, field
 
@@ -23,13 +24,8 @@ import numpy as np
 
 from .errors import ClampRequiredError, ParameterRangeError, StateValidationError
 from .linalg import as_matrix, require_same_dim, shannon, thermal
-from .states import (
-    DensityMatrix,
-    Hamiltonian,
-    Temperature,
-    average_energy,
-    check_first_law,
-)
+from .projection import WorkReport
+from .states import DensityMatrix, Hamiltonian, Temperature, average_energy
 
 # recorded under provenance.tolerances.plan, a v1 report field; no check reads it
 PLAN_TOL = 1e-8
@@ -50,42 +46,27 @@ _MAX_KEPT_BYTES = 16 * 2**20
 _workspace = threading.local()
 
 @dataclass(frozen=True)
-class LedgerEntry:
-    """One protocol step: average work drawn, heat absorbed, and the changes."""
-
-    label: str
-    work: float
-    heat_absorbed: float
-    energy_change: float
-    entropy_change: float
-
-
-@dataclass(frozen=True)
 class WorkLedger:
-    """Ordered per-step energy bookkeeping with summed totals.
+    """Per-step energy bookkeeping with summed totals.
 
-    Every entry satisfies the first law (energy_change = heat_absorbed - work)
-    as :func:`check_first_law` checks it at the energy ``scale`` of the
-    protocol; isolated steps carry exactly zero heat by construction.
+    ``entries`` maps the step labels "rotate", "isotherm" and "quench", in
+    that order, to their :class:`~coherework.projection.WorkReport`, each
+    checked against the first law at the energy ``scale`` of the protocol,
+    as are the totals; isolated steps carry exactly zero heat by
+    construction.
     """
 
-    entries: tuple[LedgerEntry, ...]
+    entries: dict[str, WorkReport]
     scale: float = 0.0
 
-    def __post_init__(self):
-        for e in self.entries:
-            check_first_law(f"ledger entry {e.label!r}", e.work, e.heat_absorbed,
-                            e.energy_change, self.scale)
-
     @property
-    def totals(self) -> LedgerEntry:
-        return LedgerEntry(
-            label="total",
-            work=sum(e.work for e in self.entries),
-            heat_absorbed=sum(e.heat_absorbed for e in self.entries),
-            energy_change=sum(e.energy_change for e in self.entries),
-            entropy_change=sum(e.entropy_change for e in self.entries),
-        )
+    def totals(self) -> WorkReport:
+        steps = self.entries.values()
+        return WorkReport(work=sum(e.work for e in steps),
+                          entropy_change=sum(e.entropy_change for e in steps),
+                          energy_change=sum(e.energy_change for e in steps),
+                          heat_absorbed=sum(e.heat_absorbed for e in steps),
+                          scale=self.scale)
 
 
 @dataclass(frozen=True)
@@ -140,7 +121,8 @@ class ProtocolPlan:
                     f"got {type(value).__name__}"
                 )
         rho, h, clamp = self.rho, self.h0, self.purity_clamp
-        if not 0.0 <= clamp <= MAX_PURITY_CLAMP:
+        # the type test first: comparing a non-number raises an untyped error
+        if not (isinstance(clamp, numbers.Real) and 0.0 <= clamp <= MAX_PURITY_CLAMP):
             raise ParameterRangeError(
                 f"purity_clamp must lie in [0, {MAX_PURITY_CLAMP:g}], got {clamp!r}"
             )
@@ -206,18 +188,29 @@ def build_plan(rho: DensityMatrix, h: Hamiltonian, t: Temperature,
     return ProtocolPlan(rho, h, t, purity_clamp)
 
 
-def _isolated_steps(plan: ProtocolPlan, u1: float, isotherm: LedgerEntry,
-                    u2: float) -> WorkLedger:
-    """Ledger of the rotate step (energy U(rho0) -> u1), the given isotherm
-    and the quench step (u2 -> U(eta, H0)); the isolated steps absorb no heat."""
+def _ledger(plan: ProtocolPlan, u1: float, s1: float, u2: float, s2: float,
+            work: float, heat: float) -> WorkLedger:
+    """Ledger of the rotate step (energy U(rho0) -> u1), the isotherm from
+    (u1, entropy s1) to (u2, s2) with the given work and heat, and the quench
+    step (u2 -> U(eta, H0)); the isolated steps absorb no heat.
+
+    The isotherm's terms are differences of energies up to max|e| of the
+    three Hamiltonians and of free-energy terms up to T max(s1, s2), which
+    near infinite temperature are far larger; the ledger's scale is their sum.
+    """
     u_rho = average_energy(plan.rho0, plan.h0)
     u3 = float(plan.target_populations @ plan.e0)
-    rotate = LedgerEntry("rotate", work=u_rho - u1, heat_absorbed=0.0,
-                         energy_change=u1 - u_rho, entropy_change=0.0)
-    quench = LedgerEntry("quench", work=u2 - u3, heat_absorbed=0.0,
-                         energy_change=u3 - u2, entropy_change=0.0)
-    scale = max(float(np.abs(e).max()) for e in (plan.e0, plan.e1, plan.e2))
-    return WorkLedger((rotate, isotherm, quench), scale)
+    scale = (max(float(np.abs(e).max()) for e in (plan.e0, plan.e1, plan.e2))
+             + max(s1, s2) / plan.temperature.beta)
+    entries = {
+        "rotate": WorkReport(work=u_rho - u1, entropy_change=0.0,
+                             energy_change=u1 - u_rho, heat_absorbed=0.0, scale=scale),
+        "isotherm": WorkReport(work=work, entropy_change=s2 - s1,
+                               energy_change=u2 - u1, heat_absorbed=heat, scale=scale),
+        "quench": WorkReport(work=u2 - u3, entropy_change=0.0,
+                             energy_change=u3 - u2, heat_absorbed=0.0, scale=scale),
+    }
+    return WorkLedger(entries, scale)
 
 
 def exact_step_works(plan: ProtocolPlan) -> WorkLedger:
@@ -236,14 +229,9 @@ def exact_step_works(plan: ProtocolPlan) -> WorkLedger:
     s_pop = shannon(pop)
     s_q = shannon(q)
 
-    isotherm = LedgerEntry(
-        "isotherm",
-        work=(u1 - s_pop / beta) - (u2 - s_q / beta),
-        heat_absorbed=(s_q - s_pop) / beta,
-        energy_change=u2 - u1,
-        entropy_change=s_q - s_pop,
-    )
-    return _isolated_steps(plan, u1, isotherm, u2)
+    return _ledger(plan, u1, s_pop, u2, s_q,
+                   work=(u1 - s_pop / beta) - (u2 - s_q / beta),
+                   heat=(s_q - s_pop) / beta)
 
 
 def _workspace_buffer(size: int) -> np.ndarray:
@@ -319,7 +307,4 @@ def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
 
     u1 = float(first_p @ e1)
     u2 = float(last_p @ last_e)
-    isotherm = LedgerEntry("isotherm", work=work, heat_absorbed=heat,
-                           energy_change=u2 - u1,
-                           entropy_change=shannon(last_p) - shannon(first_p))
-    return _isolated_steps(plan, u1, isotherm, u2)
+    return _ledger(plan, u1, shannon(first_p), u2, shannon(last_p), work, heat)

@@ -52,11 +52,11 @@ class Distribution:
             raise NonFiniteError("Distribution: probabilities include NaN or infinity")
         if p.min() < 0.0:
             raise StateValidationError(
-                f"Distribution: negative probability {p.min()!r}"
+                f"Distribution: negative probability {float(p.min())!r}"
             )
         if abs(p.sum() - 1.0) > 1e-12:
             raise StateValidationError(
-                f"Distribution: probabilities sum to {p.sum()!r}, not 1"
+                f"Distribution: probabilities sum to {float(p.sum())!r}, not 1"
             )
         p = p.copy()
         p.setflags(write=False)

@@ -1,9 +1,7 @@
 """Quantum states, Hamiltonians, and thermodynamic potentials.
 
 Units: k_B = 1, so temperature enters only through beta = 1/T. Energies are in
-the Hamiltonian's own units, entropies in nats except where a function
-explicitly says bits (the relative entropy, which feeds the single-shot
-formulas).
+the Hamiltonian's own units, entropies in nats.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConsistencyError,
     DimMismatchError,
     NonFiniteError,
     NonHermitianError,
@@ -28,11 +25,6 @@ from .linalg import (DEFAULT_TOL, eigenvalue_clusters, hermitian_part, require_s
 # eigenvalues in [EIGENVALUE_FLOOR, 0) are numerical noise and clamp to 0;
 # anything below the floor is a genuine validation failure
 EIGENVALUE_FLOOR = -1e-10
-
-# sigma-eigenvalues below this count as outside the support in relative_entropy
-SUPPORT_TOL = 1e-12
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -215,26 +207,6 @@ def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
     return val.real
 
 
-def check_first_law(what: str, work: float, heat_absorbed: float,
-                    energy_change: float, scale: float = 0.0):
-    """Raise ``ConsistencyError`` unless energy_change = heat_absorbed - work.
-
-    The tolerance, 1e-10 * max(scale, |work|, |heat|, |energy change|),
-    follows the energy scale, so changing the units of H and T together trips
-    nothing. ``scale`` is the size of the energies the terms are differences
-    of: terms that cancel to rounding noise of those energies still pass.
-    A NaN or infinite term raises ``NonFiniteError`` naming the term: the
-    balance cannot be checked, which is not the same as being broken.
-    """
-    for name, value in (("work", work), ("heat_absorbed", heat_absorbed),
-                        ("energy_change", energy_change)):
-        if not math.isfinite(value):
-            raise NonFiniteError(f"{what} cannot check the first law: {name} is {value!r}")
-    gap = abs(energy_change - (heat_absorbed - work))
-    if not gap <= 1e-10 * max(scale, abs(work), abs(heat_absorbed), abs(energy_change)):
-        raise ConsistencyError(f"{what} violates the first law by {gap:.3e}")
-
-
 def free_energy(rho: DensityMatrix, h: Hamiltonian, t: Temperature) -> float:
     """Out-of-equilibrium free energy F = U - S/beta."""
     return average_energy(rho, h) - von_neumann_entropy(rho) / t.beta
@@ -272,28 +244,3 @@ def purify(rho: DensityMatrix) -> DensityMatrix:
     psi = (rho.eigenvectors * np.sqrt(rho.spectrum())).reshape(-1) + 0.0
     psi /= np.linalg.norm(psi)
     return DensityMatrix._trusted(np.outer(psi, psi.conj()))
-
-
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """D(rho || sigma) = tr[rho (log rho - log sigma)] in bits.
-
-    Returns ``math.inf`` when rho has weight outside the support of sigma
-    (sigma-eigenvalues below 1e-12 count as outside; weight above 1e-10 on
-    them triggers the sentinel).
-    """
-    require_same_dim("relative_entropy", rho=rho.dim, sigma=sigma.dim)
-    p = rho.spectrum()
-    q = sigma.spectrum()
-    overlap = np.abs(rho.eigenvectors.conj().T @ sigma.eigenvectors) ** 2
-    outside = q < SUPPORT_TOL
-    if outside.any():
-        violation = float(p @ overlap[:, outside].sum(axis=1))
-        if violation > 1e-10:
-            return math.inf
-    s_term = -shannon(p)
-    inside = ~outside
-    cross = float((p[:, None] * overlap[:, inside] * np.log(q[inside])[None, :]).sum())
-    val = (s_term - cross) / _LN2
-    if -1e-12 < val < 0.0:
-        return 0.0
-    return val

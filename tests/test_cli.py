@@ -644,7 +644,7 @@ class TestCorrelationsScenario:
             raise AssertionError("joint state built before the cap check")
 
         monkeypatch.setattr(cli, "purify", refuse)
-        monkeypatch.setattr(cli, "kron", refuse)
+        monkeypatch.setattr(cli.np, "kron", refuse)
         scn = {"kind": "correlations", "beta": 1.0, "state_sa": state_sa,
                "hamiltonian": {"random": {"dim": 64, "seed": 2}}}
         assert run_scenario(write(tmp_path, scn)) == EXIT_SCHEMA
@@ -823,14 +823,57 @@ class TestEnergyScale:
             results["w_opt"], rel=1e-9)
 
     def test_first_law_violation_is_physics_error(self, tmp_path, monkeypatch, capsys):
-        from coherework.protocol import LedgerEntry, WorkLedger
+        from coherework.projection import WorkReport
 
-        bad = LedgerEntry("x", work=1.0, heat_absorbed=0.0,
-                          energy_change=1.0, entropy_change=0.0)
         monkeypatch.setitem(cli._RUNNERS, "project",
-                            lambda scn, ctx: WorkLedger((bad,)))
+                            lambda scn, ctx: WorkReport(work=1.0, entropy_change=0.0,
+                                                        energy_change=1.0, heat_absorbed=0.0))
         assert run_scenario(write(tmp_path, canonical_project_scenario())) == EXIT_PHYSICS
         assert "ConsistencyError" in capsys.readouterr().err
+
+
+def _run_strict(tmp_path, capsys, scn):
+    """Exit code and stderr lines of ``coherework run`` with RuntimeWarnings raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", write(tmp_path, scn)])
+    return code, capsys.readouterr().err.splitlines()
+
+
+class TestEdgeInputs:
+    """Inputs at the edges of the schema end in a result or one typed error line."""
+
+    def test_high_temperature_protocol_runs(self, tmp_path, capsys):
+        # the isotherm work differs terms T S of about 1.1e8; a ledger scale of
+        # max|e| = 1.625 failed the first law by 9.9e-9
+        scn = {"kind": "protocol", "beta": 1e-8, "state": {"gibbs": {}},
+               "hamiltonian": {"diag": [0.0, 0.25, 1.625]}}
+        assert _run_strict(tmp_path, capsys, scn) == (EXIT_OK, [])
+
+    def test_basis_entry_at_the_entry_bound_is_not_unitary(self, tmp_path, capsys):
+        # is_unitary answers before forming b^dag b, which would overflow
+        scn = {**canonical_project_scenario(),
+               "projectors": {"basis": [[[1e150, 0], [0, 0]], [[0, 0], [1, 0]]]}}
+        code, err = _run_strict(tmp_path, capsys, scn)
+        assert (code, len(err)) == (EXIT_PHYSICS, 1)
+        assert err[0].startswith("NotUnitaryError: ")
+
+    @pytest.mark.parametrize("lhs, side", [(None, "left side <e^(beta W)>"),
+                                           (1.0, "right side e^(-beta dF) = e^999.687")],
+                             ids=["lhs", "rhs"])
+    def test_overflowing_jarzynski_side_is_non_finite(self, tmp_path, capsys, monkeypatch,
+                                                      lhs, side):
+        # beta (F0 - Ftau) is about 999.7, beyond ln of the largest double (709.78)
+        if lhs is not None:
+            monkeypatch.setattr(cli, "jarzynski_average", lambda table: lhs)
+        h = 2 ** -0.5
+        scn = {"kind": "jarzynski", "beta": 1.0, "hamiltonian": {"diag": [0.0, 1.0]},
+               "hamiltonian_final": {"diag": [0.0, -1000.0]},
+               "unitary": {"matrix": [[[h, 0], [h, 0]], [[h, 0], [-h, 0]]]}}
+        code, err = _run_strict(tmp_path, capsys, scn)
+        assert (code, len(err)) == (EXIT_PHYSICS, 1)
+        assert err[0].startswith("NonFiniteError: ")
+        assert f"the {side}" in err[0] and "overflows a double" in err[0]
 
 
 def test_tolerances_come_from_the_library_constants():

@@ -12,7 +12,7 @@ from coherework.correlations import (
     verify_lemma1,
 )
 from coherework.errors import DimMismatchError, RankError
-from coherework.linalg import hs_norm, kron, shannon
+from coherework.linalg import hs_norm, shannon
 from coherework.projection import (
     ProjectorSet,
     energy_projectors,
@@ -85,7 +85,7 @@ class TestLocalProject:
         for k, pk in enumerate(p.projectors):
             for l, pl in enumerate(p.projectors):
                 if k != l:
-                    block = kron(pk, eye_a) @ out.rho_sa.mat @ kron(pl, eye_a)
+                    block = np.kron(pk, eye_a) @ out.rho_sa.mat @ np.kron(pl, eye_a)
                     assert hs_norm(block) < 1e-12
 
     def test_ancilla_marginal_unchanged(self):
@@ -299,7 +299,7 @@ class TestLemma1:
             p = random_projector_set(ds, rng)
             expected = 0.0
             for pk in p.projectors:
-                lifted = kron(pk, np.eye(da))
+                lifted = np.kron(pk, np.eye(da))
                 branch = DensityMatrix(lifted @ state.rho_sa.mat @ lifted
                                        / np.trace(lifted @ state.rho_sa.mat).real)
                 eta_a = branch.mat.reshape(ds, da, ds, da).trace(axis1=0, axis2=2)

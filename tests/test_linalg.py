@@ -21,7 +21,6 @@ from coherework.linalg import (
     hermitian_part,
     hs_norm,
     is_unitary,
-    kron,
     log_partition,
     shannon,
     thermal,
@@ -115,31 +114,6 @@ class TestNorms:
         a = np.arange(12).reshape(3, 4) + 1j * np.arange(12).reshape(3, 4)[::-1]
         assert hs_norm(a) ** 2 == pytest.approx(
             float((np.abs(a) ** 2).sum()), rel=1e-14)
-
-
-class TestKron:
-    def test_identity_product(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_diagonal_product(self):
-        out = kron(np.diag([2.0, 3.0]), np.diag([5.0, 7.0]))
-        np.testing.assert_allclose(np.diag(out), [10.0, 14.0, 15.0, 21.0])
-
-    def test_x_tensor_z_on_00(self):
-        ket00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-        out = kron(PAULI_X, PAULI_Z) @ ket00
-        np.testing.assert_allclose(out, [0.0, 0.0, 1.0, 0.0], atol=1e-15)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_associativity(self, seed):
-        rng = np.random.default_rng(seed)
-        mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-                for d in rng.integers(1, 4, size=3)]
-        left = kron(kron(mats[0], mats[1]), mats[2])
-        right = kron(mats[0], kron(mats[1], mats[2]))
-        # entrywise up to the reassociation rounding of the triple products
-        np.testing.assert_allclose(left, right, rtol=1e-13, atol=1e-13)
 
 
 class TestPredicates:

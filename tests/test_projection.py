@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coherework.errors import (
+    ConsistencyError,
     DimMismatchError,
     EnergyOutOfRangeError,
     NotUnitaryError,
     RankError,
     StateValidationError,
 )
-from coherework.linalg import hermitian_eig, hs_norm
+from coherework.linalg import hs_norm
 from coherework.projection import (
     ProjectorSet,
     WorkReport,
@@ -23,7 +24,6 @@ from coherework.projection import (
     overlap_matrix,
     project,
     projection_angle_factor,
-    qubit_overlap_matrix,
 )
 from coherework.sampling import (
     random_density_matrix,
@@ -223,7 +223,7 @@ class TestOptimalProjectionWork:
 
 class TestWorkReport:
     def test_first_law_enforced(self):
-        with pytest.raises(ValueError, match="first law"):
+        with pytest.raises(ConsistencyError, match="first law by 1.000e"):
             WorkReport(work=1.0, entropy_change=0.0,
                        energy_change=0.0, heat_absorbed=0.0)
 
@@ -280,6 +280,12 @@ class TestEntropyChangeBound:
             entropy_change_bound(rho, energy_projectors(h))
 
 
+def qubit_overlap_matrix(theta: float) -> np.ndarray:
+    """Closed-form qubit overlap matrix for bases at angle theta."""
+    c = math.cos(theta)
+    return 0.5 * np.array([[1.0 + c, 1.0 - c], [1.0 - c, 1.0 + c]])
+
+
 class TestQubitOverlapMatrix:
     def test_aligned(self):
         np.testing.assert_allclose(qubit_overlap_matrix(0.0), np.eye(2),
@@ -288,13 +294,13 @@ class TestQubitOverlapMatrix:
     def test_unbiased(self):
         m = qubit_overlap_matrix(math.pi / 2)
         np.testing.assert_allclose(m, np.full((2, 2), 0.5), atol=1e-15)
-        w = hermitian_eig(m.T @ m).eigenvalues
+        w = np.linalg.eigvalsh(m.T @ m)
         np.testing.assert_allclose(w, [0.0, 1.0], atol=1e-12)
         assert projection_angle_factor(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_pi_over_three(self):
         m = qubit_overlap_matrix(math.pi / 3)
-        w = hermitian_eig(m.T @ m).eigenvalues
+        w = np.linalg.eigvalsh(m.T @ m)
         np.testing.assert_allclose(w, [0.25, 1.0], atol=1e-12)
         assert projection_angle_factor(m) == pytest.approx(0.75, abs=1e-12)
 

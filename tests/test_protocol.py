@@ -11,13 +11,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coherework import protocol
-from coherework.errors import ClampRequiredError, NonFiniteError, StateValidationError
+from coherework.errors import (
+    ClampRequiredError,
+    NonFiniteError,
+    ParameterRangeError,
+    StateValidationError,
+)
 from coherework.linalg import hs_norm, shannon, thermal
-from coherework.projection import energy_projectors, optimal_projection_work, project
+from coherework.projection import WorkReport, energy_projectors, optimal_projection_work, project
 from coherework.protocol import (
     DEFAULT_PURITY_CLAMP,
     PLAN_TOL,
-    LedgerEntry,
     ProtocolPlan,
     WorkLedger,
     build_plan,
@@ -78,7 +82,7 @@ class TestBuildPlan:
         h1, h2 = auxiliary_hamiltonians(plan)
         assert hs_norm(h1.mat - h.mat) < 1e-8
         assert hs_norm(h2.mat - h.mat) < 1e-8
-        for entry in exact_step_works(plan).entries:
+        for entry in exact_step_works(plan).entries.values():
             assert abs(entry.work) < 1e-10
 
     def test_rotated_state_is_thermal_for_h1(self):
@@ -117,6 +121,12 @@ class TestBuildPlan:
         with pytest.raises(ValueError):
             build_plan(bloch_qubit(0.8, 0.4), h, Temperature(beta=1.0),
                        purity_clamp=0.01)
+
+    @pytest.mark.parametrize("clamp", ["x", None, [1e-9]])
+    def test_non_number_clamp_is_parameter_range_error(self, clamp):
+        h = Hamiltonian(np.diag([-1.0, 1.0]).astype(complex))
+        with pytest.raises(ParameterRangeError, match=r"purity_clamp must lie in \[0, 0.001\], got "):
+            build_plan(bloch_qubit(0.8, 0.4), h, Temperature(beta=1.0), purity_clamp=clamp)
 
     def test_clamp_error_budget(self):
         # with spectrum clamped at c the totals move by at most
@@ -278,7 +288,7 @@ class TestExactStepWorks:
         rho = DensityMatrix(np.diag([0.2, 0.8]))  # diagonal but not thermal
         ledger = exact_step_works(build_plan(rho, h, Temperature(beta=1.0)))
         assert ledger.totals.work == pytest.approx(0.0, abs=1e-10)
-        assert any(abs(e.work) > 1e-3 for e in ledger.entries)
+        assert any(abs(e.work) > 1e-3 for e in ledger.entries.values())
 
     def test_inverted_target_population(self):
         # p < 1/2: the final thermal Hamiltonian has its gap sign flipped
@@ -298,17 +308,16 @@ class TestExactStepWorks:
 
     def test_first_law_per_entry(self, canonical_qubit):
         rho, h, t = canonical_qubit
-        for e in exact_step_works(build_plan(rho, h, t)).entries:
+        for e in exact_step_works(build_plan(rho, h, t)).entries.values():
             assert e.energy_change == pytest.approx(
                 e.heat_absorbed - e.work, abs=1e-12)
 
     def test_isolated_steps_have_zero_heat(self, canonical_qubit):
         rho, h, t = canonical_qubit
         ledger = exact_step_works(build_plan(rho, h, t))
-        assert ledger.entries[0].label == "rotate"
-        assert ledger.entries[0].heat_absorbed == 0.0
-        assert ledger.entries[2].label == "quench"
-        assert ledger.entries[2].heat_absorbed == 0.0
+        assert list(ledger.entries) == ["rotate", "isotherm", "quench"]
+        assert ledger.entries["rotate"].heat_absorbed == 0.0
+        assert ledger.entries["quench"].heat_absorbed == 0.0
 
 
 class TestSimulate:
@@ -316,7 +325,7 @@ class TestSimulate:
         h = Hamiltonian(np.diag([-1.0, 1.0]).astype(complex))
         t = Temperature(beta=1.0)
         ledger = simulate(build_plan(gibbs_state(h, t), h, t), 50)
-        for e in ledger.entries:
+        for e in ledger.entries.values():
             assert abs(e.work) < 1e-10
             assert abs(e.heat_absorbed) < 1e-10
 
@@ -337,9 +346,9 @@ class TestSimulate:
     def test_heat_only_in_isotherm(self, canonical_qubit):
         rho, h, t = canonical_qubit
         ledger = simulate(build_plan(rho, h, t), 1000)
-        assert ledger.entries[0].heat_absorbed == 0.0
-        assert ledger.entries[2].heat_absorbed == 0.0
-        assert abs(ledger.entries[1].heat_absorbed) > 1e-3
+        assert ledger.entries["rotate"].heat_absorbed == 0.0
+        assert ledger.entries["quench"].heat_absorbed == 0.0
+        assert abs(ledger.entries["isotherm"].heat_absorbed) > 1e-3
 
     def test_endpoints_thermal(self, canonical_qubit):
         rho, h, t = canonical_qubit
@@ -348,8 +357,8 @@ class TestSimulate:
         # the staircase state is exactly thermal at both ends, so the
         # isotherm's entropy change matches the closed form
         exact = exact_step_works(plan)
-        assert ledger.entries[1].entropy_change == pytest.approx(
-            exact.entries[1].entropy_change, abs=1e-12)
+        assert ledger.entries["isotherm"].entropy_change == pytest.approx(
+            exact.entries["isotherm"].entropy_change, abs=1e-12)
 
     def test_energy_conservation_of_totals(self):
         rng = np.random.default_rng(35)
@@ -363,7 +372,7 @@ class TestSimulate:
 
     def test_first_law_per_entry_large_step_count(self, canonical_qubit):
         rho, h, t = canonical_qubit
-        for e in simulate(build_plan(rho, h, t), 10**5).entries:
+        for e in simulate(build_plan(rho, h, t), 10**5).entries.values():
             assert e.energy_change == pytest.approx(
                 e.heat_absorbed - e.work, abs=1e-10)
 
@@ -373,39 +382,55 @@ class TestSimulate:
             simulate(build_plan(rho, h, t), 0)
 
 
+def _report(work, heat, d_u, scale=0.0):
+    return WorkReport(work=work, entropy_change=0.0, energy_change=d_u,
+                      heat_absorbed=heat, scale=scale)
+
+
 class TestWorkLedger:
     def test_totals_sum_entries(self):
-        entries = (
-            LedgerEntry("a", work=1.0, heat_absorbed=0.0,
-                        energy_change=-1.0, entropy_change=0.0),
-            LedgerEntry("b", work=-0.25, heat_absorbed=0.5,
-                        energy_change=0.75, entropy_change=0.4),
-        )
+        entries = {"a": WorkReport(work=1.0, entropy_change=0.0,
+                                   energy_change=-1.0, heat_absorbed=0.0),
+                   "b": WorkReport(work=-0.25, entropy_change=0.4,
+                                   energy_change=0.75, heat_absorbed=0.5)}
         ledger = WorkLedger(entries)
         assert ledger.totals.work == pytest.approx(0.75)
         assert ledger.totals.heat_absorbed == pytest.approx(0.5)
         assert ledger.totals.entropy_change == pytest.approx(0.4)
 
     def test_first_law_enforced(self):
-        bad = LedgerEntry("x", work=1.0, heat_absorbed=0.0,
-                          energy_change=1.0, entropy_change=0.0)
         with pytest.raises(ValueError, match="first law"):
-            WorkLedger((bad,))
+            _report(work=1.0, heat=0.0, d_u=1.0)
 
     def test_scale_sets_the_tolerance(self):
         # terms that are rounding noise of energies of 1e7 pass at that scale
-        noise = LedgerEntry("isotherm", work=1.9e-9, heat_absorbed=0.0,
-                            energy_change=-1.9e-9 + 1.6e-10, entropy_change=0.0)
         with pytest.raises(ValueError, match="first law"):
-            WorkLedger((noise,))
-        WorkLedger((noise,), scale=1e7)
+            _report(work=1.9e-9, heat=0.0, d_u=-1.9e-9 + 1.6e-10)
+        _report(work=1.9e-9, heat=0.0, d_u=-1.9e-9 + 1.6e-10, scale=1e7)
 
     def test_gap_beyond_small_terms_is_caught(self):
         # no absolute floor: a gap 50 times the work fails at any scale
-        bad = LedgerEntry("x", work=1e-12, heat_absorbed=0.0,
-                          energy_change=5e-11, entropy_change=0.0)
         with pytest.raises(ValueError, match="first law"):
-            WorkLedger((bad,), scale=1e-11)
+            _report(work=1e-12, heat=0.0, d_u=5e-11, scale=1e-11)
+
+    def test_totals_are_checked_at_the_ledger_scale(self):
+        # entries that each pass at the scale sum to a gap the totals must also pass
+        noise = {k: _report(work=1.9e-9, heat=0.0, d_u=-1.9e-9 + 1.6e-10, scale=1e7)
+                 for k in ("rotate", "isotherm", "quench")}
+        assert WorkLedger(noise, scale=1e7).totals.work == pytest.approx(5.7e-9)
+        with pytest.raises(ValueError, match="first law"):
+            WorkLedger(noise).totals
+
+
+@pytest.mark.parametrize("beta", [1e-8, 1e-12])
+def test_high_temperature_ledger_passes_the_first_law(beta):
+    # the isotherm work is a difference of terms T S of about 1e8 or 1e12, not max|e| = 1.625
+    h = Hamiltonian(np.diag([0.0, 0.25, 1.625]).astype(complex))
+    t = Temperature(beta)
+    plan = build_plan(gibbs_state(h, t), h, t)
+    for ledger in (exact_step_works(plan), simulate(plan, 100)):
+        assert ledger.scale > math.log(3) / beta
+        assert abs(ledger.totals.work) < 1e-10 * ledger.scale
 
 
 def _works(rho, hm, beta):
@@ -442,8 +467,8 @@ def test_units_of_energy_and_temperature_rescale_work(seed, log_s, degenerate):
 def test_first_law_rejects_nan(field):
     values = {"work": 0.5, "heat_absorbed": 1.5, "energy_change": 1.0}
     values[field] = math.nan
-    with pytest.raises(ValueError, match="first law"):
-        WorkLedger((LedgerEntry("x", entropy_change=0.0, **values),))
+    with pytest.raises(NonFiniteError, match=f"cannot check the first law: {field} is nan"):
+        WorkReport(entropy_change=0.0, **values)
 
 
 def reference_isotherm(e1, e2, beta, n):
@@ -474,10 +499,7 @@ def reference_simulate(plan, n):
     first_p = thermal(plan.e1, beta)
     u1 = float(first_p @ plan.e1)
     u2 = float(last_p @ last_e)
-    isotherm = LedgerEntry("isotherm", work=work, heat_absorbed=heat,
-                           energy_change=u2 - u1,
-                           entropy_change=shannon(last_p) - shannon(first_p))
-    return protocol._isolated_steps(plan, u1, isotherm, u2)
+    return protocol._ledger(plan, u1, shannon(first_p), u2, shannon(last_p), work, heat)
 
 
 def _scaled_plan(d, seed, log_s):

@@ -61,6 +61,15 @@ class TestDistribution:
         with pytest.raises(StateValidationError, match="negative"):
             dist(1.2, -0.2)
 
+    @pytest.mark.parametrize("probs, message", [
+        ((1.2, -0.2), r"^Distribution: negative probability -0\.2$"),
+        ((0.5, 0.4), r"^Distribution: probabilities sum to 0\.9, not 1$"),
+    ], ids=["negative", "unnormalised"])
+    def test_messages_print_plain_numbers(self, probs, message):
+        # not numpy's scalar repr, np.float64(0.9)
+        with pytest.raises(StateValidationError, match=message):
+            dist(*probs)
+
     @pytest.mark.parametrize("probs", [np.full((2, 2), 0.25), np.array([])],
                              ids=["2-d", "empty"])
     def test_rejects_a_shape_other_than_nonempty_1d(self, probs):

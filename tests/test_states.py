@@ -28,7 +28,6 @@ from coherework.states import (
     gibbs_state,
     partial_trace,
     purify,
-    relative_entropy,
     von_neumann_entropy,
 )
 
@@ -337,49 +336,6 @@ class TestPurify:
             big = purify(rho)
             assert von_neumann_entropy(big) == pytest.approx(0.0, abs=1e-10)
             assert hs_norm(partial_trace(big, (d, d), 0).mat - rho.mat) < 1e-10
-
-
-class TestRelativeEntropy:
-    def test_identical_states(self):
-        rho = random_density_matrix(3, np.random.default_rng(14))
-        assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-10)
-
-    def test_one_bit(self):
-        rho = DensityMatrix(np.diag([1.0, 0.0]))
-        sigma = DensityMatrix(np.eye(2) / 2)
-        assert relative_entropy(rho, sigma) == pytest.approx(1.0, abs=1e-12)
-
-    def test_support_violation_sentinel(self):
-        rho = DensityMatrix(np.eye(2) / 2)
-        sigma = DensityMatrix(np.diag([1.0, 0.0]))
-        assert relative_entropy(rho, sigma) == math.inf
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(15)
-        for _ in range(50):
-            d = int(rng.integers(2, 5))
-            val = relative_entropy(random_density_matrix(d, rng),
-                                   random_density_matrix(d, rng))
-            assert val >= 0.0
-
-    def test_equal_energy_diagonal_difference(self):
-        # for diagonal states with equal mean energy the thermal cross terms
-        # cancel and the difference is the entropy gap in bits
-        h = Hamiltonian(np.diag([0.0, 1.0, 2.0]).astype(complex))
-        tau = gibbs_state(h, Temperature(beta=1.0))
-        rho1 = DensityMatrix(np.diag([0.5, 0.2, 0.3]))
-        eta = DensityMatrix(np.diag([0.45, 0.3, 0.25]))
-        assert average_energy(rho1, h) == pytest.approx(
-            average_energy(eta, h), abs=1e-14)
-        lhs = relative_entropy(rho1, tau) - relative_entropy(eta, tau)
-        rhs = (shannon(np.diag(eta.mat).real)
-               - shannon(np.diag(rho1.mat).real)) / math.log(2)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatchError):
-            relative_entropy(DensityMatrix(np.eye(2) / 2),
-                             DensityMatrix(np.eye(3) / 3))
 
 
 class TestBlochQubit:
