@@ -148,6 +148,11 @@ class WorkReport:
             raise ConsistencyError(f"WorkReport violates the first law by {gap:.3e}")
 
 
+# dataclass leaves an InitVar's default on the class, where every report would
+# read it as a stored scale of 0.0; the default stays in __init__'s signature
+del WorkReport.scale
+
+
 def project(rho: DensityMatrix, p: ProjectorSet) -> DensityMatrix:
     """Unselective measurement channel: rho -> sum_k P_k rho P_k.
 

@@ -227,6 +227,12 @@ class TestWorkReport:
             WorkReport(work=1.0, entropy_change=0.0,
                        energy_change=0.0, heat_absorbed=0.0)
 
+    def test_scale_is_not_stored(self):
+        rep = WorkReport(work=1.0, entropy_change=0.0, energy_change=-1.0,
+                         heat_absorbed=0.0, scale=5.0)
+        assert sorted(vars(rep)) == ["energy_change", "entropy_change", "heat_absorbed", "work"]
+        assert not hasattr(rep, "scale")
+
 
 class TestEntropyChangeBound:
     def test_same_basis_gives_zero(self):
