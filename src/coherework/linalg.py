@@ -54,18 +54,33 @@ def shannon(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _exponent_error(what: str, beta: float, e) -> NonFiniteError:
+    return NonFiniteError(
+        f"{what}: beta * E overflows a double "
+        f"(beta = {beta:g}, max |E| = {float(np.abs(e).max()):g})")
+
+
 def thermal(e, beta: float, g=None, out=None) -> np.ndarray:
     """Boltzmann weights g_k e^(-beta e_k) / Z along the last axis of ``e``.
 
     The exponents are shifted by their largest value, so neither a negative
-    beta nor a large beta * spread can overflow. A 2-d ``e`` gives one
-    distribution per row; ``g`` (default all ones) holds the degeneracies.
-    The weights go into a new array, or into ``out``, a float array of
-    ``e``'s shape, by the same operations, so they have the same bits either
-    way; ``protocol.simulate`` writes them into its workspace this way.
+    beta nor a large beta * spread can overflow. A row whose largest
+    exponent -beta e_k is not a finite double (beta * E overflowed, or
+    every term did) raises ``NonFiniteError``; an exponent that overflows
+    to -inf below a finite largest one is a weight of 0. A 2-d ``e`` gives
+    one distribution per row; ``g`` (default all ones) holds the
+    degeneracies. The weights go into a new array, or into ``out``, a float
+    array of ``e``'s shape, by the same operations, so they have the same
+    bits either way. Every operation is row by row, so a row's weights do
+    not depend on the other rows: ``protocol.simulate`` fills its schedule's
+    weights into a small workspace a block of rows at a time this way.
     """
-    p = np.multiply(-beta, e, out=out)  # a new array when out is None
-    p -= p.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        p = np.multiply(-beta, e, out=out)  # a new array when out is None
+    top = p.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise _exponent_error("thermal", beta, e)
+    p -= top
     np.exp(p, out=p)
     if g is not None:
         p *= g
@@ -75,9 +90,13 @@ def thermal(e, beta: float, g=None, out=None) -> np.ndarray:
 
 def log_partition(e, beta: float, g=None) -> float:
     """ln Z = ln sum_k g_k e^(-beta e_k) of a 1-d ``e``, shifted like
-    :func:`thermal`; ``g`` (default all ones) holds the degeneracies."""
-    x = -beta * np.asarray(e, dtype=float)
+    :func:`thermal`, with its ``NonFiniteError``; ``g`` (default all ones)
+    holds the degeneracies."""
+    with np.errstate(over="ignore"):
+        x = -beta * np.asarray(e, dtype=float)
     m = x.max()
+    if not math.isfinite(m):
+        raise _exponent_error("log_partition", beta, e)
     w = np.exp(x - m)
     if g is not None:
         w *= g

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import numbers
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -37,10 +39,11 @@ MAX_PURITY_CLAMP = 1e-3
 # an eigenvalue at or below this is "zero" for clamping purposes
 _ZERO_EIGENVALUE = 1e-14
 
-# simulate runs its isotherm in chunks of this many steps, and keeps at most
-# this many bytes of workspace per thread between calls
+# simulate runs its isotherm in chunks of this many steps, each chunk's sums
+# added to the totals in order; within a chunk it fills at most this many
+# entries of each product at a time (a leaf of numpy's pairwise-sum tree)
 _CHUNK = 65536
-_MAX_KEPT_BYTES = 16 * 2**20
+_LEAF = 32768
 
 # the kept workspace of simulate, one ``buf`` attribute per thread
 _workspace = threading.local()
@@ -53,11 +56,17 @@ class WorkLedger:
     that order, to their :class:`~coherework.projection.WorkReport`, each
     checked against the first law at the energy ``scale`` of the protocol,
     as are the totals; isolated steps carry exactly zero heat by
-    construction.
+    construction. ``entries`` is a read-only copy of the mapping it is
+    given, and a ledger is unhashable, like the mapping.
     """
 
-    entries: dict[str, WorkReport]
+    entries: Mapping[str, WorkReport]
     scale: float = 0.0
+
+    __hash__ = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     @property
     def totals(self) -> WorkReport:
@@ -139,7 +148,8 @@ class ProtocolPlan:
             a = np.clip(a, clamp, 1.0 - clamp)
         a = a / a.sum()
         w_vecs = rho.eigenvectors
-        rho0 = DensityMatrix._trusted((w_vecs * a) @ w_vecs.conj().T)
+        # the clamp keeps rho's eigenvectors and the order of its spectrum
+        rho0 = DensityMatrix._from_eigh(a, w_vecs)
 
         # shared basis: within each energy eigenspace, diagonalise rho0's block
         hv = h.eigenvectors
@@ -236,10 +246,7 @@ def exact_step_works(plan: ProtocolPlan) -> WorkLedger:
 
 def _workspace_buffer(size: int) -> np.ndarray:
     """A flat float64 array of at least ``size`` entries: this thread's kept
-    workspace, grown when it is smaller, or a new array that nothing keeps
-    when ``size`` doubles exceed :data:`_MAX_KEPT_BYTES`."""
-    if size * 8 > _MAX_KEPT_BYTES:
-        return np.empty(size)
+    workspace, grown when it is smaller."""
     buf = getattr(_workspace, "buf", None)
     if buf is None or buf.size < size:
         _workspace.buf = None  # release the old buffer before the new one is allocated
@@ -247,40 +254,77 @@ def _workspace_buffer(size: int) -> np.ndarray:
     return buf
 
 
+def _pairwise(part, lo: int, hi: int) -> tuple[float, float]:
+    """Two sums over the entries lo..hi of two flat arrays, added up numpy's
+    pairwise-sum tree from the sums ``part(lo, hi)`` returns for its leaves
+    of at most :data:`_LEAF` entries (a module function: a nested recursive
+    one would be a reference cycle that keeps each call's arrays alive until
+    the garbage collector runs)."""
+    if hi - lo <= _LEAF:
+        return part(lo, hi)
+    half = (hi - lo) // 2
+    mid = lo + half - half % 8
+    w1, h1 = _pairwise(part, lo, mid)
+    w2, h2 = _pairwise(part, mid, hi)
+    return w1 + w2, h1 + h2
+
+
 def _isotherm(e1: np.ndarray, e2: np.ndarray, beta: float,
               n: int) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Work and heat of the n-step staircase from the energies e1 to e2, with
     copies of its last energies and thermal weights.
 
-    Each chunk of up to :data:`_CHUNK` steps fills three row-major views of
-    one workspace buffer in place: the energy schedule, its thermal weights
-    and one scratch product that serves the work sum and then the heat sum.
-    Each sum stays one reduction over the chunk's whole product, whose
-    pairwise grouping fixes the digits of every report.
+    Each chunk of up to :data:`_CHUNK` steps has a work product and a heat
+    product, r x d arrays whose sums are added to the totals. numpy sums a
+    contiguous float64 array pairwise: a part of more than 128 entries is the
+    sum of its first ``h - h % 8`` entries (``h`` half its length) and the
+    rest. The chunk's flat index range is split the same way down to parts
+    of at most :data:`_LEAF` entries, so the sums of the parts, added up
+    that tree, are the chunk's sums bit for bit. Each part fills the rows it
+    touches, and the next schedule row, in three row-major views of one
+    workspace buffer: the energy schedule, its thermal weights and one
+    scratch product that serves the work sum and then the heat sum. Every
+    operation on a row is row-local, so a row that two parts share gets the
+    same bits in both.
     """
     d = len(e1)
-    rows = min(n, _CHUNK)
+    rows = min(n, _CHUNK, _LEAF // d + 2)  # the most step rows one part touches
     m = (rows + 1) * d
     buf = _workspace_buffer(2 * m + rows * d)
     s = np.linspace(0.0, 1.0, n + 1)
     de = e2 - e1
+
+    last = 0  # the step rows of the part that ran last
+
+    def part(lo: int, hi: int) -> tuple[float, float]:
+        # entries lo..hi of the products of the chunk whose schedule starts at row start
+        nonlocal last
+        a, b = lo // d, -(-hi // d)
+        r = last = b - a
+        ee = buf[:(r + 1) * d].reshape(r + 1, d)
+        pp = buf[m:m + (r + 1) * d].reshape(r + 1, d)
+        flat = buf[2 * m:2 * m + r * d]
+        step = flat.reshape(r, d)
+        np.add(e1, np.multiply(s[start + a:start + b + 1, None], de, out=ee), out=ee)
+        thermal(ee, beta, out=pp)
+        mine = flat[lo - a * d:hi - a * d]
+        np.subtract(ee[:-1], ee[1:], out=step)
+        np.multiply(step, pp[:-1], out=step)
+        w = float(mine.sum())
+        np.subtract(pp[1:], pp[:-1], out=step)
+        np.multiply(step, ee[1:], out=step)
+        return w, float(mine.sum())
+
     work = 0.0
     heat = 0.0
     for start in range(0, n, _CHUNK):
-        # schedule rows start..stop inclusive: chunk steps, each chunk sharing
-        # its first row with the previous one
-        stop = min(start + _CHUNK, n)
-        r = stop - start
-        ee = buf[:(r + 1) * d].reshape(r + 1, d)
-        pp = buf[m:m + (r + 1) * d].reshape(r + 1, d)
-        step = buf[2 * m:2 * m + r * d].reshape(r, d)
-        np.add(e1, np.multiply(s[start:stop + 1, None], de, out=ee), out=ee)
-        thermal(ee, beta, out=pp)
-        np.subtract(ee[:-1], ee[1:], out=step)
-        work += float(np.multiply(step, pp[:-1], out=step).sum())
-        np.subtract(pp[1:], pp[:-1], out=step)
-        heat += float(np.multiply(step, ee[1:], out=step).sum())
-    return work, heat, ee[-1].copy(), pp[-1].copy()
+        # the chunk's steps go from schedule row start to row min(start + _CHUNK, n),
+        # each chunk sharing its first row with the previous one
+        w, h = _pairwise(part, 0, (min(start + _CHUNK, n) - start) * d)
+        work += w
+        heat += h
+    end = last * d  # the part that ran last ends at the schedule's last row
+    return work, heat, buf[end:end + d].copy(), buf[m + end:m + end + d].copy()
 
 
 def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
@@ -291,11 +335,12 @@ def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
     the state is exactly thermal after every sub-step. Its work approaches
     the free-energy difference with error O(1/steps).
 
-    Memory: the staircase runs in chunks of 65,536 steps through at most
-    three 65,537 x d float arrays per call. They are views of one buffer
-    that each thread keeps between calls, so a repeated call allocates
-    nothing, as long as it holds at most 16 MiB; a call that needs more
-    allocates its own and keeps nothing. The ledger holds floats only.
+    Memory: the staircase runs in chunks of 65,536 steps, and each chunk in
+    parts of at most 32,768 entries of its r x d work and heat products,
+    through three views of one buffer that each thread keeps between calls:
+    3 (32,768 // d + 3) x d floats at most, under 0.8 MB for every d up to
+    64 whatever the step count, so a repeated call allocates nothing but
+    the step schedule's n + 1 floats. The ledger holds floats only.
     """
     n = int(quasi_static_steps)
     if n < 1:

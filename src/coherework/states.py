@@ -70,6 +70,18 @@ class DensityMatrix:
         self._fill((mat + mat.conj().T) / 2.0)
         return self
 
+    @classmethod
+    def _from_eigh(cls, w: np.ndarray, v: np.ndarray) -> "DensityMatrix":
+        """State with the eigenvalues ``w`` (ascending, nonnegative, summing
+        to 1) and orthonormal eigenvector columns ``v`` that the library
+        derived from a validated state: its matrix is formed and symmetrised
+        as :meth:`_trusted` would, and ``w`` and ``v`` are stored as its
+        eigen-data in place of a factorisation, unchecked."""
+        self = cls.__new__(cls)
+        m = (v * w) @ v.conj().T
+        self._store((m + m.conj().T) / 2.0, w, v)
+        return self
+
     def _fill(self, m: np.ndarray):
         """Check the trace and eigenvalue floor of the Hermitian ``m`` and store
         it with its eigen-data; a NaN fails a check rather than passing it."""
@@ -89,6 +101,10 @@ class DensityMatrix:
                 f"DensityMatrix: negative eigenvalue {w_min:.3e} below floor "
                 f"{EIGENVALUE_FLOOR:g}"
             )
+        self._store(m, w, v)
+
+    def _store(self, m: np.ndarray, w: np.ndarray, v: np.ndarray):
+        """Keep the matrix ``m`` and its eigen-data, read-only."""
         for arr in (m, w, v):
             arr.setflags(write=False)
         self.mat = m

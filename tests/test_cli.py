@@ -858,6 +858,15 @@ class TestEdgeInputs:
         assert (code, len(err)) == (EXIT_PHYSICS, 1)
         assert err[0].startswith("NotUnitaryError: ")
 
+    def test_overflowing_beta_e_is_non_finite(self, tmp_path, capsys):
+        # beta E of 1e312 overflows before thermal shifts by its largest exponent
+        scn = {"kind": "project", "beta": 1e300, "state": {"gibbs": {}},
+               "hamiltonian": {"diag": [1e12, 2e12]}}
+        code, err = _run_strict(tmp_path, capsys, scn)
+        assert (code, len(err)) == (EXIT_PHYSICS, 1)
+        assert err[0] == ("NonFiniteError: thermal: beta * E overflows a double "
+                          "(beta = 1e+300, max |E| = 2e+12)")
+
     @pytest.mark.parametrize("lhs, side", [(None, "left side <e^(beta W)>"),
                                            (1.0, "right side e^(-beta dF) = e^999.687")],
                              ids=["lhs", "rhs"])

@@ -253,6 +253,27 @@ class TestThermal:
         assert p[ground] == 1.0 and p.sum() == 1.0
         assert log_z == pytest.approx(-beta * e[ground], rel=1e-15)
 
+    @pytest.mark.parametrize("e", [[1e12, 2e12], [-1e12, 0.0], [[0.0, 1.0], [1e12, 2e12]]],
+                             ids=["all-minus-inf", "plus-inf", "one-row"])
+    def test_overflowing_beta_e_is_non_finite(self, e):
+        # beta E beyond the largest double leaves no finite largest exponent to shift by
+        e = np.array(e)
+        calls = [lambda: thermal(e, 1e300)] + ([lambda: log_partition(e, 1e300)] if e.ndim == 1 else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in calls:
+                with pytest.raises(NonFiniteError, match=r"beta \* E overflows a double "
+                                                         r"\(beta = 1e\+300, max \|E\| = "):
+                    call()
+
+    def test_overflow_below_a_finite_largest_exponent_is_a_zero_weight(self):
+        e = np.array([0.0, 1e12])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = thermal(e, 1e300)
+            log_z = log_partition(e, 1e300)
+        assert p.tolist() == [1.0, 0.0] and log_z == 0.0
+
 
 class TestHermitianPart:
     def test_returns_symmetrised_matrix(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import sys
@@ -127,6 +128,23 @@ class TestBuildPlan:
         h = Hamiltonian(np.diag([-1.0, 1.0]).astype(complex))
         with pytest.raises(ParameterRangeError, match=r"purity_clamp must lie in \[0, 0.001\], got "):
             build_plan(bloch_qubit(0.8, 0.4), h, Temperature(beta=1.0), purity_clamp=clamp)
+
+    @pytest.mark.parametrize("clamp", [0.0, DEFAULT_PURITY_CLAMP, 1e-3])
+    def test_clamped_state_keeps_its_eigen_data(self, monkeypatch, clamp):
+        # rho0 is built from rho's eigenvectors and the clamped, renormalised
+        # spectrum; with distinct levels build_plan factorises nothing
+        rng = np.random.default_rng(3)
+        rho = random_density_matrix(6, rng)
+        h = Hamiltonian(random_hermitian(6, rng))
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a))
+        plan = build_plan(rho, h, Temperature(0.7), clamp)
+        assert calls == []
+        a = np.clip(rho.spectrum(), clamp, 1.0 - clamp) if clamp else rho.spectrum()
+        assert np.array_equal(plan.rho0.spectrum(), a / a.sum())
+        assert plan.rho0.eigenvectors is rho.eigenvectors
+        w, v = plan.rho0.spectrum(), plan.rho0.eigenvectors
+        assert hs_norm((v * w) @ v.conj().T - plan.rho0.mat) <= 1e-13
 
     def test_clamp_error_budget(self):
         # with spectrum clamped at c the totals move by at most
@@ -413,6 +431,20 @@ class TestWorkLedger:
         with pytest.raises(ValueError, match="first law"):
             _report(work=1e-12, heat=0.0, d_u=5e-11, scale=1e-11)
 
+    def test_entries_are_read_only(self, canonical_qubit):
+        given = {"a": _report(work=1.0, heat=0.0, d_u=-1.0)}
+        ledger = WorkLedger(given)
+        given["b"] = given["a"]  # a copy: the caller's mapping does not reach the ledger
+        for built in (ledger, simulate(build_plan(*canonical_qubit), 10)):
+            with pytest.raises(TypeError):
+                built.entries["rotate"] = None
+        assert list(ledger.entries) == ["a"]
+
+    def test_ledger_is_unhashable(self, canonical_qubit):
+        # a record of floats compared by value; its entries mapping is unhashable too
+        with pytest.raises(TypeError, match="unhashable type: 'WorkLedger'"):
+            hash(exact_step_works(build_plan(*canonical_qubit)))
+
     def test_totals_are_checked_at_the_ledger_scale(self):
         # entries that each pass at the scale sum to a gap the totals must also pass
         noise = {k: _report(work=1.9e-9, heat=0.0, d_u=-1.9e-9 + 1.6e-10, scale=1e7)
@@ -528,14 +560,44 @@ def assert_simulate_bit_identical(plan, n):
     assert simulate(plan, n) == reference_simulate(plan, n)
 
 
+# step counts at the chunk edges
 CHUNK_EDGES = [1, 2, 65535, 65536, 65537, 131073]
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from([1, 2, 3, 32, 64]), st.sampled_from(CHUNK_EDGES),
-       st.integers(0, 10_000), st.floats(-12.0, 9.0))
-def test_simulate_bit_identity(d, n, seed, log_s):
+def leaf_edges(d):
+    """Step counts whose n * d lies next to _LEAF - 8, _LEAF and _LEAF + 8, on
+    either side: the largest chunk of one part and the smallest of two."""
+    return sorted({max(1, -(-(protocol._LEAF + k) // d) + j) for k in (-8, 0, 8) for j in (-1, 0)})
+
+
+@st.composite
+def dims_and_steps(draw):
+    # 11 and 33 do not divide _LEAF, so parts split rows between them
+    d = draw(st.sampled_from([1, 2, 3, 11, 32, 33, 64]))
+    return d, draw(st.sampled_from(CHUNK_EDGES + leaf_edges(d)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims_and_steps(), st.integers(0, 10_000), st.floats(-12.0, 9.0))
+def test_simulate_bit_identity(d_n, seed, log_s):
+    d, n = d_n
     assert_simulate_bit_identical(_scaled_plan(d, seed, log_s), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(129, 10**6), st.integers(0, 10_000))
+def test_numpy_sum_bit_identity_at_its_pairwise_split(n, seed):
+    # the premise of simulate's leaves: numpy sums a contiguous float64 array
+    # (or a C-contiguous 2-d one, flat) pairwise, splitting a part of more
+    # than 128 entries after h - h % 8 of them, h half its length
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 8.0, size=n)
+    h = n // 2
+    m = h - h % 8
+    assert a.sum() == a[:m].sum() + a[m:].sum()
+    d = int(rng.integers(1, 65))
+    rows = a[:n - n % d].reshape(-1, d)
+    assert rows.sum() == rows.reshape(-1).sum()
 
 
 def _run_in_thread(target):
@@ -548,12 +610,15 @@ def _run_in_thread(target):
     return out[0]
 
 
-def test_simulate_bit_identity_as_the_workspace_is_reused_grown_and_bypassed():
+def test_simulate_bit_identity_as_the_workspace_is_reused_and_grown():
     plans = {d: _scaled_plan(d, 100 + d, 0.0) for d in (1, 2, 3, 11, 32, 64)}
-    # (d, n, what the kept buffer does): dense64's largest call (64, 10000)
-    # needs 15.4 MB, (32, 65535) and (11, 65536) more than the 16 MiB cap
+    # (d, n, what the kept buffer does): a part of at most _LEAF entries of a
+    # chunk's products touches at most _LEAF // d + 2 step rows, so the kept
+    # buffer holds at most 3 (_LEAF // d + 3) d doubles, 0.79 MB at d = 64;
+    # dense64's largest call (64, 10000) grows it to that, and no call grows
+    # it further, not even a call at the schema cap (64, 10**6)
     sequence = [(2, 65537, "new"), (32, 100, "same"), (64, 10000, "grown"),
-                (3, 2, "same"), (64, 10001, "grown"), (1, 131073, "same"),
+                (3, 2, "same"), (64, 10001, "same"), (1, 131073, "same"),
                 (32, 65535, "same"), (11, 65536, "same"), (2, 1, "same")]
 
     def run():
@@ -562,21 +627,40 @@ def test_simulate_bit_identity_as_the_workspace_is_reused_grown_and_bypassed():
             before = _kept_buffer()
             assert_simulate_bit_identical(plans[d], n)
             after = _kept_buffer()
-            assert after.nbytes <= protocol._MAX_KEPT_BYTES
+            assert after.nbytes <= 2**20
             seen.append("new" if before is None else "same" if after is before else "grown")
+        simulate(plans[64], 10**6)
+        assert _kept_buffer() is after
         return seen
 
     assert _run_in_thread(run) == [what for _, _, what in sequence]
 
 
-def test_simulate_above_the_cap_keeps_no_buffer():
-    plan = _scaled_plan(11, 7, 0.0)
+def test_simulate_bit_identity_in_a_workspace_of_at_most_1_mib_up_to_d_64():
+    # two parts or more, each touching as many rows as a part can: the buffer
+    # each thread keeps at this d after any n
+    def run(d):
+        assert_simulate_bit_identical(_scaled_plan(d, d, 0.0), 2 * protocol._LEAF // d + 3)
+        return _kept_buffer().nbytes
 
-    def run():
-        assert_simulate_bit_identical(plan, 65536)
-        return _kept_buffer()
+    sizes = {d: _run_in_thread(lambda: run(d)) for d in range(1, 65)}
+    assert max(sizes.values()) <= 2**20
+    # a part of these chunks touches _LEAF // d + 2 step rows, the most the workspace holds
+    for d, n in ((11, 11915), (33, 3970)):
+        assert_simulate_bit_identical(_scaled_plan(d, d, 0.0), n)
 
-    assert _run_in_thread(run) is None
+
+def test_simulate_leaves_no_reference_cycle():
+    # a cycle would keep each call's step schedule, and a replaced workspace,
+    # alive until the garbage collector next runs
+    plan = _scaled_plan(3, 1, 0.0)
+    gc.collect()
+    gc.disable()
+    try:
+        simulate(plan, 3 * protocol._LEAF)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_simulate_bit_identity_in_threads_at_once():

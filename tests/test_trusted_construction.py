@@ -35,9 +35,11 @@ from coherework.states import (
 )
 
 
-def assert_state(rho: DensityMatrix):
+def assert_state(rho: DensityMatrix, known_eigen_data: bool = False):
     """Hermitian, unit trace and PSD, judged on the raw matrix; the public
-    constructor accepts it and factorises it to the same bits."""
+    constructor accepts it and factorises it to the same bits, or, for a
+    state built from ``known_eigen_data``, to the same spectrum within
+    rounding, and the stored eigen-data factorises the matrix."""
     m = rho.mat
     assert m.dtype == complex and m.shape == (rho.dim, rho.dim)
     assert np.isfinite(m).all()
@@ -45,10 +47,17 @@ def assert_state(rho: DensityMatrix):
     assert abs(np.trace(m).real - 1.0) <= 1e-10
     assert np.linalg.eigvalsh(m).min() >= -1e-10
     public = DensityMatrix(m)
-    for got, want in ((rho.spectrum(), public.spectrum()),
-                      (rho.eigenvectors, public.eigenvectors)):
-        assert got.tobytes() == want.tobytes()
-    assert not m.flags.writeable and not rho.eigenvectors.flags.writeable
+    w, v = rho.spectrum(), rho.eigenvectors
+    if known_eigen_data:
+        d = rho.dim
+        assert np.all(np.diff(w) >= 0.0) and abs(w.sum() - 1.0) <= 1e-14 * d
+        assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-12
+        assert np.abs((v * w) @ v.conj().T - m).max() <= 1e-14 * d
+        assert np.abs(w - public.spectrum()).max() <= 1e-14 * d
+    else:
+        assert w.tobytes() == public.spectrum().tobytes()
+        assert v.tobytes() == public.eigenvectors.tobytes()
+    assert not m.flags.writeable and not v.flags.writeable
 
 
 def assert_family(p: ProjectorSet):
@@ -89,7 +98,7 @@ def test_library_states_pass_raw_checks(d, seed):
         t = Temperature(beta=float(rng.uniform(0.2, 3.0)))
         assert_state(gibbs_state(h, t))
         assert_state(project(rho, energy_projectors(h)))
-        assert_state(build_plan(rho, h, t).rho0)
+        assert_state(build_plan(rho, h, t).rho0, known_eigen_data=True)
     for d0 in (1, 2, d):
         if d % d0 == 0:
             joint = random_density_matrix(d, rng)
