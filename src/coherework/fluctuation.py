@@ -13,12 +13,13 @@ that correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import NonFiniteError, NotUnitaryError, ParameterRangeError, StateValidationError
-from .linalg import as_matrix, is_unitary, log_partition, require_same_dim, thermal
+from .linalg import (as_matrix, is_unitary, log_partition, require_same_dim, require_types,
+                     thermal)
 from .projection import energy_projectors, project
 from .states import (
     DensityMatrix,
@@ -30,56 +31,70 @@ from .states import (
 
 @dataclass(frozen=True)
 class TransitionTable:
-    """Joint probabilities p[m][n] of energy jumps E0_n -> Etau_m.
+    """Joint probabilities p[m][n] of energy jumps E0_n -> Etau_m of a system
+    thermal for ``h0`` at ``temperature`` and driven by the unitary ``v``,
+    derived in full from those inputs.
 
-    ``e0``/``etau`` are the clustered level energies, ``g0`` the initial level
-    degeneracies. Entries are finite, nonnegative and sum to 1; column
-    marginals are the Boltzmann weights g0_n exp(-beta (E0_n - F0)), both to
-    1e-10, enforced at construction. ``log_probs`` holds ln p[m][n] (-inf for
-    an impossible jump), finite also where p underflows to 0.
+    p[m][n] = tr[P_m V P_n rho_0 P_n V^dag P_m] with rho_0 the Gibbs state of
+    h0 and P the level projectors: with B0, Btau the eigenbases, the thermal
+    weight of level n times the sum of |Btau^dag V B0|^2 over the
+    eigenvectors of levels m and n, so nonnegativity is exact. ``e0`` and
+    ``etau`` are the level energies, ``g0`` the initial degeneracies;
+    ``log_probs`` holds ln p[m][n] (-inf for an impossible jump or an
+    overflowing beta E0_n), finite also where p underflows to 0. ``v`` is
+    not kept, and every derived field is read-only.
+
+    Checked are the input types (``StateValidationError``) and V's entries,
+    shape and unitarity. The unit sum and the column marginals g0_n
+    exp(-beta (E0_n - F0)) are then off by at most ||V^dag V - 1|| <=
+    ``DEFAULT_TOL`` sqrt(d), the defect ``is_unitary`` accepts, and are not
+    checked again; exp(log_probs) must agree with probs to 1e-12.
     """
 
-    probs: np.ndarray
-    e0: np.ndarray
-    etau: np.ndarray
-    beta: float
-    g0: np.ndarray
-    log_probs: np.ndarray
+    h0: Hamiltonian
+    htau: Hamiltonian
+    v: InitVar[np.ndarray]
+    temperature: Temperature
+    probs: np.ndarray = field(init=False)
+    log_probs: np.ndarray = field(init=False)
+    e0: np.ndarray = field(init=False)
+    etau: np.ndarray = field(init=False)
+    beta: float = field(init=False)
+    g0: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        e0 = np.asarray(self.e0, dtype=float)
-        etau = np.asarray(self.etau, dtype=float)
-        g0 = np.asarray(self.g0, dtype=float)
-        # every comparison with NaN is False, so no later check would fire
-        if not (all(np.isfinite(a).all() for a in (probs, e0, etau, g0))
-                and math.isfinite(self.beta)):
-            raise NonFiniteError("TransitionTable: NaN or infinite entry or beta")
-        require_same_dim("TransitionTable", probs=probs.shape, levels=(etau.size, e0.size))
-        log_probs = np.asarray(self.log_probs, dtype=float)
-        require_same_dim("TransitionTable", log_probs=log_probs.shape, probs=probs.shape)
-        # exp >= 0, so this also rejects every entry below -1e-12
+    def __post_init__(self, v):
+        require_types("TransitionTable", self, h0=Hamiltonian, htau=Hamiltonian,
+                      temperature=Temperature)
+        h0, htau = self.h0, self.htau
+        vm = as_matrix(v)
+        require_same_dim("transition_table", H0=h0.mat.shape, Htau=htau.mat.shape, V=vm.shape)
+        if not is_unitary(vm):
+            raise NotUnitaryError("transition_table: V is not unitary")
+        beta = self.temperature.beta
+        e0 = h0.energies
+        g0 = h0.degeneracies.astype(float)
+        weights = thermal(e0, beta, g0) / g0  # per-eigenstate thermal weight
+        # ln of that weight, finite where the weight itself underflows; a
+        # beta E0 that overflows is -inf, a weight of 0, as in thermal
+        with np.errstate(over="ignore"):
+            log_weights = -beta * e0 - log_partition(e0, beta, g0)
+        amp = htau.eigenvectors.conj().T @ vm @ h0.eigenvectors
+        # clusters are contiguous runs of the ascending spectrum, so each level's
+        # rows (columns) are summed by one reduceat segment
+        mass = np.add.reduceat(np.abs(amp) ** 2, [c[0] for c in htau.clusters], axis=0)
+        mass = np.add.reduceat(mass, [c[0] for c in h0.clusters], axis=1)
+        with np.errstate(divide="ignore"):
+            log_probs = np.log(mass) + log_weights
+        probs = mass * weights
+        # log_partition rounds at the magnitude beta max|E0|, which a large
+        # energy offset can carry past this agreement
         if not np.abs(np.exp(log_probs) - probs).max() <= 1e-12:
-            raise StateValidationError(
-                "TransitionTable: log_probs disagree with probs"
-            )
-        if abs(probs.sum() - 1.0) > 1e-10:
-            raise StateValidationError(
-                f"TransitionTable: probabilities sum to {float(probs.sum())!r}"
-            )
-        gap = float(np.abs(probs.sum(axis=0) - thermal(e0, self.beta, g0)).max())
-        if gap > 1e-10:
-            raise StateValidationError(
-                f"TransitionTable: column marginals deviate from thermal "
-                f"weights by {gap:.3e}"
-            )
-        for arr in (probs, e0, etau, g0, log_probs):
+            raise StateValidationError("TransitionTable: log_probs disagree with probs")
+        object.__setattr__(self, "beta", beta)
+        for name, arr in (("probs", probs), ("log_probs", log_probs), ("e0", e0),
+                          ("etau", htau.energies), ("g0", g0)):
             arr.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "log_probs", log_probs)
-        object.__setattr__(self, "e0", e0)
-        object.__setattr__(self, "etau", etau)
-        object.__setattr__(self, "g0", g0)
+            object.__setattr__(self, name, arr)
 
     @property
     def delta_e(self) -> np.ndarray:
@@ -89,34 +104,8 @@ class TransitionTable:
 
 def transition_table(h0: Hamiltonian, htau: Hamiltonian, v,
                      t: Temperature) -> TransitionTable:
-    """Joint two-point-measurement table for a thermal start.
-
-    p[m][n] = tr[P_m V P_n rho_0 P_n V^dag P_m] with rho_0 the Gibbs state of
-    h0; degenerate levels enter through their cluster projectors, which
-    generalises the rank-1 formula verbatim. With B0, Btau the eigenbases,
-    p[m][n] is the thermal weight of level n times the sum of
-    |Btau^dag V B0|^2 over the eigenvectors of levels m and n, so
-    nonnegativity is exact.
-    """
-    vm = as_matrix(v)
-    require_same_dim("transition_table", H0=h0.mat.shape, Htau=htau.mat.shape, V=vm.shape)
-    if not is_unitary(vm):
-        raise NotUnitaryError("transition_table: V is not unitary")
-    beta = t.beta
-    e0 = h0.energies
-    g0 = h0.degeneracies.astype(float)
-    weights = thermal(e0, beta, g0) / g0  # per-eigenstate thermal weight
-    # ln of that weight, finite where the weight itself underflows
-    log_weights = -beta * e0 - log_partition(e0, beta, g0)
-    amp = htau.eigenvectors.conj().T @ vm @ h0.eigenvectors
-    # clusters are contiguous runs of the ascending spectrum, so each level's
-    # rows (columns) are summed by one reduceat segment
-    mass = np.add.reduceat(np.abs(amp) ** 2, [c[0] for c in htau.clusters], axis=0)
-    mass = np.add.reduceat(mass, [c[0] for c in h0.clusters], axis=1)
-    with np.errstate(divide="ignore"):
-        log_probs = np.log(mass) + log_weights
-    return TransitionTable(probs=mass * weights, e0=e0, etau=htau.energies,
-                           beta=beta, g0=g0, log_probs=log_probs)
+    """The two-point-measurement :class:`TransitionTable` of a thermal start."""
+    return TransitionTable(h0, htau, v, t)
 
 
 def jarzynski_average(table: TransitionTable) -> float:
@@ -126,11 +115,14 @@ def jarzynski_average(table: TransitionTable) -> float:
     difference of the two Hamiltonians, for every unitary. Each term is
     exp(ln p - beta dE), so a jump whose probability underflows still
     counts, no e^(-beta dE) overflows against a zero probability, and an
-    impossible jump (ln p = -inf) adds exactly 0. A sum beyond the largest
-    double raises ``NonFiniteError``.
+    impossible jump (ln p = -inf) adds exactly 0, also where beta dE
+    overflows to -inf. A sum beyond the largest double raises
+    ``NonFiniteError``.
     """
-    with np.errstate(over="ignore"):
-        total = float(np.exp(table.log_probs - table.beta * table.delta_e).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = table.log_probs - table.beta * table.delta_e
+        x[table.log_probs == -math.inf] = -math.inf  # not -inf - (-inf), which is NaN
+        total = float(np.exp(x).sum())
     if not math.isfinite(total):
         raise NonFiniteError("jarzynski_average: the left side <e^(beta W)> overflows a double")
     return total
@@ -217,13 +209,23 @@ def sample_trajectories(table: TransitionTable, n_samples: int,
     hit = counts > 0  # empty cells may hold an overflowing e^(beta W)
     c = counts[hit].astype(float)
     w = -de_cells[hit]
-    x = np.exp(table.beta * w)
+    with np.errstate(over="ignore"):
+        x = np.exp(table.beta * w)  # a beta W that overflows to -inf is a weight of 0
 
     def mean_se(v):
-        mean = float(c @ v) / n
-        if n == 1:
-            return mean, 0.0
-        return mean, math.sqrt(float(c @ (v - mean) ** 2) / (n - 1)) / math.sqrt(n)
+        with np.errstate(over="ignore"):
+            mean = float(c @ v) / n
+            if n == 1:
+                return mean, 0.0
+            if not math.isfinite(mean):  # cannot enter a report, nor can its spread
+                return mean, math.inf
+            dev = v - mean
+            ss = float(c @ dev ** 2)
+        if math.isfinite(ss):
+            return mean, math.sqrt(ss / (n - 1)) / math.sqrt(n)
+        # squares beyond a double: sum them in units of the largest deviation
+        top = float(np.abs(dev).max())
+        return mean, top * math.sqrt(float(c @ (dev / top) ** 2) / (n - 1)) / math.sqrt(n)
 
     x_mean, x_se = mean_se(x)
     w_mean, w_se = mean_se(w)

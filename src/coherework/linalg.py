@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .errors import DimMismatchError, NonFiniteError, NonHermitianError, NonSquareError
+from .errors import (DimMismatchError, NonFiniteError, NonHermitianError, NonSquareError,
+                     StateValidationError)
 
 # relative Hermiticity and unitarity tolerance of every check (DensityMatrix
 # also holds its trace to it); reports record it in provenance.tolerances
@@ -109,6 +110,19 @@ def require_same_dim(what: str, **dims):
     if len(set(dims.values())) > 1:
         listed = ", ".join(f"{name} {dim}" for name, dim in dims.items())
         raise DimMismatchError(f"{what}: dimensions differ ({listed})")
+
+
+def require_types(what: str, obj, **kinds):
+    """Raise ``StateValidationError`` unless every attribute ``name`` of
+    ``obj`` is an instance of ``kinds[name]``; the message names ``what``,
+    the attribute and both types."""
+    for name, kind in kinds.items():
+        value = getattr(obj, name)
+        if not isinstance(value, kind):
+            raise StateValidationError(
+                f"{what}: {name} must be a {kind.__module__}.{kind.__name__}, "
+                f"got {type(value).__name__}"
+            )
 
 
 def hermitian_part(a) -> np.ndarray:

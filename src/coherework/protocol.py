@@ -17,15 +17,14 @@ converges to it at rate O(1/steps).
 from __future__ import annotations
 
 import numbers
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ClampRequiredError, ParameterRangeError, StateValidationError
-from .linalg import as_matrix, require_same_dim, shannon, thermal
+from .errors import ClampRequiredError, ParameterRangeError
+from .linalg import as_matrix, require_same_dim, require_types, shannon, thermal
 from .projection import WorkReport
 from .states import DensityMatrix, Hamiltonian, Temperature, average_energy
 
@@ -45,8 +44,6 @@ _ZERO_EIGENVALUE = 1e-14
 _CHUNK = 65536
 _LEAF = 32768
 
-# the kept workspace of simulate, one ``buf`` attribute per thread
-_workspace = threading.local()
 
 @dataclass(frozen=True)
 class WorkLedger:
@@ -121,14 +118,8 @@ class ProtocolPlan:
     e2: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name, kind in (("rho", DensityMatrix), ("h0", Hamiltonian),
-                           ("temperature", Temperature)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise StateValidationError(
-                    f"ProtocolPlan: {name} must be a {kind.__module__}.{kind.__name__}, "
-                    f"got {type(value).__name__}"
-                )
+        require_types("ProtocolPlan", self, rho=DensityMatrix, h0=Hamiltonian,
+                      temperature=Temperature)
         rho, h, clamp = self.rho, self.h0, self.purity_clamp
         # the type test first: comparing a non-number raises an untyped error
         if not (isinstance(clamp, numbers.Real) and 0.0 <= clamp <= MAX_PURITY_CLAMP):
@@ -244,16 +235,6 @@ def exact_step_works(plan: ProtocolPlan) -> WorkLedger:
                    heat=(s_q - s_pop) / beta)
 
 
-def _workspace_buffer(size: int) -> np.ndarray:
-    """A flat float64 array of at least ``size`` entries: this thread's kept
-    workspace, grown when it is smaller."""
-    buf = getattr(_workspace, "buf", None)
-    if buf is None or buf.size < size:
-        _workspace.buf = None  # release the old buffer before the new one is allocated
-        buf = _workspace.buf = np.empty(size)
-    return buf
-
-
 def _pairwise(part, lo: int, hi: int) -> tuple[float, float]:
     """Two sums over the entries lo..hi of two flat arrays, added up numpy's
     pairwise-sum tree from the sums ``part(lo, hi)`` returns for its leaves
@@ -282,15 +263,15 @@ def _isotherm(e1: np.ndarray, e2: np.ndarray, beta: float,
     of at most :data:`_LEAF` entries, so the sums of the parts, added up
     that tree, are the chunk's sums bit for bit. Each part fills the rows it
     touches, and the next schedule row, in three row-major views of one
-    workspace buffer: the energy schedule, its thermal weights and one
-    scratch product that serves the work sum and then the heat sum. Every
-    operation on a row is row-local, so a row that two parts share gets the
-    same bits in both.
+    buffer the call allocates: the energy schedule, its thermal weights and
+    one scratch product that serves the work sum and then the heat sum.
+    Every operation on a row is row-local, so a row that two parts share
+    gets the same bits in both.
     """
     d = len(e1)
     rows = min(n, _CHUNK, _LEAF // d + 2)  # the most step rows one part touches
     m = (rows + 1) * d
-    buf = _workspace_buffer(2 * m + rows * d)
+    buf = np.empty(2 * m + rows * d)
     s = np.linspace(0.0, 1.0, n + 1)
     de = e2 - e1
 
@@ -337,10 +318,11 @@ def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
 
     Memory: the staircase runs in chunks of 65,536 steps, and each chunk in
     parts of at most 32,768 entries of its r x d work and heat products,
-    through three views of one buffer that each thread keeps between calls:
+    through three views of one buffer that each call allocates and drops:
     3 (32,768 // d + 3) x d floats at most, under 0.8 MB for every d up to
-    64 whatever the step count, so a repeated call allocates nothing but
-    the step schedule's n + 1 floats. The ledger holds floats only.
+    64 whatever the step count, next to the step schedule's n + 1 floats.
+    No state is kept between calls, so concurrent calls share nothing. The
+    ledger holds floats only.
     """
     n = int(quasi_static_steps)
     if n < 1:

@@ -833,11 +833,19 @@ class TestEnergyScale:
 
 
 def _run_strict(tmp_path, capsys, scn):
-    """Exit code and stderr lines of ``coherework run`` with RuntimeWarnings raised."""
+    """Exit code and stderr lines of ``coherework run`` with RuntimeWarnings
+    raised; the report goes to ``report.json`` in ``tmp_path``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(["run", write(tmp_path, scn)])
+        code = main(["run", write(tmp_path, scn), "--out", str(tmp_path / "report.json")])
     return code, capsys.readouterr().err.splitlines()
+
+
+def _results(tmp_path):
+    return json.loads((tmp_path / "report.json").read_text())["results"]
+
+
+_H2 = [[[2 ** -0.5, 0], [2 ** -0.5, 0]], [[2 ** -0.5, 0], [-(2 ** -0.5), 0]]]
 
 
 class TestEdgeInputs:
@@ -883,6 +891,63 @@ class TestEdgeInputs:
         assert (code, len(err)) == (EXIT_PHYSICS, 1)
         assert err[0].startswith("NonFiniteError: ")
         assert f"the {side}" in err[0] and "overflows a double" in err[0]
+
+    def test_beta_e_beyond_a_double_is_a_zero_weight(self, tmp_path, capsys):
+        # beta E = 1e312 overflows to a log weight of -inf; the impossible jump
+        # from that level adds 0 although beta dE is -inf too
+        scn = {"kind": "jarzynski", "beta": 1e300, "hamiltonian": {"diag": [0.0, 1e12]},
+               "unitary": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}
+        assert _run_strict(tmp_path, capsys, scn) == (EXIT_OK, [])
+        results = _results(tmp_path)
+        assert results["jarzynski_lhs"] == results["jarzynski_rhs"] == 1.0
+
+    def test_sampled_weight_beyond_a_double_is_zero(self, tmp_path, capsys):
+        # beta W = -1e312 for the jump up, e^(beta W) = 0
+        scn = {"kind": "jarzynski", "beta": 1e300, "hamiltonian": {"diag": [0.0, 0.0]},
+               "hamiltonian_final": {"diag": [0.0, 1e12]}, "unitary": {"matrix": _H2},
+               "n_samples": 100, "seed": 1}
+        assert _run_strict(tmp_path, capsys, scn) == (EXIT_OK, [])
+        sampling = _results(tmp_path)["sampling"]
+        assert 0.0 < sampling["exp_beta_w_estimate"] < 1.0
+
+    def test_standard_error_with_squares_beyond_a_double(self, tmp_path, capsys):
+        # e^(beta W) reaches e^400, so its squared deviations overflow; the
+        # standard error, about e^400 / 10, does not
+        scn = {"kind": "jarzynski", "beta": 1.0, "hamiltonian": {"diag": [0.0, 1.0]},
+               "hamiltonian_final": {"diag": [-400.0, 0.0]}, "unitary": {"matrix": _H2},
+               "n_samples": 100, "seed": 1}
+        assert _run_strict(tmp_path, capsys, scn) == (EXIT_OK, [])
+        report = json.loads((tmp_path / "report.json").read_text())
+        histogram = report["series"][0]
+        # the same spread in units of e^400
+        x = np.exp(-np.array(histogram["x"]) - 400.0)
+        c = np.array(histogram["y"])
+        mean = c @ x / 100
+        se = math.sqrt(c @ (x - mean) ** 2 / 99) / 10
+        assert report["results"]["sampling"]["exp_beta_w_std_error"] == pytest.approx(
+            se * math.exp(400.0), rel=1e-12)
+
+    def test_sampled_mean_beyond_a_double_is_one_typed_error(self, tmp_path, capsys):
+        # the count-weighted sum of e^(beta W) = e^705 over about half of the
+        # draws overflows a double; it ends in one typed line, with no warning
+        scn = {"kind": "jarzynski", "beta": 1.0, "hamiltonian": {"diag": [0.0, 1.0]},
+               "hamiltonian_final": {"diag": [-705.0, 0.0]}, "unitary": {"matrix": _H2},
+               "n_samples": 10000, "seed": 1}
+        code, err = _run_strict(tmp_path, capsys, scn)
+        assert (code, len(err)) == (EXIT_PHYSICS, 1)
+        assert err[0].startswith("NonFiniteError: ")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ln p = -1e300 - ln 2 of the jump from the upper level rounds "
+                              "to -1e300 and cancels against beta dE = -1e300, so that "
+                              "jump adds 1 instead of 0.5; the cancellation-free sum moves "
+                              "jarzynski_lhs bits (schema v2)")
+    def test_jarzynski_sides_agree_at_a_cancelling_beta_de(self, tmp_path, capsys):
+        scn = {"kind": "jarzynski", "beta": 1e300, "hamiltonian": {"diag": [0.0, 1.0]},
+               "hamiltonian_final": {"diag": [0.0, 1e12]}, "unitary": {"matrix": _H2}}
+        assert _run_strict(tmp_path, capsys, scn) == (EXIT_OK, [])
+        results = _results(tmp_path)
+        assert results["jarzynski_lhs"] == pytest.approx(results["jarzynski_rhs"], abs=1e-12)
 
 
 def test_tolerances_come_from_the_library_constants():

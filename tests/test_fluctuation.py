@@ -1,11 +1,15 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coherework.fluctuation as fluctuation
 from coherework.errors import (
     DimMismatchError,
-    NonFiniteError,
     NotUnitaryError,
     StateValidationError,
 )
@@ -18,10 +22,12 @@ from coherework.fluctuation import (
     sample_trajectories,
     transition_table,
 )
+from coherework.linalg import DEFAULT_TOL, is_unitary, log_partition, thermal
 from coherework.projection import energy_projectors
 from coherework.sampling import (
     random_density_matrix,
     random_hamiltonian,
+    random_hermitian,
     random_unitary,
 )
 from coherework.states import (
@@ -121,35 +127,6 @@ class TestTransitionTable:
         with pytest.raises(DimMismatchError):
             transition_table(H_QUBIT, h3, np.eye(2, dtype=complex), BETA1)
 
-    def test_validation_catches_bad_marginals(self):
-        probs = np.array([[0.5, 0.0], [0.0, 0.5]])
-        with np.errstate(divide="ignore"):
-            log_probs = np.log(probs)
-        with pytest.raises(StateValidationError, match="thermal"):
-            TransitionTable(probs=probs, log_probs=log_probs,
-                            e0=np.array([-1.0, 1.0]), etau=np.array([-1.0, 1.0]),
-                            beta=1.0, g0=np.array([1.0, 1.0]))
-
-    def test_negative_entry_disagrees_with_its_log(self):
-        # exp(log p) >= 0, so a negative entry fails the log/probs agreement
-        probs = np.array([[0.5 + 1e-9, 0.0], [0.0, 0.5 - 1e-9]])
-        with np.errstate(divide="ignore"):
-            log_probs = np.log(probs)
-        probs[0, 1] = -1e-9
-        with pytest.raises(StateValidationError,
-                           match="^TransitionTable: log_probs disagree with probs$"):
-            TransitionTable(probs=probs, log_probs=log_probs, e0=np.zeros(2),
-                            etau=np.zeros(2), beta=1.0, g0=np.ones(2))
-
-    def test_rejects_probabilities_off_unit_sum(self):
-        probs = np.array([[0.5, 0.0], [0.0, 0.4]])
-        with np.errstate(divide="ignore"):
-            log_probs = np.log(probs)
-        with pytest.raises(StateValidationError,
-                           match=r"^TransitionTable: probabilities sum to 0\.9"):
-            TransitionTable(probs=probs, log_probs=log_probs, e0=np.zeros(2),
-                            etau=np.zeros(2), beta=1.0, g0=np.ones(2))
-
     @pytest.mark.xfail(strict=True, raises=StateValidationError,
                        reason="log_partition rounds m + log S at the magnitude beta max|E|: "
                               "about 2e-11 at an offset of 1e5, beyond the 1e-12 log/probs "
@@ -161,21 +138,120 @@ class TestTransitionTable:
         table = transition_table(h, h, hadamard, BETA1)
         assert jarzynski_average(table) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("field", ["probs", "e0", "etau", "beta"])
-    def test_rejects_nan(self, field):
-        v = random_unitary(2, np.random.default_rng(65))
-        table = transition_table(H_QUBIT, H_QUBIT_WIDE, v, BETA1)
-        fields = {"probs": table.probs.copy(), "e0": table.e0.copy(),
-                  "etau": table.etau.copy(), "beta": table.beta, "g0": table.g0,
-                  "log_probs": table.log_probs}
-        if field == "beta":
-            fields["beta"] = math.nan
+    @pytest.mark.parametrize("name, value", [
+        ("h0", lambda: H_QUBIT.mat), ("htau", lambda: None), ("temperature", lambda: 1.0),
+    ])
+    def test_inputs_of_the_wrong_type_are_rejected(self, name, value):
+        inputs = {"h0": H_QUBIT, "htau": H_QUBIT, "v": np.eye(2), "temperature": BETA1}
+        inputs[name] = value()
+        with pytest.raises(StateValidationError, match=f"^TransitionTable: {name} must be a "):
+            TransitionTable(**inputs)
+
+    def test_init_fields_are_the_inputs_of_transition_table(self):
+        assert list(inspect.signature(TransitionTable).parameters) == [
+            "h0", "htau", "v", "temperature"]
+        assert [f.name for f in dataclasses.fields(TransitionTable) if f.init] == [
+            "h0", "htau", "temperature"]
+
+    @pytest.mark.parametrize("name", ["probs", "log_probs", "e0", "etau", "beta", "g0"])
+    def test_derived_fields_are_not_init_fields(self, name):
+        v = np.eye(2, dtype=complex)
+        table = TransitionTable(H_QUBIT, H_QUBIT_WIDE, v, BETA1)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(table, v=v, **{name: getattr(table, name)})
+        if name != "beta":
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 0.0
+
+    def test_v_is_not_kept(self):
+        v = random_unitary(3, np.random.default_rng(66))
+        h = Hamiltonian(np.diag([0.0, 1.0, 2.0]))
+        table = TransitionTable(h, h, v, BETA1)
+        assert not hasattr(table, "v") and v.flags.writeable
+        assert not any(np.shares_memory(v, getattr(table, name))
+                       for name in ("probs", "log_probs", "e0", "etau", "g0"))
+
+    def test_hadamard_with_a_scaled_column_passes_every_check(self):
+        # the sum is off by 1.2e-10 > 1e-10, within the sqrt(d) 1e-10 defect
+        # is_unitary accepts; the table no longer checks the unit sum again
+        v = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
+                     dtype=complex) / 2.0
+        v[:, 0] *= 1.0 + 6e-11
+        h = Hamiltonian(np.diag([0.0, 1.0, 2.0, 3.0]))
+        table = TransitionTable(h, h, v, Temperature(beta=30.0))
+        assert 1e-10 < table.probs.sum() - 1.0 <= DEFAULT_TOL * 2.0
+
+
+def reference_table(h0, htau, v, t):
+    """The fields transition_table derived, with its arithmetic in its order,
+    before the table derived them itself."""
+    beta = t.beta
+    e0 = h0.energies
+    g0 = h0.degeneracies.astype(float)
+    weights = thermal(e0, beta, g0) / g0
+    log_weights = -beta * e0 - log_partition(e0, beta, g0)
+    amp = htau.eigenvectors.conj().T @ np.asarray(v, dtype=complex) @ h0.eigenvectors
+    mass = np.add.reduceat(np.abs(amp) ** 2, [c[0] for c in htau.clusters], axis=0)
+    mass = np.add.reduceat(mass, [c[0] for c in h0.clusters], axis=1)
+    with np.errstate(divide="ignore"):
+        log_probs = np.log(mass) + log_weights
+    return {"probs": mass * weights, "log_probs": log_probs, "e0": e0,
+            "etau": htau.energies, "beta": beta, "g0": g0}
+
+
+def _degenerate_hamiltonian(d, rng, scale):
+    """A d-level Hamiltonian in a random basis whose levels repeat: d draws
+    from about d/2 distinct values, scaled by ``scale``."""
+    values = scale * rng.normal(size=max(1, d // 2))
+    u = random_unitary(d, rng)
+    return Hamiltonian((u * rng.choice(values, size=d)) @ u.conj().T)
+
+
+DIMS = st.one_of(st.sampled_from([1, 2, 64]), st.integers(1, 64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=DIMS, seed=st.integers(0, 10_000), log_s=st.floats(-3.0, 3.0))
+def test_derived_fields_bit_identity_with_the_reference(d, seed, log_s):
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** log_s
+    h0 = _degenerate_hamiltonian(d, rng, s)
+    htau = _degenerate_hamiltonian(d, rng, s)
+    v = random_unitary(d, rng)
+    t = Temperature(beta=float(rng.uniform(0.2, 5.0)) / s)
+    table = TransitionTable(h0, htau, v, t)
+    for name, want in reference_table(h0, htau, v, t).items():
+        got = getattr(table, name)
+        if name == "beta":
+            assert got == want
         else:
-            fields[field][0] = math.nan
-        # NaN fails no comparison, so only a finiteness check stops it before
-        # jarzynski_average returns nan
-        with pytest.raises(NonFiniteError):
-            TransitionTable(**fields)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=DIMS, seed=st.integers(0, 10_000), frac=st.floats(0.5, 0.999),
+       rank_one=st.booleans(), log_beta=st.floats(-2.0, 2.0))
+def test_sum_and_marginal_gaps_stay_within_the_unitarity_defect(d, seed, frac, rank_one,
+                                                                 log_beta):
+    # |sum p - 1| and every |marginal - thermal weight| are at most
+    # ||V^dag V - 1||_2 <= DEFAULT_TOL sqrt(d) for a V that passes is_unitary
+    rng = np.random.default_rng(seed)
+    h0 = _degenerate_hamiltonian(d, rng, 1.0)
+    if rank_one:  # a scaled ground-state column, the largest sum gap of its norm
+        k = np.outer(h0.eigenvectors[:, 0], h0.eigenvectors[:, 0].conj())
+    else:
+        k = random_hermitian(d, rng)
+        k /= np.linalg.norm(k)
+    # V^dag V - 1 = 2 e K + e^2 K^2 for V = U (1 + e K) and a unit-norm K
+    v = random_unitary(d, rng) @ (np.eye(d) + frac * DEFAULT_TOL * math.sqrt(d) / 2.0 * k)
+    assert is_unitary(v)
+    table = TransitionTable(h0, _degenerate_hamiltonian(d, rng, 1.0), v,
+                            Temperature(beta=10.0 ** log_beta))
+    bound = DEFAULT_TOL * math.sqrt(d) + 64 * d * np.finfo(float).eps
+    assert abs(table.probs.sum() - 1.0) <= bound
+    marginal_gap = table.probs.sum(axis=0) - thermal(table.e0, table.beta, table.g0)
+    assert np.abs(marginal_gap).max() <= bound
 
 
 class TestJarzynskiAverage:
@@ -205,17 +281,14 @@ class TestJarzynskiAverage:
         assert table.log_probs[0, 0] == -math.inf
         assert jarzynski_average(table) == pytest.approx(1.0, abs=1e-12)
 
-    def test_log_probs_must_match_probs(self):
-        probs = np.array([[0.5, 0.0], [0.0, 0.5]])
-        kwargs = dict(e0=np.zeros(2), etau=np.zeros(2), beta=1.0, g0=np.ones(2))
-        with np.errstate(divide="ignore"):
-            good = np.log(probs)
-        assert jarzynski_average(TransitionTable(probs=probs, log_probs=good,
-                                                 **kwargs)) == 1.0
-        with pytest.raises(StateValidationError, match="log_probs"):
-            TransitionTable(probs=probs, log_probs=good + 0.1, **kwargs)
-        with pytest.raises(DimMismatchError, match="log_probs"):
-            TransitionTable(probs=probs, log_probs=good[:1], **kwargs)
+    def test_log_probs_must_match_probs(self, monkeypatch):
+        # a log partition function off by 0.1 stands in for its rounding at a
+        # large energy offset, the one thing the agreement check can catch
+        real = fluctuation.log_partition
+        monkeypatch.setattr(fluctuation, "log_partition", lambda *a: real(*a) + 0.1)
+        with pytest.raises(StateValidationError,
+                           match="^TransitionTable: log_probs disagree with probs$"):
+            transition_table(H_QUBIT, H_QUBIT, np.eye(2, dtype=complex), BETA1)
 
     def test_holds_for_every_unitary(self):
         rng = np.random.default_rng(67)

@@ -12,16 +12,13 @@ from hypothesis import strategies as st
 
 from coherework.correlations import BipartiteState
 from coherework.errors import CohereworkError, NonFiniteError
-from coherework.fluctuation import TransitionTable, transition_table
+from coherework.fluctuation import TransitionTable
 from coherework.linalg import MAX_ENTRY
 from coherework.projection import ProjectorSet
 from coherework.singleshot import Distribution
 from coherework.states import DensityMatrix, Hamiltonian, Temperature
 
 _ROTATION = np.array([[0.8, 0.6, 0.0], [-0.6, 0.8, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-_TABLE = transition_table(Hamiltonian(np.diag([0.0, 1.0, 2.0])),
-                          Hamiltonian(np.diag([0.5, 1.5, 3.0])), _ROTATION,
-                          Temperature(beta=0.7))
 
 
 def _spoiled(values, bad, pos: int, imag: bool = False):
@@ -36,11 +33,10 @@ def _spoiled(values, bad, pos: int, imag: bool = False):
 
 
 def _transition_table(bad, pos, imag):
-    fields = {"probs": _TABLE.probs, "e0": _TABLE.e0, "etau": _TABLE.etau,
-              "g0": _TABLE.g0, "beta": _TABLE.beta}
-    name = sorted(fields)[pos % len(fields)]
-    fields[name] = _spoiled(fields[name], bad, pos // len(fields))
-    return TransitionTable(log_probs=_TABLE.log_probs, **fields)
+    # every field is derived; V is the one input that is not a checked object
+    return TransitionTable(Hamiltonian(np.diag([0.0, 1.0, 2.0])),
+                           Hamiltonian(np.diag([0.5, 1.5, 3.0])),
+                           _spoiled(_ROTATION, bad, pos, imag), Temperature(beta=0.7))
 
 
 def _bipartite_state(bad, pos, imag):
@@ -79,7 +75,7 @@ def test_non_finite_entry_raises_typed_error(name, bad, pos, imag):
 
 
 @pytest.mark.parametrize("name", ["DensityMatrix", "Hamiltonian", "ProjectorSet",
-                                  "ProjectorSet.from_basis"])
+                                  "ProjectorSet.from_basis", "TransitionTable"])
 @settings(max_examples=40, deadline=None)
 @given(huge=st.floats(min_value=MAX_ENTRY, max_value=1.7e308, exclude_min=True),
        sign=st.sampled_from([1.0, -1.0]), pos=st.integers(0, 100), imag=st.booleans())

@@ -1,9 +1,9 @@
 import dataclasses
 import gc
-import itertools
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -504,7 +504,7 @@ def test_first_law_rejects_nan(field):
 
 
 def reference_isotherm(e1, e2, beta, n):
-    """The isotherm kernel simulate ran before it kept a workspace: five new
+    """The isotherm kernel simulate ran before it filled leaves: five new
     chunk-sized arrays per chunk, with thermal's operations written out."""
     work = 0.0
     heat = 0.0
@@ -542,21 +542,15 @@ def _scaled_plan(d, seed, log_s):
                       Temperature(float(rng.uniform(0.2, 5.0)) / s))
 
 
-def _kept_buffer():
-    return getattr(protocol._workspace, "buf", None)
-
-
 def assert_simulate_bit_identical(plan, n):
     """The kernel's sums and end points and every ledger field are ``==``
-    the reference's, and nothing returned shares the kept workspace."""
+    the reference's, and the end points do not keep the call's buffer alive."""
     beta = plan.temperature.beta
     work, heat, last_e, last_p = protocol._isotherm(plan.e1, plan.e2, beta, n)
     ref_work, ref_heat, ref_e, ref_p = reference_isotherm(plan.e1, plan.e2, beta, n)
     assert (work, heat) == (ref_work, ref_heat)
     assert np.array_equal(last_e, ref_e) and np.array_equal(last_p, ref_p)
-    kept = _kept_buffer()
-    if kept is not None:
-        assert not np.shares_memory(last_e, kept) and not np.shares_memory(last_p, kept)
+    assert last_e.base is None and last_p.base is None
     assert simulate(plan, n) == reference_simulate(plan, n)
 
 
@@ -600,59 +594,48 @@ def test_numpy_sum_bit_identity_at_its_pairwise_split(n, seed):
     assert rows.sum() == rows.reshape(-1).sum()
 
 
-def _run_in_thread(target):
-    """Run ``target`` in a new thread (which starts with no kept workspace)
-    and return its result."""
-    out = []
-    thread = threading.Thread(target=lambda: out.append(target()))
-    thread.start()
-    thread.join()
-    return out[0]
-
-
-def test_simulate_bit_identity_as_the_workspace_is_reused_and_grown():
+def test_simulate_bit_identity_over_a_sequence_of_calls():
+    # no state is kept between calls, so a call after larger or smaller ones
+    # gets the bits it gets alone
     plans = {d: _scaled_plan(d, 100 + d, 0.0) for d in (1, 2, 3, 11, 32, 64)}
-    # (d, n, what the kept buffer does): a part of at most _LEAF entries of a
-    # chunk's products touches at most _LEAF // d + 2 step rows, so the kept
-    # buffer holds at most 3 (_LEAF // d + 3) d doubles, 0.79 MB at d = 64;
-    # dense64's largest call (64, 10000) grows it to that, and no call grows
-    # it further, not even a call at the schema cap (64, 10**6)
-    sequence = [(2, 65537, "new"), (32, 100, "same"), (64, 10000, "grown"),
-                (3, 2, "same"), (64, 10001, "same"), (1, 131073, "same"),
-                (32, 65535, "same"), (11, 65536, "same"), (2, 1, "same")]
-
-    def run():
-        seen = []
-        for d, n, _ in sequence:
-            before = _kept_buffer()
-            assert_simulate_bit_identical(plans[d], n)
-            after = _kept_buffer()
-            assert after.nbytes <= 2**20
-            seen.append("new" if before is None else "same" if after is before else "grown")
-        simulate(plans[64], 10**6)
-        assert _kept_buffer() is after
-        return seen
-
-    assert _run_in_thread(run) == [what for _, _, what in sequence]
+    for d, n in [(2, 65537), (32, 100), (64, 10000), (3, 2), (64, 10001), (1, 131073),
+                 (32, 65535), (11, 65536), (2, 1)]:
+        assert_simulate_bit_identical(plans[d], n)
 
 
-def test_simulate_bit_identity_in_a_workspace_of_at_most_1_mib_up_to_d_64():
-    # two parts or more, each touching as many rows as a part can: the buffer
-    # each thread keeps at this d after any n
-    def run(d):
-        assert_simulate_bit_identical(_scaled_plan(d, d, 0.0), 2 * protocol._LEAF // d + 3)
-        return _kept_buffer().nbytes
+def _peak_bytes(call) -> int:
+    """The tracemalloc peak of ``call()``, counted from its start."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    sizes = {d: _run_in_thread(lambda: run(d)) for d in range(1, 65)}
-    assert max(sizes.values()) <= 2**20
-    # a part of these chunks touches _LEAF // d + 2 step rows, the most the workspace holds
+
+def _call_bound(d, n) -> int:
+    """1 MiB, the n + 1 floats of the step schedule, and the maximum and the
+    sum thermal forms per row of a part, as long as the buffer's rows at d = 1."""
+    return 2**20 + 8 * (n + 1) + 16 * (protocol._LEAF // d + 2)
+
+
+def test_simulate_bit_identity_in_at_most_1_mib_beside_the_schedule_up_to_d_64():
+    # two parts or more, each touching as many rows as a part can: the
+    # largest buffer a call allocates at this d, whatever n
+    for d in range(1, 65):
+        plan, n = _scaled_plan(d, d, 0.0), 2 * protocol._LEAF // d + 3
+        assert _peak_bytes(lambda: simulate(plan, n)) <= _call_bound(d, n), d
+        assert_simulate_bit_identical(plan, n)
+    plan = _scaled_plan(64, 64, 0.0)
+    assert _peak_bytes(lambda: simulate(plan, 10**6)) <= _call_bound(64, 10**6)
+    # a part of these chunks touches _LEAF // d + 2 step rows, the most the buffer holds
     for d, n in ((11, 11915), (33, 3970)):
         assert_simulate_bit_identical(_scaled_plan(d, d, 0.0), n)
 
 
 def test_simulate_leaves_no_reference_cycle():
-    # a cycle would keep each call's step schedule, and a replaced workspace,
-    # alive until the garbage collector next runs
+    # a cycle would keep each call's step schedule and buffer alive until the
+    # garbage collector next runs
     plan = _scaled_plan(3, 1, 0.0)
     gc.collect()
     gc.disable()
@@ -664,21 +647,19 @@ def test_simulate_leaves_no_reference_cycle():
 
 
 def test_simulate_bit_identity_in_threads_at_once():
-    # more threads than the two cores CI gives, switching often; each grows
-    # its own buffer at its own time, so a shared one would mix their rows
+    # more threads than the two cores CI gives, switching often; each call
+    # allocates its own buffer, so a shared one would mix their rows
     calls = [[(_scaled_plan(64, 1, 3.0), 10000), (_scaled_plan(2, 2, -6.0), 65537)],
              [(_scaled_plan(32, 3, 0.0), 1000), (_scaled_plan(3, 4, 8.0), 131073)],
              [(_scaled_plan(8, 5, -2.0), 65536), (_scaled_plan(64, 6, 1.0), 5000)],
              [(_scaled_plan(1, 7, 0.0), 2), (_scaled_plan(32, 8, 5.0), 20000)]]
     serial = [[simulate(plan, n) for plan, n in mine] * 2 for mine in calls]
     barrier = threading.Barrier(len(calls), timeout=60)
-    results, buffers = {}, {}
+    results = {}
 
     def run(k):
         barrier.wait()
         results[k] = [simulate(plan, n) for plan, n in calls[k] * 2]
-        buffers[k] = _kept_buffer()
-        barrier.wait()  # every thread's buffer is alive here
 
     threads = [threading.Thread(target=run, args=(k,)) for k in range(len(calls))]
     interval = sys.getswitchinterval()
@@ -692,8 +673,6 @@ def test_simulate_bit_identity_in_threads_at_once():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert [results.get(k) for k in range(len(calls))] == serial
-    for a, b in itertools.combinations(buffers.values(), 2):
-        assert not np.shares_memory(a, b)
 
 
 def reference_plan_arrays(rho, h, beta):

@@ -5,6 +5,8 @@ every report through ``main`` covariant under a change of energy unit."""
 import contextlib
 import io
 import json
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coherework.cli import EXIT_OK, EXIT_PHYSICS, EXIT_SCHEMA, ScenarioError, _complex_matrix, main
-from coherework.errors import DimMismatchError
+from coherework import errors
+from coherework.errors import CohereworkError, DimMismatchError
 from coherework.linalg import require_same_dim
+from coherework.sampling import random_unitary
 
 PINNED = Path(__file__).parent / "golden" / "pinned"
 
@@ -347,3 +351,70 @@ def test_units_of_energy_rescale_every_report_through_main(kind, seed, d, log_s,
         x_energy, y_energy = _ENERGY_SERIES[a["label"]]
         _assert_rescaled(a["x"], b["x"], s, x_energy)
         _assert_rescaled(a["y"], b["y"], s, y_energy)
+
+
+# jarzynski scenarios through main at the edges of the schema's numbers
+
+_EDGE_LEVELS = [0.0, 1e-300, -1e-300, 1.0, -1.0, 1e5, -1e5, 1e12, -1e12, 1e150, -1e150]
+
+
+@st.composite
+def edge_jarzynski_scenarios(draw):
+    """A jarzynski scenario with beta over 10^[-300, 300], levels from the
+    edges or the normal range, and V the identity, the Fourier matrix (a
+    Hadamard for d = 2), a random unitary or one with a column scaled by
+    1 +- 2e-10; the final Hamiltonian and the sampling are optional."""
+    d = draw(st.integers(1, 4))
+    levels = st.lists(st.one_of(st.sampled_from(_EDGE_LEVELS), st.floats(-10.0, 10.0)),
+                      min_size=d, max_size=d)
+    form = draw(st.sampled_from(["identity", "fourier", "random", "scaled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if form == "identity":
+        v = np.eye(d)
+    elif form == "fourier":
+        v = np.fft.fft(np.eye(d)) / np.sqrt(d)
+    else:
+        v = random_unitary(d, rng)
+        if form == "scaled":
+            v[:, rng.integers(d)] *= 1.0 + draw(st.sampled_from([2e-10, -2e-10]))
+    log_beta = st.one_of(st.sampled_from([-300.0, 300.0]), st.floats(-300.0, 300.0))
+    scn = {"kind": "jarzynski", "beta": 10.0 ** draw(log_beta),
+           "hamiltonian": {"diag": draw(levels)},
+           "unitary": {"matrix": [[[z.real, z.imag] for z in row] for row in v.astype(complex)]}}
+    if draw(st.booleans()):
+        scn["hamiltonian_final"] = {"diag": draw(levels)}
+    if draw(st.booleans()):
+        scn["n_samples"] = draw(st.integers(1, 1000))
+        scn["seed"] = draw(st.integers(0, 1000))
+    return scn
+
+
+def _numbers(node):
+    """Every number in a parsed report node."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for item in node for x in _numbers(item)]
+    return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+@settings(max_examples=200, deadline=None)
+@given(scn=edge_jarzynski_scenarios())
+def test_jarzynski_edge_inputs_end_in_a_result_or_one_typed_error(scn, tmp_path_factory):
+    path = tmp_path_factory.mktemp("edge") / "scn.json"
+    path.write_text(json.dumps(scn))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _main(["run", str(path)])
+    if code == EXIT_OK:
+        assert err == ""
+        report = json.loads(out)
+        assert all(math.isfinite(x) for x in _numbers([report["results"], report["series"]]))
+        return
+    lines = err.splitlines()
+    assert code in (EXIT_SCHEMA, EXIT_PHYSICS) and len(lines) == 1, (code, err)
+    if code == EXIT_SCHEMA:
+        assert lines[0].startswith("schema violation: ")  # a ScenarioError
+    else:
+        name = lines[0].split(":", 1)[0]
+        assert issubclass(getattr(errors, name, type(None)), CohereworkError), lines[0]
