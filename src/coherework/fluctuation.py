@@ -21,12 +21,7 @@ from .errors import NonFiniteError, NotUnitaryError, ParameterRangeError, StateV
 from .linalg import (as_matrix, is_unitary, log_partition, require_same_dim, require_types,
                      thermal)
 from .projection import energy_projectors, project
-from .states import (
-    DensityMatrix,
-    Hamiltonian,
-    Temperature,
-    von_neumann_entropy,
-)
+from .states import DensityMatrix, Hamiltonian, Temperature, von_neumann_entropy
 
 
 @dataclass(frozen=True)
@@ -37,12 +32,12 @@ class TransitionTable:
 
     p[m][n] = tr[P_m V P_n rho_0 P_n V^dag P_m] with rho_0 the Gibbs state of
     h0 and P the level projectors: with B0, Btau the eigenbases, the thermal
-    weight of level n times the sum of |Btau^dag V B0|^2 over the
-    eigenvectors of levels m and n, so nonnegativity is exact. ``e0`` and
-    ``etau`` are the level energies, ``g0`` the initial degeneracies;
-    ``log_probs`` holds ln p[m][n] (-inf for an impossible jump or an
-    overflowing beta E0_n), finite also where p underflows to 0. ``v`` is
-    not kept, and every derived field is read-only.
+    weight of level n times ``mass[m][n]``, the sum of |Btau^dag V B0|^2
+    over the eigenvectors of levels m and n, so nonnegativity is exact.
+    ``e0`` and ``etau`` are the level energies, ``g0`` the initial
+    degeneracies; ``log_probs`` holds ln p[m][n] (-inf for an impossible
+    jump, mass 0, or where beta E0_n overflows), finite also where p
+    underflows to 0. ``v`` is not kept, and every derived field is read-only.
 
     Checked are the input types (``StateValidationError``) and V's entries,
     shape and unitarity. The unit sum and the column marginals g0_n
@@ -61,6 +56,7 @@ class TransitionTable:
     etau: np.ndarray = field(init=False)
     beta: float = field(init=False)
     g0: np.ndarray = field(init=False)
+    mass: np.ndarray = field(init=False)
 
     def __post_init__(self, v):
         require_types("TransitionTable", self, h0=Hamiltonian, htau=Hamiltonian,
@@ -92,7 +88,7 @@ class TransitionTable:
             raise StateValidationError("TransitionTable: log_probs disagree with probs")
         object.__setattr__(self, "beta", beta)
         for name, arr in (("probs", probs), ("log_probs", log_probs), ("e0", e0),
-                          ("etau", htau.energies), ("g0", g0)):
+                          ("etau", htau.energies), ("g0", g0), ("mass", mass)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -114,14 +110,19 @@ def jarzynski_average(table: TransitionTable) -> float:
     Equals e^(-beta dF) identically, with dF the equilibrium free-energy
     difference of the two Hamiltonians, for every unitary. Each term is
     exp(ln p - beta dE), so a jump whose probability underflows still
-    counts, no e^(-beta dE) overflows against a zero probability, and an
-    impossible jump (ln p = -inf) adds exactly 0, also where beta dE
-    overflows to -inf. A sum beyond the largest double raises
-    ``NonFiniteError``.
+    counts and no e^(-beta dE) overflows against a zero probability. Where
+    ln p = -inf meets beta dE = -inf the term is mass e^(-beta Etau_m) / Z0,
+    in which no infinity meets another: exactly 0 for an impossible jump
+    (mass 0), and the jump's true share where only beta E0_n overflowed. A
+    sum beyond the largest double raises ``NonFiniteError``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = table.log_probs - table.beta * table.delta_e
-        x[table.log_probs == -math.inf] = -math.inf  # not -inf - (-inf), which is NaN
+        m, n = np.nonzero(np.isnan(x))  # -inf - (-inf)
+        if m.size:
+            mass = table.mass[m, n]
+            x[m, n] = np.where(mass > 0, np.log(mass) - table.beta * table.etau[m]
+                               - log_partition(table.e0, table.beta, table.g0), -math.inf)
         total = float(np.exp(x).sum())
     if not math.isfinite(total):
         raise NonFiniteError("jarzynski_average: the left side <e^(beta W)> overflows a double")

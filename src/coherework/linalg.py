@@ -74,7 +74,7 @@ def thermal(e, beta: float, g=None, out=None) -> np.ndarray:
     array of ``e``'s shape, by the same operations, so they have the same
     bits either way. Every operation is row by row, so a row's weights do
     not depend on the other rows: ``protocol.simulate`` fills its schedule's
-    weights into a small workspace a block of rows at a time this way.
+    weights into a small buffer a block of rows at a time this way.
     """
     with np.errstate(over="ignore"):
         p = np.multiply(-beta, e, out=out)  # a new array when out is None

@@ -901,6 +901,15 @@ class TestEdgeInputs:
         results = _results(tmp_path)
         assert results["jarzynski_lhs"] == results["jarzynski_rhs"] == 1.0
 
+    def test_beta_e_beyond_a_double_keeps_a_possible_jump(self, tmp_path, capsys):
+        # ln p = -inf of the jump down from the upper level meets beta dE =
+        # -inf, but that jump has mass 1/2 and carries half of the average
+        scn = {"kind": "jarzynski", "beta": 1e300, "hamiltonian": {"diag": [0.0, 1e12]},
+               "unitary": {"matrix": _H2}}
+        assert _run_strict(tmp_path, capsys, scn) == (EXIT_OK, [])
+        results = _results(tmp_path)
+        assert results["jarzynski_lhs"] == pytest.approx(results["jarzynski_rhs"], abs=1e-12)
+
     def test_sampled_weight_beyond_a_double_is_zero(self, tmp_path, capsys):
         # beta W = -1e312 for the jump up, e^(beta W) = 0
         scn = {"kind": "jarzynski", "beta": 1e300, "hamiltonian": {"diag": [0.0, 0.0]},

@@ -153,7 +153,7 @@ class TestTransitionTable:
         assert [f.name for f in dataclasses.fields(TransitionTable) if f.init] == [
             "h0", "htau", "temperature"]
 
-    @pytest.mark.parametrize("name", ["probs", "log_probs", "e0", "etau", "beta", "g0"])
+    @pytest.mark.parametrize("name", ["probs", "log_probs", "e0", "etau", "beta", "g0", "mass"])
     def test_derived_fields_are_not_init_fields(self, name):
         v = np.eye(2, dtype=complex)
         table = TransitionTable(H_QUBIT, H_QUBIT_WIDE, v, BETA1)
@@ -169,7 +169,7 @@ class TestTransitionTable:
         table = TransitionTable(h, h, v, BETA1)
         assert not hasattr(table, "v") and v.flags.writeable
         assert not any(np.shares_memory(v, getattr(table, name))
-                       for name in ("probs", "log_probs", "e0", "etau", "g0"))
+                       for name in ("probs", "log_probs", "e0", "etau", "g0", "mass"))
 
     def test_hadamard_with_a_scaled_column_passes_every_check(self):
         # the sum is off by 1.2e-10 > 1e-10, within the sqrt(d) 1e-10 defect
@@ -196,7 +196,7 @@ def reference_table(h0, htau, v, t):
     with np.errstate(divide="ignore"):
         log_probs = np.log(mass) + log_weights
     return {"probs": mass * weights, "log_probs": log_probs, "e0": e0,
-            "etau": htau.energies, "beta": beta, "g0": g0}
+            "etau": htau.energies, "beta": beta, "g0": g0, "mass": mass}
 
 
 def _degenerate_hamiltonian(d, rng, scale):
@@ -280,6 +280,22 @@ class TestJarzynskiAverage:
         assert table.log_probs[0, 1] == pytest.approx(-1000.0, rel=1e-15)
         assert table.log_probs[0, 0] == -math.inf
         assert jarzynski_average(table) == pytest.approx(1.0, abs=1e-12)
+
+    def test_jump_from_an_overflowing_level_counts(self):
+        # beta E0 = 1e312 overflows, so ln p = -inf of the jumps from the upper
+        # level meets beta dE = -inf on the jump down; that jump has mass 1/2
+        # and its term mass e^(-beta Etau_0) / Z0 = 1/2 is half the average
+        h = Hamiltonian(np.diag([0.0, 1e12]).astype(complex))
+        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+        table = transition_table(h, h, hadamard, Temperature(beta=1e300))
+        assert table.log_probs[0, 1] == -math.inf and table.mass[0, 1] > 0.0
+        assert jarzynski_average(table) == pytest.approx(1.0, abs=1e-15)
+
+    def test_impossible_jump_adds_zero_where_beta_de_overflows(self):
+        h = Hamiltonian(np.diag([0.0, 1e12]).astype(complex))
+        table = transition_table(h, h, np.eye(2, dtype=complex), Temperature(beta=1e300))
+        assert table.mass[0, 1] == 0.0
+        assert jarzynski_average(table) == 1.0
 
     def test_log_probs_must_match_probs(self, monkeypatch):
         # a log partition function off by 0.1 stands in for its rounding at a
