@@ -17,9 +17,9 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, NotUnitaryError, ParameterRangeError, StateValidationError
-from .linalg import (as_matrix, is_unitary, log_partition, require_same_dim, require_types,
-                     thermal)
+from .errors import NonFiniteError, NotUnitaryError, StateValidationError
+from .linalg import (as_matrix, is_unitary, log_partition, require_count, require_same_dim,
+                     require_types, thermal)
 from .projection import energy_projectors, project
 from .states import DensityMatrix, Hamiltonian, Temperature, von_neumann_entropy
 
@@ -200,11 +200,11 @@ def sample_trajectories(table: TransitionTable, n_samples: int,
     chunk of uniforms is built. The same (table, n_samples, seed) gives the
     same counts and bit-identical statistics on the same build. Means and
     standard errors (sample standard deviation, ddof=1) are count-weighted
-    sums over the occupied cells.
+    sums over the occupied cells, in units of the largest value where a sum
+    overflows. ``n_samples`` >= 1 and ``seed`` >= 0 are ints or numpy integers.
     """
-    n = int(n_samples)
-    if n < 1:
-        raise ParameterRangeError(f"n_samples must be >= 1, got {n_samples!r}")
+    n = require_count("n_samples", n_samples, 1)
+    seed = require_count("seed", seed, 0)
     counts = _cell_counts(table.probs.ravel(), n, seed)
     de_cells = table.delta_e.ravel()
     hit = counts > 0  # empty cells may hold an overflowing e^(beta W)
@@ -216,6 +216,8 @@ def sample_trajectories(table: TransitionTable, n_samples: int,
     def mean_se(v):
         with np.errstate(over="ignore"):
             mean = float(c @ v) / n
+            if not math.isfinite(mean) and math.isfinite(top := float(np.abs(v).max())):
+                mean = top * (float(c @ (v / top)) / n)  # over n first: top * sum overflows
             if n == 1:
                 return mean, 0.0
             if not math.isfinite(mean):  # cannot enter a report, nor can its spread
@@ -236,7 +238,7 @@ def sample_trajectories(table: TransitionTable, n_samples: int,
 
     return TrajectoryStats(
         n_samples=n,
-        seed=int(seed),
+        seed=seed,
         exp_beta_w_estimate=x_mean,
         exp_beta_w_std_error=x_se,
         work_estimate=w_mean,

@@ -8,11 +8,12 @@ mutate their inputs.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .errors import (DimMismatchError, NonFiniteError, NonHermitianError, NonSquareError,
-                     StateValidationError)
+                     ParameterRangeError, StateValidationError)
 
 # relative Hermiticity and unitarity tolerance of every check (DensityMatrix
 # also holds its trace to it); reports record it in provenance.tolerances
@@ -55,10 +56,20 @@ def shannon(p: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def _exponent_error(what: str, beta: float, e) -> NonFiniteError:
-    return NonFiniteError(
-        f"{what}: beta * E overflows a double "
-        f"(beta = {beta:g}, max |E| = {float(np.abs(e).max()):g})")
+def _boltzmann(what: str, e, beta: float, g=None, out=None):
+    """g_k e^(x_k - top) along the last axis of x = -beta e (in ``out`` if given)
+    and top, each row's largest x_k; ``NonFiniteError`` where a top is not finite."""
+    with np.errstate(over="ignore"):
+        p = np.multiply(-beta, e, out=out)  # a new array when out is None
+    top = np.maximum.reduce(p, -1, keepdims=p.ndim > 1)  # p.max, without its wrapper
+    if not (math.isfinite(top) if p.ndim == 1 else np.isfinite(top).all()):
+        raise NonFiniteError(f"{what}: beta * E overflows a double "
+                             f"(beta = {beta:g}, max |E| = {float(np.abs(e).max()):g})")
+    p -= top
+    np.exp(p, out=p)
+    if g is not None:
+        p *= g
+    return p, top
 
 
 def thermal(e, beta: float, g=None, out=None) -> np.ndarray:
@@ -76,16 +87,8 @@ def thermal(e, beta: float, g=None, out=None) -> np.ndarray:
     not depend on the other rows: ``protocol.simulate`` fills its schedule's
     weights into a small buffer a block of rows at a time this way.
     """
-    with np.errstate(over="ignore"):
-        p = np.multiply(-beta, e, out=out)  # a new array when out is None
-    top = p.max(axis=-1, keepdims=True)
-    if not np.isfinite(top).all():
-        raise _exponent_error("thermal", beta, e)
-    p -= top
-    np.exp(p, out=p)
-    if g is not None:
-        p *= g
-    p /= p.sum(axis=-1, keepdims=True)
+    p, _ = _boltzmann("thermal", e, beta, g, out)
+    p /= np.add.reduce(p, -1, keepdims=True)
     return p
 
 
@@ -93,15 +96,8 @@ def log_partition(e, beta: float, g=None) -> float:
     """ln Z = ln sum_k g_k e^(-beta e_k) of a 1-d ``e``, shifted like
     :func:`thermal`, with its ``NonFiniteError``; ``g`` (default all ones)
     holds the degeneracies."""
-    with np.errstate(over="ignore"):
-        x = -beta * np.asarray(e, dtype=float)
-    m = x.max()
-    if not math.isfinite(m):
-        raise _exponent_error("log_partition", beta, e)
-    w = np.exp(x - m)
-    if g is not None:
-        w *= g
-    return float(m + math.log(w.sum()))
+    w, top = _boltzmann("log_partition", np.asarray(e, dtype=float), beta, g)
+    return float(top + math.log(np.add.reduce(w)))
 
 
 def require_same_dim(what: str, **dims):
@@ -110,6 +106,21 @@ def require_same_dim(what: str, **dims):
     if len(set(dims.values())) > 1:
         listed = ", ".join(f"{name} {dim}" for name, dim in dims.items())
         raise DimMismatchError(f"{what}: dimensions differ ({listed})")
+
+
+def is_real(x) -> bool:
+    """Whether ``x`` is a real number, not a bool, that a range test can compare."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def require_count(name: str, value, least: int) -> int:
+    """``value`` as an int, or ``ParameterRangeError`` naming ``name`` unless
+    it is an int or a numpy integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterRangeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterRangeError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def require_types(what: str, obj, **kinds):

@@ -16,7 +16,6 @@ converges to it at rate O(1/steps).
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -24,7 +23,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ClampRequiredError, ParameterRangeError
-from .linalg import as_matrix, require_same_dim, require_types, shannon, thermal
+from .linalg import (as_matrix, is_real, require_count, require_same_dim, require_types,
+                     shannon, thermal)
 from .projection import WorkReport
 from .states import DensityMatrix, Hamiltonian, Temperature, average_energy
 
@@ -121,8 +121,7 @@ class ProtocolPlan:
         require_types("ProtocolPlan", self, rho=DensityMatrix, h0=Hamiltonian,
                       temperature=Temperature)
         rho, h, clamp = self.rho, self.h0, self.purity_clamp
-        # the type test first: comparing a non-number raises an untyped error
-        if not (isinstance(clamp, numbers.Real) and 0.0 <= clamp <= MAX_PURITY_CLAMP):
+        if not (is_real(clamp) and 0.0 <= clamp <= MAX_PURITY_CLAMP):
             raise ParameterRangeError(
                 f"purity_clamp must lie in [0, {MAX_PURITY_CLAMP:g}], got {clamp!r}"
             )
@@ -236,11 +235,10 @@ def exact_step_works(plan: ProtocolPlan) -> WorkLedger:
 
 
 def _pairwise(part, lo: int, hi: int) -> tuple[float, float]:
-    """Two sums over the entries lo..hi of two flat arrays, added up numpy's
-    pairwise-sum tree from the sums ``part(lo, hi)`` returns for its leaves
-    of at most :data:`_LEAF` entries (a module function: a nested recursive
-    one would be a reference cycle that keeps each call's arrays alive until
-    the garbage collector runs)."""
+    """Two sums over the flat entries lo..hi, added up numpy's pairwise-sum
+    tree from the sums ``part`` returns for leaves of at most :data:`_LEAF`
+    entries (a module function: a nested recursive one would be a reference
+    cycle, keeping each call's arrays alive until the garbage collector runs)."""
     if hi - lo <= _LEAF:
         return part(lo, hi)
     half = (hi - lo) // 2
@@ -250,43 +248,41 @@ def _pairwise(part, lo: int, hi: int) -> tuple[float, float]:
     return w1 + w2, h1 + h2
 
 
-def _isotherm(e1: np.ndarray, e2: np.ndarray, beta: float,
-              n: int) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Work and heat of the n-step staircase from the energies e1 to e2, with
-    copies of its last energies and thermal weights.
+def _isotherm(e1: np.ndarray, e2: np.ndarray, beta: float, n: int) -> tuple[float, float]:
+    """Work and heat of the n-step staircase from the energies e1 to e2.
 
-    Each chunk of up to :data:`_CHUNK` steps has a work product and a heat
-    product, r x d arrays whose sums are added to the totals. numpy sums a
-    contiguous float64 array pairwise: a part of more than 128 entries is the
-    sum of its first ``h - h % 8`` entries (``h`` half its length) and the
-    rest. The chunk's flat index range is split the same way down to parts
-    of at most :data:`_LEAF` entries, so the sums of the parts, added up
-    that tree, are the chunk's sums bit for bit. Each part fills the rows it
-    touches, and the next schedule row, in three row-major views of one
-    buffer the call allocates: the energy schedule, its thermal weights and
-    one scratch product that serves the work sum and then the heat sum.
-    Every operation on a row is row-local, so a row that two parts share
-    gets the same bits in both.
+    Step k's work and heat products are row k of two n x d arrays, whose
+    sums are added to the totals a chunk of :data:`_CHUNK` rows at a time.
+    numpy sums a contiguous float64 array pairwise, splitting a part of more
+    than 128 entries after its first ``h - h % 8`` (``h`` half its length);
+    :func:`_pairwise` splits a chunk's flat range the same way into parts of
+    at most :data:`_LEAF` entries, so their sums are the chunk's bit for bit.
+    A part forms the schedule rows its steps touch in three row-major views
+    of one buffer the call allocates: the energies, their thermal weights
+    and a scratch product for the work sum and then the heat sum. Every
+    operation on a row is row-local, so a row two parts share gets the same
+    bits in both.
     """
     d = len(e1)
     rows = min(n, _CHUNK, _LEAF // d + 2)  # the most step rows one part touches
     m = (rows + 1) * d
     buf = np.empty(2 * m + rows * d)
-    s = np.linspace(0.0, 1.0, n + 1)
     de = e2 - e1
 
-    last = 0  # the step rows of the part that ran last
-
     def part(lo: int, hi: int) -> tuple[float, float]:
-        # entries lo..hi of the products of the chunk whose schedule starts at row start
-        nonlocal last
+        # entries lo..hi of the flat products, from schedule rows a..b
         a, b = lo // d, -(-hi // d)
-        r = last = b - a
+        r = b - a
         ee = buf[:(r + 1) * d].reshape(r + 1, d)
         pp = buf[m:m + (r + 1) * d].reshape(r + 1, d)
         flat = buf[2 * m:2 * m + r * d]
         step = flat.reshape(r, d)
-        np.add(e1, np.multiply(s[start + a:start + b + 1, None], de, out=ee), out=ee)
+        # the bits of np.linspace(0.0, 1.0, n + 1)[a:b + 1]: k * (1 / n), and 1 at row n
+        s = np.arange(a, b + 1, dtype=float)
+        s *= 1.0 / n
+        if b == n:
+            s[-1] = 1.0
+        np.add(e1, np.multiply(s[:, None], de, out=ee), out=ee)
         thermal(ee, beta, out=pp)
         mine = flat[lo - a * d:hi - a * d]
         np.subtract(ee[:-1], ee[1:], out=step)
@@ -296,16 +292,12 @@ def _isotherm(e1: np.ndarray, e2: np.ndarray, beta: float,
         np.multiply(step, ee[1:], out=step)
         return w, float(mine.sum())
 
-    work = 0.0
-    heat = 0.0
+    work = heat = 0.0
     for start in range(0, n, _CHUNK):
-        # the chunk's steps go from schedule row start to row min(start + _CHUNK, n),
-        # each chunk sharing its first row with the previous one
-        w, h = _pairwise(part, 0, (min(start + _CHUNK, n) - start) * d)
+        w, h = _pairwise(part, start * d, min(start + _CHUNK, n) * d)
         work += w
         heat += h
-    end = last * d  # the part that ran last ends at the schedule's last row
-    return work, heat, buf[end:end + d].copy(), buf[m + end:m + end + d].copy()
+    return work, heat
 
 
 def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
@@ -320,18 +312,16 @@ def simulate(plan: ProtocolPlan, quasi_static_steps: int) -> WorkLedger:
     parts of at most 32,768 entries of its r x d work and heat products,
     through three views of one buffer that each call allocates and drops:
     3 (32,768 // d + 3) x d floats at most, under 0.8 MB for every d up to
-    64 whatever the step count, next to the step schedule's n + 1 floats.
-    No state is kept between calls, so concurrent calls share nothing. The
-    ledger holds floats only.
+    64. Each part forms the schedule values of its own rows, so nothing the
+    call allocates grows with the step count. No state is kept between
+    calls, so concurrent calls share nothing. The ledger holds floats only.
+    ``quasi_static_steps`` is an int or a numpy integer, at least 1.
     """
-    n = int(quasi_static_steps)
-    if n < 1:
-        raise ParameterRangeError(f"quasi_static_steps must be >= 1, got {quasi_static_steps!r}")
-    beta = plan.temperature.beta
-    e1 = plan.e1
-    work, heat, last_e, last_p = _isotherm(e1, plan.e2, beta, n)
-    first_p = thermal(e1, beta)
-
-    u1 = float(first_p @ e1)
-    u2 = float(last_p @ last_e)
-    return _ledger(plan, u1, shannon(first_p), u2, shannon(last_p), work, heat)
+    n = require_count("quasi_static_steps", quasi_static_steps, 1)
+    beta, e1 = plan.temperature.beta, plan.e1
+    work, heat = _isotherm(e1, plan.e2, beta, n)
+    # schedule row n, s = 1, with the bits the kernel gives it: 1.0 * de is de
+    last_e = e1 + (plan.e2 - e1)
+    first_p, last_p = thermal(e1, beta), thermal(last_e, beta)
+    return _ledger(plan, float(first_p @ e1), shannon(first_p), float(last_p @ last_e),
+                   shannon(last_p), work, heat)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (AlphabetTooLargeError, NonFiniteError, ParameterRangeError,
                      StateValidationError, SupportError)
-from .linalg import log_partition, require_same_dim, thermal
+from .linalg import is_real, log_partition, require_count, require_same_dim, thermal
 from .protocol import ProtocolPlan
 from .states import average_energy
 
@@ -94,7 +94,7 @@ def _check_pair(p: Distribution, q: Distribution):
 
 
 def _check_eps(eps: float):
-    if not 0.0 <= eps < 1.0:
+    if not (is_real(eps) and 0.0 <= eps < 1.0):
         raise ParameterRangeError(f"eps must lie in [0, 1), got {eps!r}")
 
 
@@ -221,9 +221,7 @@ def iid_rate(p: Distribution, q: Distribution, eps: float, n_copies: int) -> Rat
     """
     _check_pair(p, q)
     _check_eps(eps)
-    n = int(n_copies)
-    if n < 1:
-        raise ParameterRangeError(f"n_copies must be >= 1, got {n_copies!r}")
+    n = require_count("n_copies", n_copies, 1)
     if p.probs.min() <= 0.0:
         raise SupportError("iid_rate requires p with full support (clamp the state first)")
     m = len(p)

@@ -19,8 +19,8 @@ from .errors import (
     ParameterRangeError,
     StateValidationError,
 )
-from .linalg import (DEFAULT_TOL, eigenvalue_clusters, hermitian_part, require_same_dim,
-                     shannon, thermal)
+from .linalg import (DEFAULT_TOL, eigenvalue_clusters, hermitian_part, is_real,
+                     require_same_dim, shannon, thermal)
 
 # eigenvalues in [EIGENVALUE_FLOOR, 0) are numerical noise and clamp to 0;
 # anything below the floor is a genuine validation failure
@@ -34,10 +34,9 @@ class Temperature:
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
+        if not (is_real(self.beta) and math.isfinite(self.beta) and self.beta > 0.0):
             raise StateValidationError(
-                f"Temperature: beta must be finite and > 0, got {self.beta!r}"
-            )
+                f"Temperature: beta must be finite and > 0, got {self.beta!r}")
 
 
 class DensityMatrix:

@@ -936,13 +936,25 @@ class TestEdgeInputs:
         assert report["results"]["sampling"]["exp_beta_w_std_error"] == pytest.approx(
             se * math.exp(400.0), rel=1e-12)
 
-    def test_sampled_mean_beyond_a_double_is_one_typed_error(self, tmp_path, capsys):
+    @staticmethod
+    def _sampled(level):
+        return {"kind": "jarzynski", "beta": 1.0, "hamiltonian": {"diag": [0.0, 1.0]},
+                "hamiltonian_final": {"diag": [level, 0.0]}, "unitary": {"matrix": _H2},
+                "n_samples": 10000, "seed": 1}
+
+    def test_sampled_mean_of_a_sum_beyond_a_double_is_reported(self, tmp_path, capsys):
         # the count-weighted sum of e^(beta W) = e^705 over about half of the
-        # draws overflows a double; it ends in one typed line, with no warning
-        scn = {"kind": "jarzynski", "beta": 1.0, "hamiltonian": {"diag": [0.0, 1.0]},
-               "hamiltonian_final": {"diag": [-705.0, 0.0]}, "unitary": {"matrix": _H2},
-               "n_samples": 10000, "seed": 1}
-        code, err = _run_strict(tmp_path, capsys, scn)
+        # draws overflows a double, but its mean, about 1.1e306, does not
+        assert _run_strict(tmp_path, capsys, self._sampled(-705.0)) == (EXIT_OK, [])
+        results = _results(tmp_path)
+        sampling = results["sampling"]
+        assert math.isfinite(sampling["exp_beta_w_std_error"])
+        assert abs(sampling["exp_beta_w_estimate"] - results["jarzynski_lhs"]) <= (
+            3.0 * sampling["exp_beta_w_std_error"])
+
+    def test_sampled_mean_beyond_a_double_is_one_typed_error(self, tmp_path, capsys):
+        # e^710 is beyond a double, so the mean is too; one typed line, with no warning
+        code, err = _run_strict(tmp_path, capsys, self._sampled(-710.0))
         assert (code, len(err)) == (EXIT_PHYSICS, 1)
         assert err[0].startswith("NonFiniteError: ")
 

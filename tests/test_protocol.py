@@ -543,14 +543,11 @@ def _scaled_plan(d, seed, log_s):
 
 
 def assert_simulate_bit_identical(plan, n):
-    """The kernel's sums and end points and every ledger field are ``==``
-    the reference's, and the end points do not keep the call's buffer alive."""
+    """The kernel's two sums and every ledger field, which the end points
+    enter, are ``==`` the reference's."""
     beta = plan.temperature.beta
-    work, heat, last_e, last_p = protocol._isotherm(plan.e1, plan.e2, beta, n)
-    ref_work, ref_heat, ref_e, ref_p = reference_isotherm(plan.e1, plan.e2, beta, n)
-    assert (work, heat) == (ref_work, ref_heat)
-    assert np.array_equal(last_e, ref_e) and np.array_equal(last_p, ref_p)
-    assert last_e.base is None and last_p.base is None
+    ref_work, ref_heat, _, _ = reference_isotherm(plan.e1, plan.e2, beta, n)
+    assert protocol._isotherm(plan.e1, plan.e2, beta, n) == (ref_work, ref_heat)
     assert simulate(plan, n) == reference_simulate(plan, n)
 
 
@@ -594,6 +591,22 @@ def test_numpy_sum_bit_identity_at_its_pairwise_split(n, seed):
     assert rows.sum() == rows.reshape(-1).sum()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(dims_and_steps().map(lambda d_n: d_n[1]), st.integers(1, 10**6)), st.data())
+def test_isotherm_schedule_rows_bit_identity_with_linspace(n, data):
+    # the premise of the isotherm's parts: the schedule rows a..b each part
+    # forms as k * (1 / n), with row n set to 1, are those of the whole
+    # linspace schedule bit for bit, as numpy forms it: arange * step + 0.0
+    s = np.linspace(0.0, 1.0, n + 1)
+    a = data.draw(st.integers(0, n))
+    for lo, hi in ((0, n), (a, data.draw(st.one_of(st.just(n), st.integers(a, n))))):
+        rows = np.arange(lo, hi + 1, dtype=float)
+        rows *= 1.0 / n
+        if hi == n:
+            rows[-1] = 1.0
+        assert rows.tobytes() == s[lo:hi + 1].tobytes(), (n, lo, hi)
+
+
 def test_simulate_bit_identity_over_a_sequence_of_calls():
     # no state is kept between calls, so a call after larger or smaller ones
     # gets the bits it gets alone
@@ -613,29 +626,31 @@ def _peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
-def _call_bound(d, n) -> int:
-    """1 MiB, the n + 1 floats of the step schedule, and the maximum and the
-    sum thermal forms per row of a part, as long as the buffer's rows at d = 1."""
-    return 2**20 + 8 * (n + 1) + 16 * (protocol._LEAF // d + 2)
+def _call_bound(d) -> int:
+    """1 MiB, and the schedule value, the maximum and the sum thermal forms
+    per row of a part, as long as the buffer's rows at d = 1: no term grows
+    with the step count."""
+    return 2**20 + 24 * (protocol._LEAF // d + 3)
 
 
-def test_simulate_bit_identity_in_at_most_1_mib_beside_the_schedule_up_to_d_64():
+def test_simulate_bit_identity_in_at_most_1_mib_up_to_d_64():
     # two parts or more, each touching as many rows as a part can: the
     # largest buffer a call allocates at this d, whatever n
     for d in range(1, 65):
         plan, n = _scaled_plan(d, d, 0.0), 2 * protocol._LEAF // d + 3
-        assert _peak_bytes(lambda: simulate(plan, n)) <= _call_bound(d, n), d
+        assert _peak_bytes(lambda: simulate(plan, n)) <= _call_bound(d), d
         assert_simulate_bit_identical(plan, n)
-    plan = _scaled_plan(64, 64, 0.0)
-    assert _peak_bytes(lambda: simulate(plan, 10**6)) <= _call_bound(64, 10**6)
+    for d in (1, 2, 64):
+        plan = _scaled_plan(d, d, 0.0)
+        assert _peak_bytes(lambda: simulate(plan, 10**6)) <= _call_bound(d), d
     # a part of these chunks touches _LEAF // d + 2 step rows, the most the buffer holds
     for d, n in ((11, 11915), (33, 3970)):
         assert_simulate_bit_identical(_scaled_plan(d, d, 0.0), n)
 
 
 def test_simulate_leaves_no_reference_cycle():
-    # a cycle would keep each call's step schedule and buffer alive until the
-    # garbage collector next runs
+    # a cycle would keep each call's buffer alive until the garbage collector
+    # next runs
     plan = _scaled_plan(3, 1, 0.0)
     gc.collect()
     gc.disable()

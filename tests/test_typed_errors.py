@@ -1,6 +1,7 @@
 """Library inputs outside their documented range end in a typed
 ``CohereworkError``: no numpy warning and no untyped numpy error on the way."""
 
+import math
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from coherework.errors import CohereworkError, ParameterRangeError, StateValidationError
 from coherework.fluctuation import sample_trajectories, transition_table
 from coherework.protocol import build_plan, simulate
-from coherework.singleshot import Distribution, d_min_eps, iid_rate
+from coherework.singleshot import Distribution, consistency_work, d_min_eps, iid_rate
 from coherework.states import DensityMatrix, Hamiltonian, Temperature, partial_trace
 
 _H = Hamiltonian(np.diag([0.0, 1.0]).astype(complex))
@@ -17,24 +18,42 @@ _T = Temperature(beta=1.0)
 _RHO = DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
 _U = Distribution(np.array([0.5, 0.5]))
 
-# one call per range check, each one step outside its range
+_TABLE = transition_table(_H, _H, np.eye(2, dtype=complex), _T)
+
+# one call per range or type check, each one step outside what it accepts;
+# the parameter's name leads the label and the error names it
 _OUT_OF_RANGE = {
     "purity_clamp": lambda: build_plan(_RHO, _H, _T, purity_clamp=1.0),
     "quasi_static_steps": lambda: simulate(build_plan(_RHO, _H, _T), 0),
-    "n_samples": lambda: sample_trajectories(
-        transition_table(_H, _H, np.eye(2, dtype=complex), _T), 0, 1),
+    "quasi_static_steps 2.7": lambda: simulate(build_plan(_RHO, _H, _T), 2.7),
+    "quasi_static_steps inf": lambda: simulate(build_plan(_RHO, _H, _T), math.inf),
+    "quasi_static_steps None": lambda: simulate(build_plan(_RHO, _H, _T), None),
+    "quasi_static_steps True": lambda: simulate(build_plan(_RHO, _H, _T), True),
+    "n_samples": lambda: sample_trajectories(_TABLE, 0, 1),
+    "n_samples 10.9": lambda: sample_trajectories(_TABLE, 10.9, 1),
+    "seed -1": lambda: sample_trajectories(_TABLE, 10, -1),
+    "seed 1.5": lambda: sample_trajectories(_TABLE, 10, 1.5),
     "eps": lambda: d_min_eps(_U, _U, 1.0),
+    "eps 'x'": lambda: iid_rate(_U, _U, "x", 2),
     "n_copies": lambda: iid_rate(_U, _U, 0.1, 0),
+    "n_copies 2.5": lambda: iid_rate(_U, _U, 0.1, 2.5),
+    "n_copies inf": lambda: consistency_work(build_plan(_RHO, _H, _T), 0.1, math.inf),
     "keep": lambda: partial_trace(DensityMatrix(np.eye(4, dtype=complex) / 4), (2, 2), 2),
+    # beta is a state's parameter: its errors are StateValidationErrors
+    "beta '1'": lambda: Temperature(beta="1"),
+    "beta True": lambda: Temperature(beta=True),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE))
 def test_out_of_range_parameter_is_typed(name):
-    with pytest.raises(ParameterRangeError, match=name) as info:
+    param = name.split()[0]
+    error = StateValidationError if param == "beta" else ParameterRangeError
+    with pytest.raises(error, match=param) as info:
         _OUT_OF_RANGE[name]()
-    # still the ValueError numeric code raises for a bad value
-    assert isinstance(info.value, CohereworkError) and isinstance(info.value, ValueError)
+    assert isinstance(info.value, CohereworkError)
+    if error is ParameterRangeError:  # still the ValueError numeric code raises for a bad value
+        assert isinstance(info.value, ValueError)
 
 
 def test_normalising_all_zero_weights_names_the_zero_sum():

@@ -406,9 +406,11 @@ def _numbers(node):
     return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
 
 
-@settings(max_examples=200, deadline=None)
-@given(scn=edge_jarzynski_scenarios())
-def test_jarzynski_edge_inputs_end_in_a_result_or_one_typed_error(scn, tmp_path_factory):
+def _edge_results(scn, tmp_path_factory):
+    """The results of ``scn`` run through ``main`` with RuntimeWarnings raised,
+    after checking that its report holds only finite numbers and stderr is
+    empty; or None, after checking that it exited 2 or 3 with one line that
+    names a ``ScenarioError`` or a ``CohereworkError`` subclass."""
     path = tmp_path_factory.mktemp("edge") / "scn.json"
     path.write_text(json.dumps(scn))
     with warnings.catch_warnings():
@@ -417,12 +419,8 @@ def test_jarzynski_edge_inputs_end_in_a_result_or_one_typed_error(scn, tmp_path_
     if code == EXIT_OK:
         assert err == ""
         report = json.loads(out)
-        results = report["results"]
-        assert all(math.isfinite(x) for x in _numbers([results, report["series"]]))
-        if _cannot_cancel(scn):  # V's scaled column moves the sides apart by <= 4e-10
-            assert results["jarzynski_lhs"] == pytest.approx(results["jarzynski_rhs"],
-                                                             rel=1e-8, abs=1e-300)
-        return
+        assert all(math.isfinite(x) for x in _numbers([report["results"], report["series"]]))
+        return report["results"]
     lines = err.splitlines()
     assert code in (EXIT_SCHEMA, EXIT_PHYSICS) and len(lines) == 1, (code, err)
     if code == EXIT_SCHEMA:
@@ -430,3 +428,65 @@ def test_jarzynski_edge_inputs_end_in_a_result_or_one_typed_error(scn, tmp_path_
     else:
         name = lines[0].split(":", 1)[0]
         assert issubclass(getattr(errors, name, type(None)), CohereworkError), lines[0]
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(scn=edge_jarzynski_scenarios())
+def test_jarzynski_edge_inputs_end_in_a_result_or_one_typed_error(scn, tmp_path_factory):
+    results = _edge_results(scn, tmp_path_factory)
+    if results is not None and _cannot_cancel(scn):
+        # V's scaled column moves the sides apart by <= 4e-10
+        assert results["jarzynski_lhs"] == pytest.approx(results["jarzynski_rhs"],
+                                                         rel=1e-8, abs=1e-300)
+
+
+# protocol and singleshot scenarios, the two kinds that build a plan, at the
+# edges of the schema's numbers
+
+_EDGE_AMPLITUDES = [0.0, 1e-300, -1e-300, 1e-150, 1.0, -1.0, 1e150, -1e150]
+
+
+@st.composite
+def edge_plan_scenarios(draw):
+    """A protocol or singleshot scenario with beta over 10^[-300, 300], levels
+    from the edges, all equal, or normal, and a gibbs, random, bloch or pure
+    state, the last with amplitudes from the edges; the purity clamp is drawn
+    from its edges or left out."""
+    form = draw(st.sampled_from(["gibbs", "random", "bloch", "pure"]))
+    # a bloch state is a qubit, and a random state has at least 2 levels
+    d = 2 if form == "bloch" else draw(st.integers(2 if form == "random" else 1, 4))
+    level = st.one_of(st.sampled_from(_EDGE_LEVELS), st.floats(-10.0, 10.0))
+    if draw(st.booleans()):
+        levels = [draw(level)] * d
+    else:
+        levels = draw(st.lists(level, min_size=d, max_size=d))
+    if form == "gibbs":
+        state = {"gibbs": {}}
+    elif form == "random":
+        state = {"random": {"dim": d, "seed": draw(st.integers(0, 1000))}}
+    elif form == "bloch":
+        state = {"bloch": {"a": draw(st.sampled_from([0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0])),
+                           "theta": draw(st.sampled_from([0.0, 1e-300, 1.0, math.pi, 1e150]))}}
+    else:
+        amplitude = st.one_of(st.sampled_from(_EDGE_AMPLITUDES), st.floats(-1.0, 1.0))
+        state = {"pure": [[draw(amplitude), draw(amplitude)] for _ in range(d)]}
+    log_beta = st.one_of(st.sampled_from([-300.0, 300.0]), st.floats(-300.0, 300.0))
+    beta = draw(st.one_of(st.sampled_from([1e-300, 1e-8, 1.0, 1e150, 1e300]),
+                          log_beta.map(lambda x: 10.0 ** x)))
+    scn = {"beta": beta, "state": state, "hamiltonian": {"diag": levels}}
+    if draw(st.booleans()):
+        scn["purity_clamp"] = draw(st.sampled_from([0.0, 1e-300, 1e-9, 1e-3]))
+    if draw(st.booleans()):
+        steps = st.sampled_from([1, 2, 10, 100, 1000])
+        return {"kind": "protocol", **scn, "steps": draw(st.lists(steps, min_size=1, max_size=3))}
+    n_copies = st.sampled_from([1, 2, 4, 16, 64])
+    return {"kind": "singleshot", **scn,
+            "eps": draw(st.sampled_from([0.0, 1e-12, 0.05, 0.5, 0.999999])),
+            "n_copies": draw(st.lists(n_copies, min_size=1, max_size=3))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(scn=edge_plan_scenarios())
+def test_plan_edge_inputs_end_in_a_result_or_one_typed_error(scn, tmp_path_factory):
+    _edge_results(scn, tmp_path_factory)
