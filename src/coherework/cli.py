@@ -50,8 +50,8 @@ from .projection import (
     optimal_projection_work,
     project,
 )
-from .protocol import (DEFAULT_PURITY_CLAMP, MAX_PURITY_CLAMP, PLAN_TOL, build_plan,
-                       exact_step_works, simulate)
+from .protocol import (DEFAULT_PURITY_CLAMP, MAX_PURITY_CLAMP, build_plan, exact_step_works,
+                       simulate)
 from .sampling import random_density_matrix, random_hamiltonian, random_unitary
 from .singleshot import consistency_work, smoothing_failure_probability
 from .states import (
@@ -77,7 +77,7 @@ TOLERANCES = {
     "projector": DEFAULT_TOL,
     "cluster_gap": CLUSTER_GAP,
     "eigenvalue_floor": EIGENVALUE_FLOOR,
-    "plan": PLAN_TOL,
+    "plan": 1e-8,  # a v1 report field that no check reads
 }
 
 
@@ -507,14 +507,14 @@ def _complex_matrix(node, path: str) -> np.ndarray:
     return np.array(node, dtype=float).view(complex)[..., 0]
 
 
-def _seeded_rng(node, path, ctx) -> np.random.Generator:
-    """The generator of a ``random`` block, its seed recorded in the report."""
+def _seeded_rng(node, path, seeds) -> np.random.Generator:
+    """The generator of a ``random`` block, its seed recorded in ``seeds``."""
     seed = int(node["random"]["seed"])
-    ctx["seeds"][f"{path}.random"] = seed
+    seeds[f"{path}.random"] = seed
     return np.random.default_rng(seed)
 
 
-def _build_state(node, path, ctx, h: Hamiltonian | None, t: Temperature | None) -> DensityMatrix:
+def _build_state(node, path, seeds, h: Hamiltonian | None, t: Temperature | None) -> DensityMatrix:
     if "matrix" in node:
         return DensityMatrix(_complex_matrix(node["matrix"], f"{path}.matrix"))
     if "pure" in node:
@@ -531,21 +531,21 @@ def _build_state(node, path, ctx, h: Hamiltonian | None, t: Temperature | None) 
         if h is None or t is None:
             raise ScenarioError(f"{path}.gibbs: needs a hamiltonian and beta in scope")
         return gibbs_state(h, t)
-    return random_density_matrix(int(node["random"]["dim"]), _seeded_rng(node, path, ctx))
+    return random_density_matrix(int(node["random"]["dim"]), _seeded_rng(node, path, seeds))
 
 
-def _build_hamiltonian(node, path, ctx) -> Hamiltonian:
+def _build_hamiltonian(node, path, seeds) -> Hamiltonian:
     if "matrix" in node:
         return Hamiltonian(_complex_matrix(node["matrix"], f"{path}.matrix"))
     if "diag" in node:
         return Hamiltonian(np.diag(np.array(node["diag"], dtype=float)).astype(complex))
-    return random_hamiltonian(int(node["random"]["dim"]), _seeded_rng(node, path, ctx))
+    return random_hamiltonian(int(node["random"]["dim"]), _seeded_rng(node, path, seeds))
 
 
-def _build_unitary(node, path, ctx) -> np.ndarray:
+def _build_unitary(node, path, seeds) -> np.ndarray:
     if "matrix" in node:
         return _complex_matrix(node["matrix"], f"{path}.matrix")
-    return random_unitary(int(node["random"]["dim"]), _seeded_rng(node, path, ctx))
+    return random_unitary(int(node["random"]["dim"]), _seeded_rng(node, path, seeds))
 
 
 def _build_projectors(node, path, h: Hamiltonian) -> ProjectorSet:
@@ -564,71 +564,59 @@ def _ledger_dict(ledger) -> dict:
 # per-kind runners
 
 
-def _run_project(scn, ctx):
+def _run_project(scn, seeds):
     t = Temperature(beta=float(scn["beta"]))
-    h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", ctx)
-    rho = _build_state(scn["state"], "$.state", ctx, h, t)
+    h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", seeds)
+    rho = _build_state(scn["state"], "$.state", seeds, h, t)
     p = _build_projectors(scn.get("projectors"), "$.projectors", h)
     rep = optimal_projection_work(rho, h, p, t)
     bound = entropy_change_bound(rho, p) if p.is_rank_one else None
     return {**vars(rep), "entropy_change_bound": bound}, []
 
 
-def _run_protocol(scn, ctx):
+def _run_protocol(scn, seeds):
     t = Temperature(beta=float(scn["beta"]))
-    h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", ctx)
-    rho = _build_state(scn["state"], "$.state", ctx, h, t)
+    h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", seeds)
+    rho = _build_state(scn["state"], "$.state", seeds, h, t)
     steps = [int(s) for s in scn.get("steps", [100])]
     clamp = float(scn.get("purity_clamp", DEFAULT_PURITY_CLAMP))
     plan = build_plan(rho, h, t, purity_clamp=clamp)
     w_opt = optimal_projection_work(rho, h, energy_projectors(h), t).work
     exact = exact_step_works(plan)
-    simulated = []
-    errors = []
-    for n in steps:
-        ledger = simulate(plan, n)
-        simulated.append({"steps": n, **_ledger_dict(ledger)})
-        errors.append(abs(ledger.totals.work - w_opt))
+    simulated = [{"steps": n, **_ledger_dict(simulate(plan, n))} for n in steps]
     results = {
         "w_opt": w_opt,
         "purity_clamp": clamp,
         "exact": _ledger_dict(exact),
         "simulated": simulated,
     }
-    series = [{"label": "abs_work_error_vs_steps",
-               "x": [float(n) for n in steps], "y": errors}]
+    series = [{"label": "abs_work_error_vs_steps", "x": [float(n) for n in steps],
+               "y": [abs(s["totals"]["work"] - w_opt) for s in simulated]}]
     return results, series
 
 
-def _run_bound_scan(scn, ctx):
+def _run_bound_scan(scn, seeds):
     a = float(scn["a"])
     thetas = [float(x) for x in scn["thetas"]]
     comp_basis = ProjectorSet.from_basis(np.eye(2, dtype=complex))
     points = []
-    bounds = []
-    gains = []
     for theta in thetas:
         rho = bloch_qubit(a, theta)
-        bound = entropy_change_bound(rho, comp_basis)
-        gain = (von_neumann_entropy(project(rho, comp_basis))
-                - von_neumann_entropy(rho))
-        points.append({"theta": theta, "bound": bound, "entropy_change": gain})
-        bounds.append(bound)
-        gains.append(gain)
+        points.append({"theta": theta, "bound": entropy_change_bound(rho, comp_basis),
+                       "entropy_change": von_neumann_entropy(project(rho, comp_basis))
+                       - von_neumann_entropy(rho)})
     results = {"a": a, "bloch_length": abs(2.0 * a - 1.0), "points": points}
-    series = [{"label": "bound", "x": thetas, "y": bounds},
-              {"label": "entropy_change", "x": thetas, "y": gains}]
+    series = [{"label": key, "x": thetas, "y": [pt[key] for pt in points]}
+              for key in ("bound", "entropy_change")]
     return results, series
 
 
-def _run_jarzynski(scn, ctx):
+def _run_jarzynski(scn, seeds):
     t = Temperature(beta=float(scn["beta"]))
-    h0 = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", ctx)
-    if "hamiltonian_final" in scn:
-        htau = _build_hamiltonian(scn["hamiltonian_final"], "$.hamiltonian_final", ctx)
-    else:
-        htau = h0
-    v = _build_unitary(scn["unitary"], "$.unitary", ctx)
+    h0 = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", seeds)
+    htau = (_build_hamiltonian(scn["hamiltonian_final"], "$.hamiltonian_final", seeds)
+            if "hamiltonian_final" in scn else h0)
+    v = _build_unitary(scn["unitary"], "$.unitary", seeds)
     table = transition_table(h0, htau, v, t)
     rho0 = gibbs_state(h0, t)
     f0 = free_energy(rho0, h0, t)
@@ -655,7 +643,7 @@ def _run_jarzynski(scn, ctx):
     series = []
     if "n_samples" in scn:
         seed = int(scn.get("seed", 0))
-        ctx["seeds"]["$.seed"] = seed
+        seeds["$.seed"] = seed
         stats = sample_trajectories(table, int(scn["n_samples"]), seed)
         # the TrajectoryStats scalars; the delta_e arrays go to the series
         results["sampling"] = {k: v for k, v in vars(stats).items()
@@ -668,23 +656,24 @@ def _run_jarzynski(scn, ctx):
     return results, series
 
 
-def _run_singleshot(scn, ctx):
+def _run_singleshot(scn, seeds):
     t = Temperature(beta=float(scn["beta"]))
-    h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", ctx)
-    rho = _build_state(scn["state"], "$.state", ctx, h, t)
+    h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", seeds)
+    rho = _build_state(scn["state"], "$.state", seeds, h, t)
     eps = float(scn["eps"])
     clamp = float(scn.get("purity_clamp", DEFAULT_PURITY_CLAMP))
     ns = [int(n) for n in scn["n_copies"]]
     w_opt = optimal_projection_work(rho, h, energy_projectors(h), t).work
     plan = build_plan(rho, h, t, purity_clamp=clamp)
-    works = [consistency_work(plan, eps, n) for n in ns]
+    points = [{"n": n, "work": consistency_work(plan, eps, n)} for n in ns]
     results = {
         "eps": eps,
         "failure_probability": smoothing_failure_probability(eps),
         "w_opt": w_opt,
-        "points": [{"n": n, "work": w} for n, w in zip(ns, works)],
+        "points": points,
     }
-    series = [{"label": "consistency_work", "x": [float(n) for n in ns], "y": works}]
+    series = [{"label": "consistency_work", "x": [float(n) for n in ns],
+               "y": [pt["work"] for pt in points]}]
     return results, series
 
 
@@ -695,28 +684,28 @@ def _check_joint_dim(path: str, ds: int, da: int) -> None:
             f"{path}: joint dimension {ds} x {da} = {ds * da} exceeds the cap {MAX_DIM}")
 
 
-def _build_bipartite(node, path, ctx, h: Hamiltonian, t: Temperature) -> BipartiteState:
+def _build_bipartite(node, path, seeds, h: Hamiltonian, t: Temperature) -> BipartiteState:
     if "matrix" in node:
         ds, da = (int(d) for d in node["dims"])
         rho = DensityMatrix(_complex_matrix(node["matrix"], f"{path}.matrix"))
         return BipartiteState(rho_sa=rho, dim_s=ds, dim_a=da)
     if "purify" in node:
-        rho_s = _build_state(node["purify"], f"{path}.purify", ctx, h, t)
+        rho_s = _build_state(node["purify"], f"{path}.purify", seeds, h, t)
         _check_joint_dim(f"{path}.purify", rho_s.dim, rho_s.dim)
         return BipartiteState(rho_sa=purify(rho_s), dim_s=rho_s.dim, dim_a=rho_s.dim)
     spec = node["product"]
-    rho_s = _build_state(spec["system"], f"{path}.product.system", ctx, h, t)
+    rho_s = _build_state(spec["system"], f"{path}.product.system", seeds, h, t)
     # the ancilla has no Hamiltonian, so it has no gibbs state
-    rho_a = _build_state(spec["ancilla"], f"{path}.product.ancilla", ctx, None, t)
+    rho_a = _build_state(spec["ancilla"], f"{path}.product.ancilla", seeds, None, t)
     _check_joint_dim(f"{path}.product", rho_s.dim, rho_a.dim)
     joint = DensityMatrix._trusted(np.kron(rho_s.mat, rho_a.mat))
     return BipartiteState(rho_sa=joint, dim_s=rho_s.dim, dim_a=rho_a.dim)
 
 
-def _run_correlations(scn, ctx):
+def _run_correlations(scn, seeds):
     t = Temperature(beta=float(scn["beta"]))
-    h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", ctx)
-    state = _build_bipartite(scn["state_sa"], "$.state_sa", ctx, h, t)
+    h = _build_hamiltonian(scn["hamiltonian"], "$.hamiltonian", seeds)
+    state = _build_bipartite(scn["state_sa"], "$.state_sa", seeds, h, t)
     p = _build_projectors(scn.get("projectors"), "$.projectors", h)
     delta = delta_correlation(state, p)
     system = optimal_projection_work(state.marginal_s, h, p, t)
@@ -744,14 +733,14 @@ _RUNNERS = {
 def run_scenario_obj(obj: dict) -> dict:
     """Validate and execute a parsed scenario, returning the report dict."""
     validate_scenario(obj)
-    ctx = {"seeds": {}}
-    results, series = _RUNNERS[obj["kind"]](obj, ctx)
+    seeds = {}
+    results, series = _RUNNERS[obj["kind"]](obj, seeds)
     return {
         "scenario": obj,
         "provenance": {
             "tool": "coherework",
             "version": __version__,
-            "seeds": ctx["seeds"],
+            "seeds": seeds,
             "tolerances": dict(TOLERANCES),
         },
         "results": results,

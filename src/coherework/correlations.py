@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimMismatchError
-from .linalg import require_same_dim, shannon
+from .linalg import require_count, require_same_dim, shannon
 from .projection import ProjectorSet, WorkReport, project
 from .states import (
     DensityMatrix,
@@ -42,7 +42,9 @@ class BipartiteState:
     dim_a: int
 
     def __post_init__(self):
-        if self.dim_s < 1 or self.dim_a < 1 or self.dim_s * self.dim_a != self.rho_sa.dim:
+        require_count("BipartiteState: dim_s", self.dim_s, 1)
+        require_count("BipartiteState: dim_a", self.dim_a, 1)
+        if self.dim_s * self.dim_a != self.rho_sa.dim:
             raise DimMismatchError(
                 f"BipartiteState: {self.dim_s} x {self.dim_a} does not factor "
                 f"dimension {self.rho_sa.dim}"

@@ -31,7 +31,14 @@ MAX_ENTRY = 1e150
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex array with finite entries, each part at most
     :data:`MAX_ENTRY` in magnitude (no copy when already one)."""
-    m = np.asarray(a, dtype=complex)
+    try:
+        m = np.asarray(a, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        try:
+            np.shape(a)
+        except ValueError:  # numpy finds no shape for a ragged nesting
+            raise NonSquareError("expected a 2-d array, got ragged rows") from None
+        raise StateValidationError("matrix entries must be numbers a double holds") from None
     if m.ndim != 2:
         raise NonSquareError(f"expected a 2-d array, got shape {m.shape}")
     # an entry's modulus bounds both of its parts, so the parts are looked at

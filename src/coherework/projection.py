@@ -46,14 +46,15 @@ class ProjectorSet:
         if not is_unitary(u):
             raise NotUnitaryError("ProjectorSet: basis matrix not unitary")
         d = u.shape[0]
-        cl = tuple(np.array(c, dtype=np.intp).reshape(-1) for c in clusters)
-        if (not cl or min(c.size for c in cl) == 0
+        cl = tuple(np.asarray(c).reshape(-1) for c in clusters)
+        # an entry that is not an integer (a bool is not one) names no column
+        if (not cl or min(c.size for c in cl) == 0 or any(c.dtype.kind not in "iu" for c in cl)
                 or not np.array_equal(np.sort(np.concatenate(cl)), np.arange(d))):
             raise StateValidationError(
                 f"ProjectorSet: clusters must partition the columns 0..{d - 1} "
                 f"into nonempty groups, got {[c.tolist() for c in cl]}"
             )
-        self._fill(u.copy(), cl)
+        self._fill(u.copy(), tuple(c.astype(np.intp) for c in cl))
 
     @classmethod
     def _trusted(cls, basis: np.ndarray, clusters: tuple[np.ndarray, ...]) -> "ProjectorSet":

@@ -28,9 +28,6 @@ from .linalg import (as_matrix, is_real, require_count, require_same_dim, requir
 from .projection import WorkReport
 from .states import DensityMatrix, Hamiltonian, Temperature, average_energy
 
-# recorded under provenance.tolerances.plan, a v1 report field; no check reads it
-PLAN_TOL = 1e-8
-
 # the purity clamp build_plan applies by default, and the largest it accepts
 DEFAULT_PURITY_CLAMP = 1e-9
 MAX_PURITY_CLAMP = 1e-3

@@ -45,7 +45,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
+        p = _floats(self.probs)
         if p.ndim != 1 or p.size == 0:
             raise StateValidationError("Distribution: needs a nonempty 1-d array")
         if not np.isfinite(p).all():
@@ -65,7 +65,7 @@ class Distribution:
     @classmethod
     def normalized(cls, probs: Sequence[float]) -> "Distribution":
         """Clip tiny negatives and renormalise before validating."""
-        p = np.asarray(probs, dtype=float)
+        p = _floats(probs)
         if not np.isfinite(p).all():
             raise NonFiniteError("Distribution: probabilities include NaN or infinity")
         p = np.maximum(p, 0.0)
@@ -80,6 +80,14 @@ class Distribution:
 
     def __len__(self):
         return self.probs.size
+
+
+def _floats(probs) -> np.ndarray:
+    """``probs`` as a float array; ``StateValidationError`` for an entry that is not one."""
+    try:
+        return np.asarray(probs, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise StateValidationError("Distribution: probabilities must be real numbers") from None
 
 
 class RatePair(NamedTuple):

@@ -20,7 +20,7 @@ from .errors import (
     StateValidationError,
 )
 from .linalg import (DEFAULT_TOL, eigenvalue_clusters, hermitian_part, is_real,
-                     require_same_dim, shannon, thermal)
+                     require_count, require_same_dim, shannon, thermal)
 
 # eigenvalues in [EIGENVALUE_FLOOR, 0) are numerical noise and clamp to 0;
 # anything below the floor is a genuine validation failure
@@ -181,9 +181,9 @@ def bloch_qubit(a: float, theta: float) -> DensityMatrix:
     theta is then the angle between the state's Bloch vector and the energy
     axis.
     """
-    if not 0.0 <= a <= 1.0:
+    if not (is_real(a) and 0.0 <= a <= 1.0):
         raise StateValidationError(f"bloch_qubit: a must lie in [0, 1], got {a!r}")
-    if not math.isfinite(theta):
+    if not (is_real(theta) and math.isfinite(theta)):
         raise NonFiniteError(f"bloch_qubit: theta must be finite, got {theta!r}")
     r = 2.0 * a - 1.0
     sz = r * math.cos(theta)
@@ -211,15 +211,10 @@ def gibbs_state(h: Hamiltonian, t: Temperature) -> DensityMatrix:
 
 
 def average_energy(rho: DensityMatrix, h: Hamiltonian) -> float:
-    """U = tr[rho H]."""
+    """U = tr[rho H]: every constructor stores ``(m + m^dag)/2``, which is exactly
+    Hermitian, so the imaginary part of the trace is rounding and is dropped."""
     require_same_dim("average_energy", state=rho.dim, H=h.dim)
-    val = complex(np.trace(rho.mat @ h.mat))
-    # rounding leaves an imaginary part proportional to the energy scale
-    if abs(val.imag) > 1e-10 * max(-h.energies[0], h.energies[-1]):
-        raise StateValidationError(
-            f"average_energy: nonreal trace, imaginary part {val.imag:.3e}"
-        )
-    return val.real
+    return complex(np.trace(rho.mat @ h.mat)).real
 
 
 def free_energy(rho: DensityMatrix, h: Hamiltonian, t: Temperature) -> float:
@@ -233,12 +228,12 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: int) -> Densi
     ``dims = (d_first, d_second)`` must factor the state's dimension;
     ``keep = 0`` keeps the first factor, ``keep = 1`` the second.
     """
-    d0, d1 = int(dims[0]), int(dims[1])
-    if d0 < 1 or d1 < 1 or d0 * d1 != rho.dim:
+    d0, d1 = (require_count("partial_trace: dims", d, 1) for d in (dims[0], dims[1]))
+    if d0 * d1 != rho.dim:
         raise DimMismatchError(
             f"partial_trace: dims {dims} do not factor dimension {rho.dim}"
         )
-    if keep not in (0, 1):
+    if isinstance(keep, bool) or keep not in (0, 1):
         raise ParameterRangeError(f"partial_trace: keep must be 0 or 1, got {keep!r}")
     r = rho.mat.reshape(d0, d1, d0, d1)
     if keep == 0:

@@ -327,7 +327,7 @@ class TestRunScenarioFile:
     def test_non_finite_report_value_is_physics_error(self, tmp_path, capsys,
                                                       monkeypatch):
         monkeypatch.setitem(cli._RUNNERS, "project",
-                            lambda scn, ctx: ({"work": math.inf}, []))
+                            lambda scn, seeds: ({"work": math.inf}, []))
         out = tmp_path / "report.json"
         path = write(tmp_path, canonical_project_scenario())
         assert run_scenario(path, str(out)) == EXIT_PHYSICS
@@ -826,8 +826,8 @@ class TestEnergyScale:
         from coherework.projection import WorkReport
 
         monkeypatch.setitem(cli._RUNNERS, "project",
-                            lambda scn, ctx: WorkReport(work=1.0, entropy_change=0.0,
-                                                        energy_change=1.0, heat_absorbed=0.0))
+                            lambda scn, seeds: WorkReport(work=1.0, entropy_change=0.0,
+                                                          energy_change=1.0, heat_absorbed=0.0))
         assert run_scenario(write(tmp_path, canonical_project_scenario())) == EXIT_PHYSICS
         assert "ConsistencyError" in capsys.readouterr().err
 
@@ -973,12 +973,12 @@ class TestEdgeInputs:
 
 def test_tolerances_come_from_the_library_constants():
     from coherework.linalg import CLUSTER_GAP, DEFAULT_TOL
-    from coherework.protocol import PLAN_TOL
     from coherework.states import EIGENVALUE_FLOOR
 
+    # "plan" is a v1 report field that no check reads: it has no library constant
     assert cli.TOLERANCES == {"hermitian": DEFAULT_TOL, "projector": DEFAULT_TOL,
                               "cluster_gap": CLUSTER_GAP,
-                              "eigenvalue_floor": EIGENVALUE_FLOOR, "plan": PLAN_TOL}
+                              "eigenvalue_floor": EIGENVALUE_FLOOR, "plan": 1e-8}
     assert cli.TOLERANCES == {"hermitian": 1e-10, "projector": 1e-10, "cluster_gap": 1e-8,
                               "eigenvalue_floor": -1e-10, "plan": 1e-8}
 

@@ -40,7 +40,8 @@ def _transition_table(bad, pos, imag):
 
 
 def _bipartite_state(bad, pos, imag):
-    dims = _spoiled([2.0, 2.0], bad, pos)
+    # the dims are counts: ints when unspoiled, floats to hold a NaN or infinity
+    dims = (2, 2) if bad is None else _spoiled([2.0, 2.0], bad, pos)
     return BipartiteState(rho_sa=DensityMatrix(np.eye(4) / 4), dim_s=dims[0], dim_a=dims[1])
 
 

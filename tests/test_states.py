@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coherework.errors import (
     CohereworkError,
@@ -12,7 +14,8 @@ from coherework.errors import (
     StateValidationError,
 )
 from coherework.linalg import hermitian_part, hs_norm
-from coherework.projection import energy_projectors, max_work_fixed_energy
+from coherework.projection import ProjectorSet, energy_projectors, max_work_fixed_energy, project
+from coherework.protocol import build_plan
 from coherework.sampling import (
     random_density_matrix,
     random_hamiltonian,
@@ -429,7 +432,7 @@ class TestOneHermitianValidator:
 
 
 @pytest.mark.parametrize("scale", [1e6, 1e8, 1e12])
-def test_average_energy_imaginary_check_follows_energy_scale(scale):
+def test_average_energy_follows_energy_scale(scale):
     for seed in range(10):
         rng = np.random.default_rng(seed)
         rho = random_density_matrix(4, rng)
@@ -437,3 +440,38 @@ def test_average_energy_imaginary_check_follows_energy_scale(scale):
         scaled = Hamiltonian(scale * h.mat)
         assert average_energy(rho, scaled) == pytest.approx(
             scale * average_energy(rho, h), rel=1e-12, abs=1e-12 * scale)
+
+
+def _states_by_every_path(rng, d, h):
+    """A state of dimension ``d`` from each way the library builds one: the
+    public constructor, ``_trusted`` (a random state), ``_from_eigh`` (a
+    plan's rho0), a Gibbs state of ``h``, a projection in the energy basis and
+    in a random one, a reduced state, and, for d <= 8, a purification reduced."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    rho = random_density_matrix(d, rng)
+    yield DensityMatrix(m / m.trace().real)
+    yield rho
+    yield build_plan(rho, h, Temperature(beta=1.0 / max(abs(h.energies)))).rho0
+    yield gibbs_state(h, Temperature(beta=0.5 / max(abs(h.energies))))
+    yield project(rho, energy_projectors(h))
+    yield project(rho, ProjectorSet.from_basis(random_unitary(d, rng)))
+    yield partial_trace(random_density_matrix(2 * d, rng), (d, 2), 0)
+    if d <= 8:
+        yield partial_trace(purify(rho), (d, d), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       d=st.one_of(st.integers(1, 8), st.integers(1, 64)),
+       log_scale=st.floats(-150.0, 140.0),
+       offset=st.sampled_from([0.0, 1.0, 1e6]))
+def test_trace_of_state_times_hamiltonian_is_real_to_rounding(seed, d, log_scale, offset):
+    # average_energy drops the imaginary part unchecked: every constructor
+    # stores (m + m^dag)/2, so the trace of a product is real up to rounding
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    h = Hamiltonian(scale * (random_hamiltonian(d, rng).mat + offset * np.eye(d)))
+    bound = 1e-12 * max(abs(h.energies))
+    for rho in _states_by_every_path(rng, d, h):
+        assert abs(complex(np.trace(rho.mat @ h.mat)).imag) <= bound

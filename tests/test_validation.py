@@ -445,6 +445,19 @@ def test_jarzynski_edge_inputs_end_in_a_result_or_one_typed_error(scn, tmp_path_
 # edges of the schema's numbers
 
 _EDGE_AMPLITUDES = [0.0, 1e-300, -1e-300, 1e-150, 1.0, -1.0, 1e150, -1e150]
+_AMPLITUDE = st.one_of(st.sampled_from(_EDGE_AMPLITUDES), st.floats(-1.0, 1.0))
+_EDGE_A = [0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0]
+_BETA = st.one_of(st.sampled_from([1e-300, 1e-8, 1.0, 1e150, 1e300]),
+                  st.one_of(st.sampled_from([-300.0, 300.0]),
+                            st.floats(-300.0, 300.0)).map(lambda x: 10.0 ** x))
+
+
+def _edge_levels(draw, d):
+    """``d`` levels from the edges or the normal range, or all one of them."""
+    level = st.one_of(st.sampled_from(_EDGE_LEVELS), st.floats(-10.0, 10.0))
+    if draw(st.booleans()):
+        return [draw(level)] * d
+    return draw(st.lists(level, min_size=d, max_size=d))
 
 
 @st.composite
@@ -456,25 +469,17 @@ def edge_plan_scenarios(draw):
     form = draw(st.sampled_from(["gibbs", "random", "bloch", "pure"]))
     # a bloch state is a qubit, and a random state has at least 2 levels
     d = 2 if form == "bloch" else draw(st.integers(2 if form == "random" else 1, 4))
-    level = st.one_of(st.sampled_from(_EDGE_LEVELS), st.floats(-10.0, 10.0))
-    if draw(st.booleans()):
-        levels = [draw(level)] * d
-    else:
-        levels = draw(st.lists(level, min_size=d, max_size=d))
+    levels = _edge_levels(draw, d)
     if form == "gibbs":
         state = {"gibbs": {}}
     elif form == "random":
         state = {"random": {"dim": d, "seed": draw(st.integers(0, 1000))}}
     elif form == "bloch":
-        state = {"bloch": {"a": draw(st.sampled_from([0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0])),
+        state = {"bloch": {"a": draw(st.sampled_from(_EDGE_A)),
                            "theta": draw(st.sampled_from([0.0, 1e-300, 1.0, math.pi, 1e150]))}}
     else:
-        amplitude = st.one_of(st.sampled_from(_EDGE_AMPLITUDES), st.floats(-1.0, 1.0))
-        state = {"pure": [[draw(amplitude), draw(amplitude)] for _ in range(d)]}
-    log_beta = st.one_of(st.sampled_from([-300.0, 300.0]), st.floats(-300.0, 300.0))
-    beta = draw(st.one_of(st.sampled_from([1e-300, 1e-8, 1.0, 1e150, 1e300]),
-                          log_beta.map(lambda x: 10.0 ** x)))
-    scn = {"beta": beta, "state": state, "hamiltonian": {"diag": levels}}
+        state = {"pure": [[draw(_AMPLITUDE), draw(_AMPLITUDE)] for _ in range(d)]}
+    scn = {"beta": draw(_BETA), "state": state, "hamiltonian": {"diag": levels}}
     if draw(st.booleans()):
         scn["purity_clamp"] = draw(st.sampled_from([0.0, 1e-300, 1e-9, 1e-3]))
     if draw(st.booleans()):
@@ -490,3 +495,107 @@ def edge_plan_scenarios(draw):
 @given(scn=edge_plan_scenarios())
 def test_plan_edge_inputs_end_in_a_result_or_one_typed_error(scn, tmp_path_factory):
     _edge_results(scn, tmp_path_factory)
+
+
+# project, bound_scan and correlations scenarios, the three kinds that state
+# and measure without a plan or a table, at the edges of the schema's numbers
+
+_EDGE_THETAS = [0.0, 1e-300, -1e-300, math.pi, 1e150, -1e150, 1e300, -1e300]
+
+
+def _pairs(m):
+    """A complex array as the scenario's nested ``[re, im]`` pairs."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def _edge_state(draw, d):
+    """A state node of dimension ``d``: gibbs, random (d >= 2), bloch (d = 2),
+    pure with amplitudes from the edges, or one of :func:`_edge_matrix`."""
+    forms = ["gibbs", "pure", "matrix"] + ["random"] * (d >= 2) + ["bloch"] * (d == 2)
+    form = draw(st.sampled_from(forms))
+    if form == "gibbs":
+        return {"gibbs": {}}
+    if form == "random":
+        return {"random": {"dim": d, "seed": draw(st.integers(0, 1000))}}
+    if form == "bloch":
+        return {"bloch": {"a": draw(st.sampled_from(_EDGE_A)),
+                          "theta": draw(st.sampled_from(_EDGE_THETAS))}}
+    if form == "matrix":
+        return _edge_matrix(draw, d)
+    return {"pure": [[draw(_AMPLITUDE), draw(_AMPLITUDE)] for _ in range(d)]}
+
+
+def _edge_matrix(draw, d):
+    """A matrix state node: a random or an edge-amplitude pure state whose
+    trace is left at 1, moved off it by 1e-9 or scaled by 1e-300."""
+    psi = np.array([complex(draw(_AMPLITUDE), draw(_AMPLITUDE)) for _ in range(d)])
+    norm = np.linalg.norm(psi)
+    if norm > 0.0 and draw(st.booleans()):
+        psi = psi / norm
+        m = np.outer(psi, psi.conj())
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 1000)))
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = g @ g.conj().T
+        m /= m.trace().real
+    factor = st.one_of(st.just(1.0), st.sampled_from([1.0 + 1e-9, 1.0 - 1e-9, 1e-300]))
+    return {"matrix": _pairs(m * draw(factor))}
+
+
+def _edge_projectors(draw, d):
+    """A projectors node: energy, or the basis of a random unitary or of a
+    permutation, with one column scaled by 1 +- 2e-10 or none."""
+    if draw(st.booleans()):
+        return "energy"
+    if draw(st.booleans()):
+        u = random_unitary(d, np.random.default_rng(draw(st.integers(0, 1000))))
+    else:
+        u = np.eye(d, dtype=complex)[:, draw(st.permutations(range(d)))]
+    u[:, draw(st.integers(0, d - 1))] *= draw(st.sampled_from([1.0, 1.0 + 2e-10, 1.0 - 2e-10]))
+    return {"basis": _pairs(u)}
+
+
+@st.composite
+def edge_state_scenarios(draw):
+    """A project, bound_scan or correlations scenario: beta over 10^[-300, 300],
+    levels and states from :func:`_edge_levels` and :func:`_edge_state`,
+    projectors from :func:`_edge_projectors`; a bound scan takes a and its
+    thetas from the edges or the normal range; a correlated state is a
+    purification, a product or a matrix with its dims, at d_S, d_A <= 3."""
+    kind = draw(st.sampled_from(["project", "bound_scan", "correlations"]))
+    if kind == "bound_scan":
+        theta = st.one_of(st.sampled_from(_EDGE_THETAS), st.floats(-10.0, 10.0))
+        return {"kind": kind, "a": draw(st.sampled_from(_EDGE_A)),
+                "thetas": draw(st.lists(theta, min_size=1, max_size=4))}
+    beta = draw(_BETA)
+    d = draw(st.integers(1, 4 if kind == "project" else 3))
+    scn = {"kind": kind, "beta": beta, "hamiltonian": {"diag": _edge_levels(draw, d)}}
+    if draw(st.booleans()):
+        scn["projectors"] = _edge_projectors(draw, d)
+    if kind == "project":
+        scn["state"] = _edge_state(draw, d)
+        return scn
+    form = draw(st.sampled_from(["purify", "product", "matrix"]))
+    if form == "purify":
+        scn["state_sa"] = {"purify": _edge_state(draw, d)}
+    else:
+        da = draw(st.integers(1, 3))
+        if form == "product":
+            scn["state_sa"] = {"product": {"system": _edge_state(draw, d),
+                                           "ancilla": _edge_state(draw, da)}}
+        else:
+            scn["state_sa"] = {**_edge_matrix(draw, d * da), "dims": [d, da]}
+    return scn
+
+
+@settings(max_examples=200, deadline=None)
+@given(scn=edge_state_scenarios())
+def test_state_edge_inputs_end_in_a_result_or_one_typed_error(scn, tmp_path_factory):
+    results = _edge_results(scn, tmp_path_factory)
+    if results is None:
+        return
+    if scn["kind"] == "project":
+        assert results["entropy_change"] >= -1e-9
+    elif scn["kind"] == "correlations":
+        assert results["delta"] >= -1e-9
+        assert results["lemma1"]["holds"]
