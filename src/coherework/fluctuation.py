@@ -149,24 +149,24 @@ def projection_heat(rho_tau: DensityMatrix, htau: Hamiltonian,
     return (von_neumann_entropy(eta) - von_neumann_entropy(rho_tau)) / t.beta
 
 
-# uniforms are drawn and sorted this many at a time: PCG64 yields the same
-# stream in chunks as in one call, and per-chunk counts add up, so the counts
-# are those of the whole array without holding n_samples doubles at once
-_SAMPLE_CHUNK = 65536
-
-
 def _cell_counts(probs: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Draws of ``n`` sorted PCG64 uniforms for ``seed`` landing in each cell
-    of the distribution ``probs``, by inverse CDF."""
-    cdf = np.cumsum(probs)
-    rng = np.random.default_rng(seed)
-    # below[k]: draws u_i < cdf[k]; draw i lands in cell >= k iff cdf[k-1] <= u_i
-    below = np.zeros(cdf.size - 1, dtype=np.intp)
-    for start in range(0, n, _SAMPLE_CHUNK):
-        u = rng.random(min(_SAMPLE_CHUNK, n - start))
-        u.sort()
-        below += np.searchsorted(u, cdf[:-1], side="left")
-    return np.diff(below, prepend=0, append=n)
+    """Counts of ``n`` draws over the cells of ``probs``: one multinomial
+    draw from numpy's PCG64 generator for ``seed``.
+
+    The cell masses are those of inverse-CDF sampling with the cumulative sum
+    clipped at 1: successive differences of min(cumsum(probs), 1), the last
+    cell taking the remainder up to 1. A table whose sum overshoots 1 by V's
+    unitarity defect thus gives masses that sum to 1, as the generator
+    requires. Trailing cells of mass 0 are left out of the draw: the
+    generator gives its last cell whatever the others did not take, which
+    rounding in its running remainder can leave nonzero, so that a cell of
+    mass 0 is never drawn."""
+    cdf = np.minimum(np.cumsum(probs), 1.0)
+    masses = np.diff(cdf[:-1], prepend=0.0, append=1.0)
+    end = np.flatnonzero(masses)[-1] + 1  # the masses sum to 1, so one is positive
+    counts = np.zeros(masses.size, dtype=np.int64)
+    counts[:end] = np.random.default_rng(seed).multinomial(n, masses[:end])
+    return counts
 
 
 @dataclass(frozen=True)
@@ -191,17 +191,16 @@ def sample_trajectories(table: TransitionTable, n_samples: int,
                         seed: int) -> TrajectoryStats:
     """Draw (n, m) jumps from the joint table with a seeded generator.
 
-    Sampling is inverse-CDF over the flattened table: draw i lands in the
-    first cell whose cumulative probability exceeds its uniform u_i (the last
-    cell also takes any u_i at or above the final cumulative sum). The
-    uniforms come from numpy's PCG64 stream for ``seed`` and are sorted in
-    chunks of 65,536, so one binary search per cell boundary and chunk gives
-    the exact count of draws in every cell; no per-sample array beyond one
-    chunk of uniforms is built. The same (table, n_samples, seed) gives the
-    same counts and bit-identical statistics on the same build. Means and
-    standard errors (sample standard deviation, ddof=1) are count-weighted
-    sums over the occupied cells, in units of the largest value where a sum
-    overflows. ``n_samples`` >= 1 and ``seed`` >= 0 are ints or numpy integers.
+    The per-cell counts of the n draws over the flattened table come from
+    one multinomial draw of numpy's PCG64 generator for ``seed``, with the
+    cell masses of inverse-CDF sampling (the cumulative sum clipped at 1, the
+    last cell taking the remainder up to 1); no per-sample array is built, so
+    memory does not grow with ``n_samples``. The same (table, n_samples,
+    seed) gives the same counts and bit-identical statistics on the same
+    build. Means and standard errors (sample standard deviation, ddof=1) are
+    count-weighted sums over the occupied cells, in units of the largest value
+    where a sum overflows. ``n_samples`` >= 1 and ``seed`` >= 0 are ints or
+    numpy integers.
     """
     n = require_count("n_samples", n_samples, 1)
     seed = require_count("seed", seed, 0)

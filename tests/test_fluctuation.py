@@ -1,13 +1,16 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import coherework.fluctuation as fluctuation
+from coherework.cli import MAX_SAMPLES
 from coherework.errors import (
     DimMismatchError,
     NotUnitaryError,
@@ -423,19 +426,36 @@ class TestSampleTrajectories:
                                  random_unitary(3, rng),
                                  Temperature(beta=0.8))
         exact = jarzynski_average(table)
-        n = 20_000
-        runs = [sample_trajectories(table, n, seed=s) for s in range(50)]
+        n, seeds = 20_000, 400
+        runs = [sample_trajectories(table, n, seed=s) for s in range(seeds)]
         mean_error = np.mean([r.exp_beta_w_estimate for r in runs]) - exact
-        pooled_se = np.mean([r.exp_beta_w_std_error for r in runs]) / math.sqrt(50)
+        pooled_se = np.mean([r.exp_beta_w_std_error for r in runs]) / math.sqrt(seeds)
         assert abs(mean_error) < 3 * pooled_se
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        # d = 64 without degeneracy: 4,096 cells; the larger call may hold a
+        # few more cell-sized arrays (every cell is hit), nothing sized by n
+        rng = np.random.default_rng(75)
+        table = transition_table(random_hamiltonian(64, rng), random_hamiltonian(64, rng),
+                                 random_unitary(64, rng), Temperature(beta=0.5))
+        assert table.probs.size == 4096
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sample_trajectories(table, n, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(10**7) <= peak(10) + 8 * 8 * table.probs.size
 
 
 def per_sample_oracle(table, n, seed):
-    """Per-sample inverse-CDF draws from the same seeded stream, reduced the
-    plain way: one array entry per draw."""
+    """The drawn counts expanded to one array entry per draw, reduced the
+    plain way."""
     flat = table.probs.ravel()
-    u = np.random.default_rng(seed).random(n)
-    idx = np.minimum(np.searchsorted(np.cumsum(flat), u, "right"), flat.size - 1)
+    idx = np.repeat(np.arange(flat.size), _cell_counts(flat, n, seed))
     de_cells = table.delta_e.ravel()
     values, inverse = np.unique(de_cells, return_inverse=True)
     merged = np.zeros(values.size, dtype=np.int64)
@@ -491,23 +511,6 @@ class TestSampleTrajectoriesOracle:
             assert got[0] == pytest.approx(mean, rel=1e-14, abs=1e-300)
             assert got[1] == pytest.approx(se, rel=1e-14, abs=1e-14 * abs(mean))
 
-    @pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 10**6])
-    def test_chunked_counts_match_whole_array(self, n):
-        # the whole-array reduction: every uniform drawn and sorted at once
-        rng = np.random.default_rng(8)
-        wide = rng.random(4096) * (rng.random(4096) < 0.7)
-        tables = [t.probs.ravel() for t in ORACLE_TABLES.values()] + [wide / wide.sum()]
-        for probs in tables:
-            cdf = np.cumsum(probs)
-            for seed in (0, 5, 123):
-                u = np.random.default_rng(seed).random(n)
-                u.sort()
-                whole = np.diff(np.searchsorted(u, cdf[:-1], side="left"),
-                                prepend=0, append=n)
-                got = _cell_counts(probs, n, seed)
-                assert got.dtype == whole.dtype
-                assert np.array_equal(got, whole), (probs.size, seed)
-
     def test_unreachable_cell_with_overflowing_weight(self):
         # e^(beta W) overflows on a cell the table gives probability 0; no
         # draw lands there, so it must not enter the estimates
@@ -520,3 +523,82 @@ class TestSampleTrajectoriesOracle:
         assert math.isfinite(stats.exp_beta_w_std_error)
         assert stats.work_estimate == pytest.approx(-1000.0, rel=1e-15)
         assert stats.delta_e_counts.sum() == 1000
+
+
+def _wide_probs():
+    """4,096 cells, about 30% of them of mass 0."""
+    rng = np.random.default_rng(8)
+    wide = rng.random(4096) * (rng.random(4096) < 0.7)
+    return wide / wide.sum()
+
+
+CHI2_P_MIN = 1e-4
+
+
+def _pooled_chi2(probs, n, seeds):
+    """Pearson chi^2 statistic and degrees of freedom of the counts drawn at
+    ``seeds``, summed over the seeds, against len(seeds) n probs / sum(probs);
+    cells expecting fewer than 5 draws are pooled into one bin."""
+    total = np.zeros(probs.size, dtype=np.int64)
+    for seed in seeds:
+        counts = _cell_counts(probs, n, seed)
+        assert counts.sum() == n and counts.min() >= 0
+        assert not counts[probs == 0].any()
+        total += counts
+    expected = len(seeds) * n * probs / probs.sum()
+    small = expected < 5.0
+    obs = np.append(total[~small], total[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    keep = exp > 0  # the pooled bin is empty where no cell expects fewer than 5
+    return float(((obs[keep] - exp[keep]) ** 2 / exp[keep]).sum()), int(keep.sum()) - 1
+
+
+class TestCellCounts:
+    """The drawn counts follow the multinomial law of the cell masses."""
+
+    @pytest.mark.parametrize("name, n", [(name, 100_000) for name in sorted(ORACLE_TABLES)]
+                             + [("wide_4096", 10**6)])
+    def test_counts_fit_the_cell_masses(self, name, n):
+        probs = _wide_probs() if name == "wide_4096" else ORACLE_TABLES[name].probs.ravel()
+        stat, dof = _pooled_chi2(probs, n, seeds=range(5))
+        if dof == 0:  # one cell takes every draw
+            assert stat == 0.0
+        else:
+            assert chi2.sf(stat, dof) > CHI2_P_MIN, (stat, dof)
+
+    def test_the_sample_cap_fits_the_cell_masses(self):
+        stat, dof = _pooled_chi2(_wide_probs(), MAX_SAMPLES, seeds=[31])
+        assert chi2.sf(stat, dof) > CHI2_P_MIN, (stat, dof)
+
+    @pytest.mark.parametrize("probs", [
+        [0.25, 0.0, 0.75, 0.0],  # a last cell of mass 0
+        [0.0, 0.5, 0.0, 0.5],
+        [0.0, 0.0, 1.0],
+        [1.0, 0.0],
+    ])
+    @pytest.mark.parametrize("n", [1, 1000, 10**6])
+    def test_cells_of_mass_zero_are_never_drawn(self, probs, n):
+        probs = np.array(probs)
+        for seed in range(20):
+            counts = _cell_counts(probs, n, seed)
+            assert counts.sum() == n and not counts[probs == 0].any()
+
+    def test_sum_above_one_by_a_unitarity_defect_is_accepted(self):
+        # the cumulative sum passes 1 before the last cell, which an unclipped
+        # draw refuses (its first masses would sum to more than 1 + 1e-12)
+        probs = np.array([0.25, 0.0, 0.75 + 1e-9, 0.0])
+        stat, dof = _pooled_chi2(probs, 10**5, seeds=range(5))
+        assert chi2.sf(stat, dof) > CHI2_P_MIN
+
+    def test_one_cell_takes_every_draw(self):
+        for n in (1, 7, MAX_SAMPLES):
+            assert _cell_counts(np.array([1.0]), n, seed=4).tolist() == [n]
+
+    def test_one_draw_lands_in_one_cell(self):
+        probs = ORACLE_TABLES["degenerate_d8"].probs.ravel()
+        hits = np.zeros(probs.size, dtype=np.int64)
+        for seed in range(200):
+            counts = _cell_counts(probs, 1, seed)
+            assert counts.sum() == 1 and counts.min() == 0
+            hits += counts
+        assert not hits[probs == 0].any()

@@ -10,7 +10,9 @@ Floats are computed by numpy and its BLAS, whose last bits may differ on
 another build or CPU, so the digests are compared only in the environment
 they were recorded in; elsewhere the test skips and names what differs (the
 golden reports, compared to 1e-12, still run everywhere). To re-record after
-a deliberate change, write ``environment()`` and ``digests(w)`` into the file.
+a deliberate change, :func:`record` writes ``environment()`` and
+``digests(w)`` into the file: ``PYTHONPATH=src python
+tests/test_report_digests.py`` prints each workload's old and new digest.
 """
 
 import hashlib
@@ -26,7 +28,8 @@ import pytest
 from coherework.cli import dumps_stable, run_scenario_obj
 
 ROOT = Path(__file__).resolve().parent.parent
-PINNED = json.loads((ROOT / "tests" / "golden" / "pinned" / "report_digests.json").read_text())
+PINNED_FILE = ROOT / "tests" / "golden" / "pinned" / "report_digests.json"
+PINNED = json.loads(PINNED_FILE.read_text())
 
 
 def _workloads():
@@ -75,3 +78,18 @@ def test_report_bytes_are_unchanged(workload):
     if differ:
         pytest.skip("digests were recorded elsewhere; " + "; ".join(differ))
     assert digests(workload, PINNED["seed"]) == PINNED["report_sha256"][workload]
+
+
+def record() -> dict:
+    """Rewrite the pinned file with this environment and the digests of its
+    workloads at its seed; returns each workload's (old, new) digest."""
+    old = PINNED["report_sha256"]
+    new = {w: digests(w, PINNED["seed"]) for w in sorted(old)}
+    pinned = {"environment": environment(), "report_sha256": new, "seed": PINNED["seed"]}
+    PINNED_FILE.write_text(json.dumps(pinned, indent=2, sort_keys=True) + "\n")
+    return {w: (old[w], new[w]) for w in new}
+
+
+if __name__ == "__main__":
+    for workload, (old, new) in record().items():
+        print(f"{workload}: {old} -> {new}")
